@@ -194,16 +194,21 @@ class FiniteTruncation:
         assert len(span) == d, "generator images fail to span the truncation"
 
 
-def _companion(f: FpPoly) -> list[list[int]]:
-    """Multiplication-by-x matrix on F_p[x]/(f), basis 1, x, ..., x^(deg f - 1)."""
-    e = int(f.degree)
-    p = f.field.p
-    mat = [[0] * e for _ in range(e)]
-    for j in range(e - 1):
-        mat[j + 1][j] = 1
-    for i in range(e):
-        mat[i][e - 1] = (-f.coefficient(i)) % p
-    return mat
+def block_companion(chain: list[FpPoly]) -> list[list[int]]:
+    """Multiplication-by-x matrix on the direct sum of the F_p[x]/(h) along the
+    chain, basis 1, x, ..., x^(deg h - 1) in each summand; units add nothing."""
+    dim = sum(int(h.degree) for h in chain)
+    action = [[0] * dim for _ in range(dim)]
+    offset = 0
+    for h in chain:
+        e = int(h.degree)
+        p = h.field.p
+        for j in range(e - 1):
+            action[offset + j + 1][offset + j] = 1
+        for i in range(e):
+            action[offset + i][offset + e - 1] = (-h.coefficient(i)) % p
+        offset += e
+    return action
 
 
 def finite_truncation(pres: ModulePresentation, m: int) -> FiniteTruncation:
@@ -235,15 +240,7 @@ def finite_truncation(pres: ModulePresentation, m: int) -> FiniteTruncation:
         offsets.append(pos)
         pos += e
 
-    action = [[0] * dim for _ in range(dim)]
-    for idx, f in enumerate(annihilators):
-        if degs[idx] == 0:
-            continue
-        block = _companion(f)
-        o = offsets[idx]
-        for i in range(degs[idx]):
-            for j in range(degs[idx]):
-                action[o + i][o + j] = block[i][j]
+    action = block_companion(annihilators)
 
     images = []
     for j in range(g):

@@ -41,23 +41,6 @@ def mat_pow(a: Sequence[Sequence[int]], k: int, p: int) -> Matrix:
     return out
 
 
-def mat_add_scaled_identity(a: Sequence[Sequence[int]], c: int, p: int) -> Matrix:
-    return [
-        [(e + (c if i == j else 0)) % p for j, e in enumerate(row)]
-        for i, row in enumerate(a)
-    ]
-
-
-def poly_of_matrix(coeffs: Sequence[int], a: Sequence[Sequence[int]], p: int) -> Matrix:
-    """Evaluate sum_i coeffs[i] * a^i (Horner)."""
-    d = len(a)
-    out = [[0] * d for _ in range(d)]
-    for c in reversed(coeffs):
-        out = mat_mul(out, a, p)
-        out = mat_add_scaled_identity(out, c, p)
-    return out
-
-
 def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
     work = [list(r) for r in rows]
@@ -88,10 +71,6 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[Matrix, list[int]]:
     return work[:r], pivots
 
 
-def rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    return len(rref(rows, p)[0])
-
-
 def reduce_vector(basis: Sequence[Sequence[int]], pivots: Sequence[int],
                   v: Sequence[int], p: int) -> Vector:
     """Reduce v against an rref basis; the result is zero iff v is in the span."""
@@ -101,63 +80,3 @@ def reduce_vector(basis: Sequence[Sequence[int]], pivots: Sequence[int],
         if f:
             out = [(e - f * g) % p for e, g in zip(out, row)]
     return out
-
-
-def in_span(basis: Sequence[Sequence[int]], pivots: Sequence[int],
-            v: Sequence[int], p: int) -> bool:
-    return not any(reduce_vector(basis, pivots, v, p))
-
-
-def kernel_basis(a: Sequence[Sequence[int]], cols: int, p: int) -> Matrix:
-    """Basis of {v : A v = 0} for an (anything x cols) matrix A."""
-    red, pivots = rref(a, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for row, c in zip(red, pivots):
-            v[c] = (-row[f]) % p
-        basis.append(v)
-    return basis
-
-
-def cyclic_span(a: Sequence[Sequence[int]], v: Sequence[int], p: int) -> Matrix:
-    """rref basis of span{v, Av, A^2 v, ...}."""
-    basis: Matrix = []
-    pivots: list[int] = []
-    cur = [e % p for e in v]
-    while True:
-        red = reduce_vector(basis, pivots, cur, p)
-        if not any(red):
-            return basis
-        basis.append(red)
-        basis, pivots = rref(basis, p)
-        cur = mat_vec(a, cur, p)
-
-
-def span_join(b1: Sequence[Sequence[int]], b2: Sequence[Sequence[int]], p: int) -> Matrix:
-    joined, _ = rref(list(b1) + list(b2), p)
-    return joined
-
-
-def transpose(a: Sequence[Sequence[int]], cols: int) -> Matrix:
-    return [[row[j] for row in a] for j in range(cols)]
-
-
-def quotient_projection(w_basis: Sequence[Sequence[int]], d: int, p: int):
-    """Coordinates on F_p^d / span(w_basis).
-
-    Returns (q, project) where q is the quotient dimension and project maps a
-    length-d vector to its length-q coordinate vector.
-    """
-    red, pivots = rref(w_basis, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(d) if c not in pivot_set]
-
-    def project(v: Sequence[int]) -> Vector:
-        r = reduce_vector(red, pivots, v, p)
-        return [r[c] for c in free]
-
-    return len(free), project, free

@@ -12,7 +12,7 @@ a returned value is a certificate, not just an answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import FieldMismatch, NotSquare, ShapeMismatch
 from .fppoly import FieldSpec, FpPoly, poly_divmod, poly_gcd_ext
@@ -321,10 +321,6 @@ def smith_normal_form(m: PolyMatrix) -> SmithDecomposition:
     v = PolyMatrix.from_rows(field, w.v) if m.cols else PolyMatrix.identity(field, 0)
     diag = tuple(w.a[i][i] for i in range(min(m.rows, m.cols)))
     return SmithDecomposition(source=m, u=u, d=d, v=v, diag=diag)
-
-
-def map_entries(m: PolyMatrix, fn: Callable[[FpPoly], FpPoly]) -> PolyMatrix:
-    return PolyMatrix(m.field, m.rows, m.cols, tuple(fn(e) for e in m.entries))
 
 
 def stack_columns(field: FieldSpec, blocks: Iterable[PolyMatrix]) -> PolyMatrix:

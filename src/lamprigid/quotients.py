@@ -6,15 +6,16 @@ Tables are numpy int32 arrays. Group axioms are fully verified at construction
 up to order 512 (vectorized, one row of the associativity cube at a time) and
 spot-checked on seeded random triples above that.
 
-The bounded quotient-set computation never builds the big truncation table.
-Any quotient of order <= B in which the translation image has order m factors
-through the truncation at m, and its kernel meets the base subgroup in a
-submodule whose quotient module M has dimension <= log_p(B). Such an M is a
-quotient of the truncation module, so over the polynomial ring it is a direct
-sum of cyclic modules along a divisor chain dominated by the truncation's own
-invariant chain. Enumerating those dominated chains (a handful of divisors of
-x^m - 1 of small degree) gives every possible M directly; each M x| Z/mZ is a
-small group whose full normal-subgroup lattice is cheap to search.
+The bounded quotient sets of N x| Z are built without any subgroup search.
+Every finite quotient is a cyclic extension E(M, d, a): M a quotient module of
+N / (x^d - 1) N, a a fixed point of x on M, and t^d = a. Up to isomorphism the
+extensions of C_d by M are classified by H^2(C_d, M) = M^x / N_d M with
+N_d = 1 + x + ... + x^(d-1) (K. Brown, Cohomology of Groups, IV.3). Over the
+polynomial ring each M is a direct sum of cyclic modules along a divisor chain
+dominated by the truncation's own invariant chain, so enumerating those chains
+and one a per cohomology class gives one table of order p^dim(M) * d <= B per
+candidate quotient, deduplicated by fingerprint and isomorphism test. The
+normal-subgroup lattice search remains for tests and tools that need it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .fppoly import FieldSpec, FpPoly, poly_gcd, x_pow_minus_one
 from .laurent_modules import (
     FiniteTruncation,
     ModulePresentation,
+    block_companion,
     decompose,
 )
 from .wreath import LamplighterSpec
@@ -109,9 +112,25 @@ def direct_product_table(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGrou
     return FiniteGroupTable.build(mul)
 
 
+def _vector_grid(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """All p^d vectors of F_p^d, row k having index k = sum_i v_i p^i, and the radix."""
+    count = p ** d
+    vecs = np.zeros((count, d), dtype=np.int64)
+    for j in range(d):
+        vecs[:, j] = (np.arange(count) // (p ** j)) % p
+    return vecs, p ** np.arange(d, dtype=np.int64)
+
+
 def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
-                     order_cap: int = 4096) -> FiniteGroupTable:
-    """Table of F_p^d x| Z/mZ, the cyclic generator acting by the given matrix.
+                     order_cap: int = 4096,
+                     twist: Sequence[int] | None = None) -> FiniteGroupTable:
+    """Table of the cyclic extension of Z/mZ by F_p^d with t acting by A = action
+    and t^m = a = twist:
+
+        (v, i)(w, j) = (v + A^i w + [i + j >= m] a, (i + j) mod m).
+
+    This is a group iff A^m = I and A a = a; both are checked. The zero twist
+    (the default) gives the split product F_p^d x| Z/mZ.
 
     Elements are encoded in mixed radix as index = vector_index * m + residue,
     with vector_index = sum_i v_i p^i.
@@ -122,16 +141,21 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
     order = count * m
     if order > order_cap:
         raise OrderBoundExceeded(f"order {order} exceeds cap {order_cap}")
-    radix = p ** np.arange(d, dtype=np.int64) if d else np.zeros(0, dtype=np.int64)
-    vecs = np.zeros((count, d), dtype=np.int64)
-    for j in range(d):
-        vecs[:, j] = (np.arange(count) // (p ** j)) % p
     a_np = np.array(action, dtype=np.int64).reshape(d, d)
+    twist_np = np.array([0] * d if twist is None else twist, dtype=np.int64) % p
+    if twist_np.shape != (d,):
+        raise ValueError(f"twist has length {twist_np.size}, expected {d}")
+    if not np.array_equal(a_np @ twist_np % p, twist_np):
+        raise ValueError("twist is not fixed by the action")
+    vecs, radix = _vector_grid(p, d)
     act_idx = np.zeros((m, count), dtype=np.int64)
     power = np.eye(d, dtype=np.int64)
     for k in range(m):
-        act_idx[k] = ((vecs @ power.T % p) @ radix) if d else 0
+        act_idx[k] = (vecs @ power.T % p) @ radix
         power = power @ a_np % p
+    if not np.array_equal(power, np.eye(d, dtype=np.int64)):
+        raise ValueError(f"action does not have order dividing {m}")
+    wrap = ((vecs + twist_np) % p) @ radix
     table = np.zeros((order, order), dtype=np.int32)
     sum_idx = np.zeros((count, count), dtype=np.int64)
     if d:
@@ -139,13 +163,13 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
         for start in range(0, count, chunk):
             end = min(start + chunk, count)
             sum_idx[start:end] = ((vecs[start:end, None, :] + vecs[None, :, :]) % p) @ radix
+    cosets = np.arange(count) * m
     for k in range(m):
-        # (v, k)(w, l) = (v + A^k w, k + l)
         block = sum_idx[:, act_idx[k]]  # block[i, j] = index(vec_i + A^k vec_j)
+        wrapped = wrap[block]           # the same plus the twist a
         for l in range(m):
-            rows = (np.arange(count) * m + k)[:, None]
-            cols = (np.arange(count) * m + l)[None, :]
-            table[rows, cols] = block * m + (k + l) % m
+            part = wrapped if k + l >= m else block
+            table[(cosets + k)[:, None], (cosets + l)[None, :]] = part * m + (k + l) % m
     return FiniteGroupTable.build(table)
 
 
@@ -453,23 +477,6 @@ def _dominated_chains(base_chain: list[FpPoly], divisors: list[FpPoly],
     return out
 
 
-def _chain_action(chain: list[FpPoly]) -> list[list[int]]:
-    """Block companion matrix: multiplication by x on the direct sum of the
-    cyclic modules F_p[x]/(h) along the chain."""
-    dim = sum(int(h.degree) for h in chain)
-    action = [[0] * dim for _ in range(dim)]
-    offset = 0
-    for h in chain:
-        e = int(h.degree)
-        p = h.field.p
-        for j in range(e - 1):
-            action[offset + j + 1][offset + j] = 1
-        for i in range(e):
-            action[offset + i][offset + e - 1] = (-h.coefficient(i)) % p
-        offset += e
-    return action
-
-
 class _ClassAccumulator:
     """Isomorphism-class dedupe keyed by fingerprint."""
 
@@ -491,16 +498,52 @@ class _ClassAccumulator:
         return [t for t, _ in flat], [fp for _, fp in flat]
 
 
+def _twist_classes(field: FieldSpec, action: list[list[int]], m: int) -> list[np.ndarray]:
+    """One twist from each class of H^2(C_m, M) = M^x / N_m M, N_m = 1 + A + ... + A^(m-1).
+
+    M = F_p^d with x acting by A, A^m = I. The modules truncated_qu passes have
+    at most bound elements, so the fixed space and the norm image are
+    enumerated outright. Each class is represented by its element of least
+    index.
+    """
+    p = field.p
+    d = len(action)
+    vecs, radix = _vector_grid(p, d)
+    a_np = np.array(action, dtype=np.int64).reshape(d, d)
+    norm = np.zeros((d, d), dtype=np.int64)
+    power = np.eye(d, dtype=np.int64)
+    for _ in range(m):
+        norm = (norm + power) % p
+        power = power @ a_np % p
+    fixed = np.flatnonzero((vecs @ a_np.T % p == vecs).all(axis=1))
+    norm_image = np.unique(vecs @ norm.T % p, axis=0)
+    covered = np.zeros(len(vecs), dtype=bool)
+    reps = []
+    for k in fixed:
+        if not covered[k]:
+            reps.append(vecs[k])
+            covered[((vecs[k] + norm_image) % p) @ radix] = True
+    return reps
+
+
 def truncated_qu(source: ModulePresentation | LamplighterSpec, bound: int,
                  order_cap: int = 4096, bound_cap: int = 16) -> QuSet:
     """Every isomorphism class of quotients of order <= bound of N x| Z.
 
-    A quotient in which the translation image has order m factors through the
-    truncation at m, so m ranges over 1..bound. For each m, the kernel meets
-    the base in a submodule whose quotient module has dimension at most
-    log_p(bound); those quotient modules are enumerated as dominated divisor
-    chains of x^m - 1 and each resulting small semidirect product is searched
-    through its full normal-subgroup lattice.
+    In a finite quotient Q the image M of N is an abelian normal subgroup and
+    Q / M is cyclic of some order d, generated by the image of t. Conjugation
+    by t^d, an element of the abelian M, is trivial on M, so M is a quotient
+    module of N / (x^d - 1) N, a = t^d lies in the fixed space M^x, and Q is
+    the cyclic extension E(M, d, a) that semidirect_table builds with twist a.
+    Conversely every E(M, d, a) is a quotient: send N onto M and t to (0, 1).
+
+    Since |Q| = p^dim(M) * d, dim M is at most c(d), the largest c with
+    p^c * d <= bound, and the possible M are the dominated divisor chains of
+    the invariant chain of N / (x^d - 1) N with degree sum <= c(d). Replacing
+    t by (v, 1) changes a by N_d v, N_d = 1 + x + ... + x^(d-1), so one a per
+    class of H^2(C_d, M) = M^x / N_d M suffices (K. Brown, Cohomology of
+    Groups, IV.3). Every table has order <= bound; the fingerprint and
+    isomorphism dedupe merges the extensions that coincide.
     """
     if bound < 1 or bound > bound_cap:
         raise OrderBoundExceeded(f"bound {bound} outside 1..{bound_cap}")
@@ -508,24 +551,20 @@ def truncated_qu(source: ModulePresentation | LamplighterSpec, bound: int,
     field = pres.field
     p = field.p
     dec = decompose(pres)
-    cmax = 0
-    while p ** (cmax + 1) <= bound:
-        cmax += 1
     acc = _ClassAccumulator()
-    for m in range(1, bound + 1):
-        xm1 = x_pow_minus_one(field, m)
-        base_chain = [g for g in (poly_gcd(f, xm1) for f in dec.invariant_factors)
+    for d in range(1, bound + 1):
+        c = 0
+        while p ** (c + 1) * d <= bound:
+            c += 1
+        xd1 = x_pow_minus_one(field, d)
+        base_chain = [g for g in (poly_gcd(f, xd1) for f in dec.invariant_factors)
                       if g.degree >= 1]
-        base_chain.extend([xm1] * dec.free_rank)
-        divisors = _small_divisors(xm1, min(cmax, m))
-        seen_modules = _ClassAccumulator()
-        for chain in _dominated_chains(base_chain, divisors, cmax):
-            table = semidirect_table(field, _chain_action(chain), m, order_cap)
-            if not seen_modules.add(table):
-                continue
-            for normal in enumerate_normal_subgroups(table, order_cap):
-                if table.order // len(normal) <= bound:
-                    acc.add(quotient_table(table, normal))
+        base_chain.extend([xd1] * dec.free_rank)
+        divisors = _small_divisors(xd1, c)
+        for chain in _dominated_chains(base_chain, divisors, c):
+            action = block_companion(chain)
+            for twist in _twist_classes(field, action, d):
+                acc.add(semidirect_table(field, action, d, order_cap, twist))
     classes, fps = acc.sorted_classes()
     return QuSet(bound=bound, classes=tuple(classes), fingerprints=tuple(fps))
 

@@ -4,6 +4,8 @@ Everything here deliberately avoids the code paths it checks: divisor searches
 are exhaustive coefficient enumerations, invariant factors come from gcds of
 explicitly enumerated minors, residue counting walks the actual quotient
 module, and the small-group catalog is built from first-principles tables.
+The lattice route to bounded quotient sets reaches every quotient as G / K
+over normal subgroups K, not as a cyclic extension as the library does.
 """
 
 from __future__ import annotations
@@ -18,10 +20,25 @@ from lamprigid import (
     FiniteGroupTable,
     FpPoly,
     PolyMatrix,
+    decompose,
     determinant,
     poly_divmod,
+    poly_gcd,
+    x_pow_minus_one,
 )
-from lamprigid.quotients import cyclic_table, direct_product_table, semidirect_table
+from lamprigid.laurent_modules import block_companion
+from lamprigid.quotients import (
+    QuSet,
+    _ClassAccumulator,
+    _dominated_chains,
+    _small_divisors,
+    _source_presentation,
+    cyclic_table,
+    direct_product_table,
+    enumerate_normal_subgroups,
+    quotient_table,
+    semidirect_table,
+)
 
 
 def all_polys(field: FieldSpec, max_deg: int):
@@ -235,3 +252,43 @@ def brute_normal_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
         if conj_ok:
             out.append(sub)
     return out
+
+
+# --- bounded quotient sets through normal-subgroup lattices -------------------
+
+def lattice_qu(source, bound: int) -> QuSet:
+    """Bounded quotient set of N x| Z by searching normal-subgroup lattices.
+
+    A quotient in which the translation image has order m factors through the
+    truncation at m, so m ranges over 1..bound. For each m, the kernel meets
+    the base in a submodule whose quotient module has dimension at most
+    log_p(bound); those quotient modules are enumerated as dominated divisor
+    chains of x^m - 1 and each resulting small semidirect product is searched
+    through its full normal-subgroup lattice. Shares only the module
+    enumeration and the dedupe with truncated_qu; the groups themselves come
+    from kernels rather than from cyclic extensions.
+    """
+    pres = _source_presentation(source)
+    field = pres.field
+    p = field.p
+    dec = decompose(pres)
+    cmax = 0
+    while p ** (cmax + 1) <= bound:
+        cmax += 1
+    acc = _ClassAccumulator()
+    for m in range(1, bound + 1):
+        xm1 = x_pow_minus_one(field, m)
+        base_chain = [g for g in (poly_gcd(f, xm1) for f in dec.invariant_factors)
+                      if g.degree >= 1]
+        base_chain.extend([xm1] * dec.free_rank)
+        divisors = _small_divisors(xm1, min(cmax, m))
+        seen_modules = _ClassAccumulator()
+        for chain in _dominated_chains(base_chain, divisors, cmax):
+            table = semidirect_table(field, block_companion(chain), m)
+            if not seen_modules.add(table):
+                continue
+            for normal in enumerate_normal_subgroups(table):
+                if table.order // len(normal) <= bound:
+                    acc.add(quotient_table(table, normal))
+    classes, fps = acc.sorted_classes()
+    return QuSet(bound=bound, classes=tuple(classes), fingerprints=tuple(fps))

@@ -1,7 +1,11 @@
+import json
+import pathlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamprigid import (
     FieldSpec,
@@ -17,11 +21,12 @@ from lamprigid import (
     quotient_table,
     truncated_qu,
 )
+from lamprigid import jsonio, quotients
 from lamprigid.errors import NotNormal, OrderBoundExceeded
 from lamprigid.fppoly import FpPoly
 from lamprigid.quotients import cyclic_table, direct_product_table, semidirect_table
 
-from oracles import brute_normal_subgroups, small_group_catalog
+from oracles import brute_normal_subgroups, lattice_qu, small_group_catalog
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -30,6 +35,18 @@ F3 = FieldSpec(3)
 def lamp_table(p, n, m, cap=4096):
     pres = ModulePresentation.free(FieldSpec(p), n)
     return build_group_table(finite_truncation(pres, m), m, cap)
+
+
+CANDIDATE_NAMES = ("free_rank1", "free_rank2_p3", "mixed_free_torsion", "torsion_only")
+CANDIDATE_DIR = pathlib.Path(__file__).resolve().parents[1] / "candidates"
+
+
+def bundled(name):
+    return jsonio.parse_candidate(json.loads((CANDIDATE_DIR / f"{name}.json").read_text()))
+
+
+def fingerprints_agree(source, bound):
+    return truncated_qu(source, bound).fingerprints == lattice_qu(source, bound).fingerprints
 
 
 class TestBuildGroupTable:
@@ -52,6 +69,41 @@ class TestBuildGroupTable:
     def test_order_cap(self):
         with pytest.raises(OrderBoundExceeded):
             lamp_table(2, 1, 4, cap=32)
+
+
+class TestTwistedTable:
+    def test_non_split_extension_is_cyclic_four(self):
+        # t^2 = a with a != 0: the split a = 0 table is C2 x C2, never C4
+        twisted = semidirect_table(F2, [[1]], 2, twist=(1,))
+        assert isomorphic(twisted, cyclic_table(4))
+        assert not isomorphic(semidirect_table(F2, [[1]], 2), cyclic_table(4))
+
+    def test_norm_image_twist_gives_the_split_group(self):
+        # x swaps the coordinates; (1, 1) = N_2 (1, 0) is zero in H^2, so D4 again
+        twisted = semidirect_table(F2, [[0, 1], [1, 0]], 2, twist=(1, 1))
+        assert isomorphic(twisted, semidirect_table(F2, [[0, 1], [1, 0]], 2))
+
+    def test_twist_outside_fixed_space_raises(self):
+        with pytest.raises(ValueError, match="fixed"):
+            semidirect_table(F2, [[0, 1], [1, 0]], 2, twist=(1, 0))
+
+    def test_action_order_must_divide_m(self):
+        with pytest.raises(ValueError, match="order dividing"):
+            semidirect_table(F2, [[0, 1], [1, 0]], 3)
+
+    def test_bound_sixteen_tables_stay_within_bound(self, monkeypatch):
+        orders = []
+        original = quotients.semidirect_table
+
+        def recording(*args, **kwargs):
+            table = original(*args, **kwargs)
+            orders.append(table.order)
+            return table
+
+        monkeypatch.setattr(quotients, "semidirect_table", recording)
+        for name in CANDIDATE_NAMES:
+            truncated_qu(bundled(name).presentation, 16)
+        assert orders and max(orders) <= 16
 
 
 class TestNormalSubgroups:
@@ -222,6 +274,42 @@ class TestTruncatedQu:
     def test_bound_cap(self):
         with pytest.raises(OrderBoundExceeded):
             truncated_qu(ModulePresentation.free(F2, 1), 17)
+
+
+class TestAgainstLatticeRoute:
+    """The cyclic-extension route against the normal-subgroup lattice search."""
+
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_bundled_candidates_and_lamp_groups_bounds_one_to_eight(self, name):
+        candidate = bundled(name)
+        lamp = LamplighterSpec(candidate.field, candidate.n, None)
+        for bound in range(1, 9):
+            assert fingerprints_agree(candidate.presentation, bound), bound
+            assert fingerprints_agree(lamp, bound), bound
+
+    @pytest.mark.parametrize("name", ["free_rank1", "torsion_only"])
+    @pytest.mark.parametrize("bound", [12, 16])
+    def test_larger_bounds(self, name, bound):
+        assert fingerprints_agree(bundled(name).presentation, bound)
+
+    @given(st.sampled_from([F2, F3]), st.integers(0, 1), st.integers(1, 2),
+           st.integers(1, 8), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_random_small_modules(self, field, free_rank, factors, bound, data):
+        p = field.p
+        diagonal = []
+        for _ in range(factors):
+            degree = data.draw(st.integers(1, 3))
+            coeffs = ([data.draw(st.integers(1, p - 1))]
+                      + [data.draw(st.integers(0, p - 1)) for _ in range(degree - 1)]
+                      + [data.draw(st.integers(1, p - 1))])
+            diagonal.append(FpPoly(field, tuple(coeffs)))
+        gens = factors + free_rank
+        rows = [[FpPoly.zero(field)] * factors for _ in range(gens)]
+        for i, f in enumerate(diagonal):
+            rows[i][i] = f
+        pres = ModulePresentation.make(field, gens, rows)
+        assert fingerprints_agree(pres, bound)
 
 
 class TestCompareQu:
