@@ -61,6 +61,10 @@ class NotSurjective(AlgebraError):
     """Surjectivity certificate failed."""
 
 
+class CertificateError(AlgebraError, AssertionError):
+    """A computed result failed its own certificate; raised even under python -O."""
+
+
 class OrderBoundExceeded(AlgebraError):
     """Requested computation exceeds the configured order cap."""
 

@@ -329,14 +329,6 @@ class LaurentPoly:
     def is_unit(self) -> bool:
         return (not self.is_zero) and self.body.degree == 0
 
-    @property
-    def min_degree(self) -> int:
-        return self.shift
-
-    @property
-    def max_degree(self) -> Degree:
-        return NEG_INF if self.is_zero else self.shift + self.body.degree
-
     def coefficient(self, e: int) -> int:
         return self.body.coefficient(e - self.shift)
 

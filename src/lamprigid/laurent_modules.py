@@ -10,17 +10,21 @@ matrix: the diagonal gives the invariant factors once x-powers (units) are
 stripped, and the change-of-basis transform U materializes the abstract
 isomorphism onto a product of a free module and cyclic torsion quotients.
 That explicit transform is what makes the projection onto free coordinates
-constructive rather than an existence statement.
+constructive rather than an existence statement. The normal form is computed
+once per presentation (ModulePresentation.smith) and shared by every stage;
+the certificate that such a projection is onto lives in check_epimorphism.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg_fp as la
-from .errors import InvalidM, NotNormalized, RankDeficient, ZeroDivisor
+from .errors import (
+    InvalidM, NotNormalized, NotSurjective, RankDeficient, RelationNotKilled, ZeroDivisor)
 from .fppoly import FieldSpec, FpPoly, LaurentPoly, poly_gcd, x_pow_minus_one
-from .polymatrix import PolyMatrix, matrix_mul, smith_normal_form, stack_columns
+from .polymatrix import PolyMatrix, SmithDecomposition, matrix_mul, smith_normal_form, stack_columns
 
 
 @dataclass(frozen=True)
@@ -61,6 +65,11 @@ class ModulePresentation:
     def free(cls, field: FieldSpec, rank: int) -> "ModulePresentation":
         return cls(field, rank, PolyMatrix.zeros(field, rank, 0))
 
+    @cached_property
+    def smith(self) -> SmithDecomposition:
+        """Certified SNF of the relations; frozen fields keep the cache valid."""
+        return smith_normal_form(self.relations)
+
 
 @dataclass(frozen=True)
 class ModuleDecomposition:
@@ -89,8 +98,7 @@ class ModuleDecomposition:
 
 def decompose(pres: ModulePresentation) -> ModuleDecomposition:
     """Invariant-factor decomposition via the Smith normal form of the relations."""
-    snf = smith_normal_form(pres.relations)
-    nonzero = [d for d in snf.diag if not d.is_zero]
+    nonzero = [d for d in pres.smith.diag if not d.is_zero]
     factors = []
     for d in nonzero:
         f = d.strip_x().monic()
@@ -127,34 +135,34 @@ def torsion_quotient_order(f: FpPoly) -> int:
     return f.field.p ** int(f.degree)
 
 
-def epimorphism_to_free(dec: ModuleDecomposition, pres: ModulePresentation,
-                        n: int) -> PolyMatrix:
+def check_epimorphism(pres: ModulePresentation, phi: PolyMatrix) -> None:
+    """Certify that phi (n x g) kills every relator and induces a surjection N -> R^n."""
+    if phi.cols != pres.generators:
+        raise RelationNotKilled("matrix shape does not match the presentation")
+    if not matrix_mul(phi, pres.relations).is_zero:
+        raise RelationNotKilled("phi does not annihilate the relation columns")
+    # units of the Laurent ring are c * x^k: strip the x-power before testing
+    if not all(not d.is_zero and d.strip_x().degree == 0 for d in smith_normal_form(phi).diag):
+        raise NotSurjective("normal form of phi has a non-unit diagonal entry")
+
+
+def epimorphism_to_free(pres: ModulePresentation, n: int) -> PolyMatrix:
     """Surjection N -> R^n given by an n x g matrix applied to generator coordinates.
 
     The map is the composition of the Smith change of basis with the projection
-    onto the n free coordinates of lowest index (torsion summands go to zero).
-    Verifies that the result kills every relator and that its own normal form
-    has all-unit diagonal, which certifies surjectivity.
+    onto the n free coordinates of lowest index (torsion summands go to zero),
+    certified by check_epimorphism.
     """
     if n < 1:
         raise ValueError("target rank must be positive")
-    check = decompose(pres)
-    if check != dec:
-        raise ValueError("decomposition does not match the presentation")
-    if dec.free_rank < n:
-        raise RankDeficient(
-            f"free rank {dec.free_rank} < target rank {n}: no surjection onto R^{n}")
-    snf = smith_normal_form(pres.relations)
-    g = pres.generators
-    free_coords = [i for i in range(g)
+    snf = pres.smith
+    free_coords = [i for i in range(pres.generators)
                    if i >= len(snf.diag) or snf.diag[i].is_zero]
-    rows = [list(snf.u.row(i)) for i in free_coords[:n]]
-    phi = PolyMatrix.from_rows(pres.field, rows)
-    killed = matrix_mul(phi, pres.relations)
-    assert killed.is_zero, "projection fails to kill the relations"
-    phi_diag = smith_normal_form(phi).diag
-    assert all((not d.is_zero) and d.strip_x().degree == 0 for d in phi_diag), \
-        "projection not surjective"
+    if len(free_coords) < n:
+        raise RankDeficient(
+            f"free rank {len(free_coords)} < target rank {n}: no surjection onto R^{n}")
+    phi = PolyMatrix.from_rows(pres.field, [list(snf.u.row(i)) for i in free_coords[:n]])
+    check_epimorphism(pres, phi)
     return phi
 
 

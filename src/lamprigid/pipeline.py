@@ -117,11 +117,9 @@ class RigidityReport:
             assert self.ab_check.passed
 
 
-def abelianization_check(candidate: CandidateGroup,
-                         dec: ModuleDecomposition | None = None) -> AbelianizationCheck:
+def abelianization_check(candidate: CandidateGroup) -> AbelianizationCheck:
     """The abelianization of N x| Z is (Z/pZ)^dim x Z with dim = dim N/(x-1)N."""
-    dec = dec if dec is not None else decompose(candidate.presentation)
-    dim = quotient_dim(dec, 1)
+    dim = quotient_dim(decompose(candidate.presentation), 1)
     return AbelianizationCheck(
         passed=(dim == candidate.n),
         coinvariant_dimension=dim,
@@ -159,7 +157,7 @@ def certify(candidate: CandidateGroup, qu_bound: int = 8, seed: int = 0,
             order_cap: int = 4096, law_samples: int = 1000) -> RigidityReport:
     """Run the full pipeline and assemble the report."""
     dec = decompose(candidate.presentation)
-    ab = abelianization_check(candidate, dec)
+    ab = abelianization_check(candidate)
     m = choose_m(dec)
     torsion_orders = tuple(torsion_quotient_order(f) for f in dec.invariant_factors)
 
@@ -174,7 +172,7 @@ def certify(candidate: CandidateGroup, qu_bound: int = 8, seed: int = 0,
             failed = "rank_check"
         else:
             try:
-                phi = epimorphism_to_free(dec, candidate.presentation, candidate.n)
+                phi = epimorphism_to_free(candidate.presentation, candidate.n)
             except RankDeficient:  # unreachable after a passing rank check
                 raise AssertionError("rank check passed but projection failed")
             epi = build_lamplighter_epimorphism(candidate.presentation, phi)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import FieldMismatch, NotSquare, ShapeMismatch
+from .errors import CertificateError, FieldMismatch, NotSquare, ShapeMismatch
 from .fppoly import FieldSpec, FpPoly, poly_divmod, poly_gcd_ext
 
 
@@ -102,6 +102,11 @@ def matrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(a.field, a.rows, b.cols, tuple(out))
 
 
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise CertificateError(message)
+
+
 def determinant(m: PolyMatrix) -> FpPoly:
     """Determinant by fraction-free minor expansion, memoized on column subsets."""
     if m.rows != m.cols:
@@ -159,26 +164,26 @@ class SmithDecomposition:
 
     def __post_init__(self):
         m = self.source
-        assert self.u.rows == self.u.cols == m.rows
-        assert self.v.rows == self.v.cols == m.cols
-        assert self.d.rows == m.rows and self.d.cols == m.cols
-        assert matrix_mul(matrix_mul(self.u, m), self.v).entries == self.d.entries, \
-            "U*M*V != D"
-        assert is_unimodular(self.u), "U is not unimodular"
-        assert is_unimodular(self.v), "V is not unimodular"
-        assert self.d.is_diagonal(), "D has off-diagonal entries"
+        _require(self.u.rows == self.u.cols == m.rows, "U has the wrong shape")
+        _require(self.v.rows == self.v.cols == m.cols, "V has the wrong shape")
+        _require(self.d.rows == m.rows and self.d.cols == m.cols, "D has the wrong shape")
+        _require(matrix_mul(matrix_mul(self.u, m), self.v).entries == self.d.entries,
+                 "U*M*V != D")
+        _require(is_unimodular(self.u), "U is not unimodular")
+        _require(is_unimodular(self.v), "V is not unimodular")
+        _require(self.d.is_diagonal(), "D has off-diagonal entries")
         k = min(m.rows, m.cols)
-        assert len(self.diag) == k
-        assert all(self.d.entry(i, i) == self.diag[i] for i in range(k))
+        _require(len(self.diag) == k, "diag has the wrong length")
+        _require(all(self.d.entry(i, i) == self.diag[i] for i in range(k)), "diag differs from D")
         seen_zero = False
         for i, di in enumerate(self.diag):
             if di.is_zero:
                 seen_zero = True
                 continue
-            assert not seen_zero, "nonzero diagonal entry after a zero one"
-            assert di.is_monic, "diagonal entry not monic"
+            _require(not seen_zero, "nonzero diagonal entry after a zero one")
+            _require(di.is_monic, "diagonal entry not monic")
             if i + 1 < k and not self.diag[i + 1].is_zero:
-                assert di.divides(self.diag[i + 1]), "divisibility chain broken"
+                _require(di.divides(self.diag[i + 1]), "divisibility chain broken")
 
 
 class _Worker:

@@ -26,14 +26,12 @@ from .errors import (
     ConjugationMismatch,
     CocycleViolation,
     NotBaseValued,
-    NotSurjective,
-    RelationNotKilled,
     RelationViolated,
     SpecMismatch,
 )
 from .fppoly import FieldSpec, FpPoly, LaurentPoly, laurent_canonicalize
-from .laurent_modules import ModulePresentation
-from .polymatrix import PolyMatrix, matrix_mul, smith_normal_form
+from .laurent_modules import ModulePresentation, check_epimorphism
+from .polymatrix import PolyMatrix
 
 
 @dataclass(frozen=True)
@@ -493,14 +491,6 @@ class VerifiedGroupEpi:
 def build_lamplighter_epimorphism(pres: ModulePresentation,
                                   phi: PolyMatrix) -> VerifiedGroupEpi:
     """Certify phi and wrap it as the group map (a, k) -> (phi(a), k)."""
-    if phi.cols != pres.generators:
-        raise RelationNotKilled("matrix shape does not match the presentation")
-    killed = matrix_mul(phi, pres.relations)
-    if not killed.is_zero:
-        raise RelationNotKilled("phi does not annihilate the relation columns")
-    diag = smith_normal_form(phi).diag
-    # units of the Laurent ring are c * x^k: strip the x-power before testing
-    if not all((not d.is_zero) and d.strip_x().degree == 0 for d in diag):
-        raise NotSurjective("normal form of phi has a non-unit diagonal entry")
+    check_epimorphism(pres, phi)
     target = LamplighterSpec(pres.field, phi.rows, None)
     return VerifiedGroupEpi(source=pres, phi=phi, target=target)

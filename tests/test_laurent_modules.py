@@ -10,6 +10,7 @@ from lamprigid import (
     LaurentPoly,
     ModulePresentation,
     PolyMatrix,
+    check_epimorphism,
     decompose,
     epimorphism_to_free,
     finite_truncation,
@@ -18,7 +19,7 @@ from lamprigid import (
     smith_normal_form,
     torsion_quotient_order,
 )
-from lamprigid.errors import InvalidM, NotNormalized, RankDeficient, ZeroDivisor
+from lamprigid.errors import InvalidM, NotNormalized, RankDeficient, RelationNotKilled, ZeroDivisor
 from lamprigid import linalg_fp as la
 
 from oracles import random_poly, verified_residue_count
@@ -49,6 +50,12 @@ class TestDecompose:
             dec = decompose(ModulePresentation.free(F2, n))
             assert dec.free_rank == n
             assert dec.invariant_factors == ()
+
+    def test_cached_smith_keeps_equality_and_hash(self):
+        a, b = (presentation(F2, 2, [[(1, 1), (0, 1)], [(), (1, 1)]]) for _ in range(2))
+        snf = a.smith
+        assert a.smith is snf and "smith" not in vars(b)
+        assert a == b and b == a and hash(a) == hash(b)
 
     def test_single_torsion_factor(self):
         dec = decompose(presentation(F2, 1, [[(1, 1, 1)]]))
@@ -153,29 +160,32 @@ class TestTorsionOrder:
 class TestEpimorphismToFree:
     def test_free_gives_identity(self):
         pres = ModulePresentation.free(F3, 2)
-        phi = epimorphism_to_free(decompose(pres), pres, 2)
+        phi = epimorphism_to_free(pres, 2)
         assert phi.entries == PolyMatrix.identity(F3, 2).entries
 
     def test_projection_to_first_free_coordinate(self):
         pres = ModulePresentation.free(F2, 2)
-        phi = epimorphism_to_free(decompose(pres), pres, 1)
+        phi = epimorphism_to_free(pres, 1)
         assert phi.rows == 1 and phi.cols == 2
         assert matrix_mul(phi, pres.relations).is_zero
 
     def test_torsion_summand_killed(self):
         pres = presentation(F2, 2, [[()], [(1, 1, 1)]])
-        dec = decompose(pres)
-        phi = epimorphism_to_free(dec, pres, 1)
+        phi = epimorphism_to_free(pres, 1)
         assert matrix_mul(phi, pres.relations).is_zero
         diag = smith_normal_form(phi).diag
         assert all(d.degree == 0 for d in diag)
         # generator 2 carries the torsion and must map to zero
         assert phi.entry(0, 1).is_zero
 
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(RelationNotKilled):
+            check_epimorphism(ModulePresentation.free(F2, 2), PolyMatrix.identity(F2, 1))
+
     def test_rank_deficient(self):
         pres = presentation(F2, 1, [[(1, 1)]])
         with pytest.raises(RankDeficient):
-            epimorphism_to_free(decompose(pres), pres, 1)
+            epimorphism_to_free(pres, 1)
 
 
 class TestFiniteTruncation:

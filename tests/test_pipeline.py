@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -15,7 +16,7 @@ from lamprigid import (
     decompose,
     rank_check,
 )
-from lamprigid import jsonio
+from lamprigid import jsonio, laurent_modules
 from lamprigid.errors import InvalidInput
 
 F2 = FieldSpec(2)
@@ -137,6 +138,20 @@ class TestCertify:
             if report.epimorphism is not None:
                 assert report.rank_check.passed
                 assert report.ab_check.passed
+
+    def test_one_snf_of_the_relations_per_certify(self, monkeypatch):
+        path = pathlib.Path(__file__).resolve().parents[1] / "candidates" / "free_rank1.json"
+        candidate = jsonio.parse_candidate(json.loads(path.read_text()))
+        snf = laurent_modules.smith_normal_form
+        sources = []
+
+        def counting(m):
+            sources.append(m)
+            return snf(m)
+
+        monkeypatch.setattr(laurent_modules, "smith_normal_form", counting)
+        assert certify(candidate, qu_bound=8).certified
+        assert sum(m is candidate.presentation.relations for m in sources) == 1
 
     def test_reports_byte_identical(self):
         a = jsonio.canonical_dumps(jsonio.report_to_json(certify(mixed_candidate(), seed=5)))

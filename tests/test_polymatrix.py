@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -137,3 +140,64 @@ class TestSmithNormalForm:
         dec = smith_normal_form(m)
         d1, d2 = dec.diag
         assert d1.divides(d2)
+
+
+# Each case builds a SmithDecomposition that must fail its certificate; the
+# script runs under python -O, where a bare assert would let all of them pass.
+_CORRUPTED_SNF_SCRIPT = """
+import json
+from lamprigid import FieldSpec, FpPoly, PolyMatrix, smith_normal_form
+from lamprigid.errors import CertificateError
+from lamprigid.polymatrix import SmithDecomposition
+
+F2, F3 = FieldSpec(2), FieldSpec(3)
+
+def mat(field, rows):
+    return PolyMatrix.from_rows(field, [[FpPoly(field, e) for e in row] for row in rows])
+
+def claimed(m, u=None, v=None):
+    # m claimed as its own normal form, with identity transforms by default
+    return dict(source=m, u=u or PolyMatrix.identity(m.field, m.rows), d=m,
+                v=v or PolyMatrix.identity(m.field, m.cols),
+                diag=tuple(m.entry(i, i) for i in range(min(m.rows, m.cols))))
+
+source = mat(F2, [[(0, 1), (1,)], [(), (1, 1)]])
+snf = smith_normal_form(source)
+x = FpPoly(F2, (0, 1))
+bad_u = PolyMatrix(F2, 2, 2, (snf.u.entries[0] + x,) + snf.u.entries[1:])
+bad_v = PolyMatrix(F2, 2, 2, snf.v.entries[:3] + (snf.v.entries[3] + x,))
+singular = mat(F2, [[(0, 1), ()], [(), (1,)]])
+cases = {
+    "corrupted U": dict(source=source, u=bad_u, d=snf.d, v=snf.v, diag=snf.diag),
+    "corrupted V": dict(source=source, u=snf.u, d=snf.d, v=bad_v, diag=snf.diag),
+    "singular U": claimed(PolyMatrix.zeros(F2, 2, 2), u=singular),
+    "singular V": claimed(PolyMatrix.zeros(F2, 2, 2), v=singular),
+    "off-diagonal D": claimed(mat(F2, [[(1,), (1,)], [(), (1,)]])),
+    "broken chain": claimed(mat(F2, [[(0, 1), ()], [(), (1, 1)]])),
+    "non-monic diagonal": claimed(mat(F3, [[(2,)]])),
+}
+outcome = {"debug": __debug__}
+for name, fields in cases.items():
+    try:
+        SmithDecomposition(**fields)
+        outcome[name] = "accepted"
+    except CertificateError as exc:
+        outcome[name] = str(exc)
+print(json.dumps(outcome))
+"""
+
+
+def test_corrupted_snf_rejected_under_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_SNF_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "debug": False,
+        "corrupted U": "U*M*V != D",
+        "corrupted V": "U*M*V != D",
+        "singular U": "U is not unimodular",
+        "singular V": "V is not unimodular",
+        "off-diagonal D": "D has off-diagonal entries",
+        "broken chain": "divisibility chain broken",
+        "non-monic diagonal": "diagonal entry not monic",
+    }
