@@ -1,0 +1,24 @@
+"""Pinned report bytes: `certify --json` on every bundled candidate at bounds 8 and 16.
+
+The files in tests/golden/ are the canonical reports. Any change to them is a
+change of behaviour and must be argued, never regenerated to get a pass.
+"""
+
+import pathlib
+
+import pytest
+
+from lamprigid import cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CANDIDATES = ("free_rank1", "free_rank2_p3", "mixed_free_torsion", "torsion_only")
+
+
+@pytest.mark.parametrize("bound", [8, 16])
+@pytest.mark.parametrize("name", CANDIDATES)
+def test_certify_report_matches_golden(name, bound, capsys):
+    code = cli.main(["certify", str(ROOT / "candidates" / f"{name}.json"),
+                     "--qu-bound", str(bound), "--json"])
+    assert code == (1 if name == "torsion_only" else 0)
+    expected = (ROOT / "tests" / "golden" / f"{name}_b{bound}.json").read_text()
+    assert capsys.readouterr().out == expected
