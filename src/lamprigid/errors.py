@@ -65,6 +65,12 @@ class CertificateError(AlgebraError, AssertionError):
     """A computed result failed its own certificate; raised even under python -O."""
 
 
+def require(cond: bool, message: str) -> None:
+    """Certificate check that, unlike assert, also runs under python -O."""
+    if not cond:
+        raise CertificateError(message)
+
+
 class OrderBoundExceeded(AlgebraError):
     """Requested computation exceeds the configured order cap."""
 

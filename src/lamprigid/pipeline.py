@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RankDeficient
 from .fppoly import FieldSpec
 from .laurent_modules import (
     ModuleDecomposition,
@@ -171,10 +170,7 @@ def certify(candidate: CandidateGroup, qu_bound: int = 8, seed: int = 0,
         if not rank.passed:
             failed = "rank_check"
         else:
-            try:
-                phi = epimorphism_to_free(candidate.presentation, candidate.n)
-            except RankDeficient:  # unreachable after a passing rank check
-                raise AssertionError("rank check passed but projection failed")
+            phi = epimorphism_to_free(candidate.presentation, candidate.n)
             epi = build_lamplighter_epimorphism(candidate.presentation, phi)
             law = epi.law_check(samples=law_samples, seed=seed)
             epi_record = EpimorphismRecord(phi=phi, law_check=law, epi=epi)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CertificateError, FieldMismatch, NotSquare, ShapeMismatch
+from .errors import FieldMismatch, NotSquare, ShapeMismatch, require
 from .fppoly import FieldSpec, FpPoly, poly_divmod, poly_gcd_ext
 
 
@@ -102,44 +102,33 @@ def matrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(a.field, a.rows, b.cols, tuple(out))
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise CertificateError(message)
-
-
 def determinant(m: PolyMatrix) -> FpPoly:
-    """Determinant by fraction-free minor expansion, memoized on column subsets."""
+    """Determinant by Bareiss fraction-free elimination (Bareiss 1968).
+
+    After step k each entry of the trailing block is a (k+1)x(k+1) minor of m,
+    so dividing by the previous pivot is exact over F_p[x]; every division is
+    checked. A zero pivot is replaced by a row swap, which flips the sign.
+    """
     if m.rows != m.cols:
         raise NotSquare(f"determinant of a {m.rows}x{m.cols} matrix")
     n = m.rows
-    if n == 0:
-        return FpPoly.one(m.field)
-    grid = m.to_lists()
-    zero = FpPoly.zero(m.field)
-    cache: dict[int, FpPoly] = {}
-
-    def expand(colmask: int, row: int) -> FpPoly:
-        if row == n:
-            return FpPoly.one(m.field)
-        got = cache.get(colmask)
-        if got is not None:
-            return got
-        acc = zero
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if colmask & bit:
-                continue
-            e = grid[row][j]
-            if e:
-                sub = expand(colmask | bit, row + 1)
-                term = e * sub
-                acc = acc + (term if sign > 0 else -term)
+    a = m.to_lists()
+    prev, sign = FpPoly.one(m.field), 1
+    for k in range(n):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return FpPoly.zero(m.field)
+            a[k], a[swap] = a[swap], a[k]
             sign = -sign
-        cache[colmask] = acc
-        return acc
-
-    return expand(0, 0)
+        piv = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                q, r = poly_divmod(a[i][j] * piv - a[i][k] * a[k][j], prev)
+                require(r.is_zero, "Bareiss division is not exact")
+                a[i][j] = q
+        prev = piv
+    return prev if sign > 0 else -prev
 
 
 def is_unimodular(m: PolyMatrix) -> bool:
@@ -164,26 +153,26 @@ class SmithDecomposition:
 
     def __post_init__(self):
         m = self.source
-        _require(self.u.rows == self.u.cols == m.rows, "U has the wrong shape")
-        _require(self.v.rows == self.v.cols == m.cols, "V has the wrong shape")
-        _require(self.d.rows == m.rows and self.d.cols == m.cols, "D has the wrong shape")
-        _require(matrix_mul(matrix_mul(self.u, m), self.v).entries == self.d.entries,
-                 "U*M*V != D")
-        _require(is_unimodular(self.u), "U is not unimodular")
-        _require(is_unimodular(self.v), "V is not unimodular")
-        _require(self.d.is_diagonal(), "D has off-diagonal entries")
+        require(self.u.rows == self.u.cols == m.rows, "U has the wrong shape")
+        require(self.v.rows == self.v.cols == m.cols, "V has the wrong shape")
+        require(self.d.rows == m.rows and self.d.cols == m.cols, "D has the wrong shape")
+        require(matrix_mul(matrix_mul(self.u, m), self.v).entries == self.d.entries,
+                "U*M*V != D")
+        require(is_unimodular(self.u), "U is not unimodular")
+        require(is_unimodular(self.v), "V is not unimodular")
+        require(self.d.is_diagonal(), "D has off-diagonal entries")
         k = min(m.rows, m.cols)
-        _require(len(self.diag) == k, "diag has the wrong length")
-        _require(all(self.d.entry(i, i) == self.diag[i] for i in range(k)), "diag differs from D")
+        require(len(self.diag) == k, "diag has the wrong length")
+        require(all(self.d.entry(i, i) == self.diag[i] for i in range(k)), "diag differs from D")
         seen_zero = False
         for i, di in enumerate(self.diag):
             if di.is_zero:
                 seen_zero = True
                 continue
-            _require(not seen_zero, "nonzero diagonal entry after a zero one")
-            _require(di.is_monic, "diagonal entry not monic")
+            require(not seen_zero, "nonzero diagonal entry after a zero one")
+            require(di.is_monic, "diagonal entry not monic")
             if i + 1 < k and not self.diag[i + 1].is_zero:
-                _require(di.divides(self.diag[i + 1]), "divisibility chain broken")
+                require(di.divides(self.diag[i + 1]), "divisibility chain broken")
 
 
 class _Worker:

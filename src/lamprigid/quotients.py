@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NotNormal, OrderBoundExceeded
+from .errors import NotNormal, OrderBoundExceeded, require
 from .fppoly import FieldSpec, FpPoly, poly_gcd, x_pow_minus_one
 from .laurent_modules import (
     FiniteTruncation,
@@ -49,33 +50,36 @@ class FiniteGroupTable:
     mul: np.ndarray
     identity: int
     inverse: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     @classmethod
-    def build(cls, mul: np.ndarray, labels: tuple[str, ...] | None = None) -> "FiniteGroupTable":
+    def build(cls, mul: np.ndarray) -> "FiniteGroupTable":
         mul = np.ascontiguousarray(mul, dtype=np.int32)
         order = mul.shape[0]
-        assert mul.shape == (order, order)
-        assert mul.min() >= 0 and mul.max() < order
+        require(mul.shape == (order, order), "table is not square")
+        require(mul.min() >= 0 and mul.max() < order, "table entry out of range")
         idx = np.arange(order)
         ids = [e for e in range(order) if np.array_equal(mul[e], idx)]
-        assert len(ids) == 1, "table has no unique identity"
+        require(len(ids) == 1, "table has no unique identity")
         e = ids[0]
-        assert np.array_equal(mul[:, e], idx), "identity fails on the right"
+        require(np.array_equal(mul[:, e], idx), "identity fails on the right")
         inv_count = (mul == e).sum(axis=1)
-        assert (inv_count == 1).all(), "some element lacks a unique inverse"
+        require((inv_count == 1).all(), "some element lacks a unique inverse")
         inverse = np.argmax(mul == e, axis=1).astype(np.int32)
         if order <= FULL_AXIOM_ORDER:
             for a in range(order):
-                if not np.array_equal(mul[mul[a]], mul[a][mul]):
-                    raise AssertionError("associativity fails")
+                require(np.array_equal(mul[mul[a]], mul[a][mul]), "associativity fails")
         else:
             rng = np.random.default_rng(0)
             for a, b, c in rng.integers(0, order, size=(_SPOT_CHECK_TRIPLES, 3)):
-                assert mul[mul[a, b], c] == mul[a, mul[b, c]], "associativity fails"
+                require(mul[mul[a, b], c] == mul[a, mul[b, c]], "associativity fails")
         mul.flags.writeable = False
         inverse.flags.writeable = False
-        return cls(order=order, mul=mul, identity=int(e), inverse=inverse, labels=labels)
+        return cls(order=order, mul=mul, identity=int(e), inverse=inverse)
+
+    @cached_property
+    def fingerprint(self) -> "QuotientFingerprint":
+        """Isomorphism invariants, computed once per table; frozen fields keep it valid."""
+        return fingerprint(self)
 
     def conjugacy_classes(self) -> list[np.ndarray]:
         """Orbits of the conjugation action, each sorted ascending."""
@@ -375,7 +379,7 @@ def isomorphic(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
         raise OrderBoundExceeded("isomorphism test above the configured cap")
     if g_table.order != h_table.order:
         return False
-    if fingerprint(g_table) != fingerprint(h_table):
+    if g_table.fingerprint != h_table.fingerprint:
         return False
     if g_table.order == 1:
         return True
@@ -418,7 +422,10 @@ class QuSet:
 
     bound: int
     classes: tuple[FiniteGroupTable, ...]
-    fingerprints: tuple[QuotientFingerprint, ...]
+
+    @property
+    def fingerprints(self) -> tuple[QuotientFingerprint, ...]:
+        return tuple(t.fingerprint for t in self.classes)
 
     def describe(self) -> list[str]:
         return [fp.describe() for fp in self.fingerprints]
@@ -481,21 +488,20 @@ class _ClassAccumulator:
     """Isomorphism-class dedupe keyed by fingerprint."""
 
     def __init__(self):
-        self.by_key: dict[tuple, list[tuple[FiniteGroupTable, QuotientFingerprint]]] = {}
+        self.by_key: dict[tuple, list[FiniteGroupTable]] = {}
 
     def add(self, table: FiniteGroupTable) -> bool:
-        fp = fingerprint(table)
-        bucket = self.by_key.setdefault(fp.key(), [])
-        for kept, kfp in bucket:
-            if fp == kfp and isomorphic(table, kept):
-                return False
-        bucket.append((table, fp))
+        """Keep table unless an isomorphic one is kept; one bucket holds equal fingerprints."""
+        bucket = self.by_key.setdefault(table.fingerprint.key(), [])
+        if any(isomorphic(table, kept) for kept in bucket):
+            return False
+        bucket.append(table)
         return True
 
-    def sorted_classes(self) -> tuple[list[FiniteGroupTable], list[QuotientFingerprint]]:
-        flat = [entry for bucket in self.by_key.values() for entry in bucket]
-        flat.sort(key=lambda entry: entry[1].key())
-        return [t for t, _ in flat], [fp for _, fp in flat]
+    def sorted_classes(self) -> tuple[FiniteGroupTable, ...]:
+        flat = [t for bucket in self.by_key.values() for t in bucket]
+        flat.sort(key=lambda t: t.fingerprint.key())
+        return tuple(flat)
 
 
 def _twist_classes(field: FieldSpec, action: list[list[int]], m: int) -> list[np.ndarray]:
@@ -565,8 +571,7 @@ def truncated_qu(source: ModulePresentation | LamplighterSpec, bound: int,
             action = block_companion(chain)
             for twist in _twist_classes(field, action, d):
                 acc.add(semidirect_table(field, action, d, order_cap, twist))
-    classes, fps = acc.sorted_classes()
-    return QuSet(bound=bound, classes=tuple(classes), fingerprints=tuple(fps))
+    return QuSet(bound=bound, classes=acc.sorted_classes())
 
 
 @dataclass(frozen=True)
@@ -590,13 +595,9 @@ def compare_qu(left: ModulePresentation | LamplighterSpec,
     rset = truncated_qu(right, bound, order_cap, bound_cap)
 
     def missing_from(src: QuSet, dst: QuSet) -> list[QuotientFingerprint]:
-        out = []
-        for table, fp in zip(src.classes, src.fingerprints):
-            hit = any(fp == ofp and isomorphic(table, other)
-                      for other, ofp in zip(dst.classes, dst.fingerprints))
-            if not hit:
-                out.append(fp)
-        return out
+        return [table.fingerprint for table in src.classes
+                if not any(table.fingerprint == other.fingerprint and isomorphic(table, other)
+                           for other in dst.classes)]
 
     left_only = missing_from(lset, rset)
     right_only = missing_from(rset, lset)

@@ -11,7 +11,7 @@ over normal subgroups K, not as a cyclic extension as the library does.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -78,6 +78,19 @@ def random_matrix(rng: random.Random, field: FieldSpec, rows: int, cols: int,
         field, rows, cols,
         tuple(random_poly(rng, field, max_deg) for _ in range(rows * cols)),
     )
+
+
+def leibniz_determinant(m: PolyMatrix) -> FpPoly:
+    """Determinant as the signed sum over all permutations (Leibniz formula)."""
+    n = m.rows
+    total = FpPoly.zero(m.field)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = FpPoly.one(m.field)
+        for i in range(n):
+            term = term * m.entry(i, perm[i])
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def determinantal_divisor_diag(m: PolyMatrix) -> list[FpPoly]:
@@ -290,5 +303,4 @@ def lattice_qu(source, bound: int) -> QuSet:
             for normal in enumerate_normal_subgroups(table):
                 if table.order // len(normal) <= bound:
                     acc.add(quotient_table(table, normal))
-    classes, fps = acc.sorted_classes()
-    return QuSet(bound=bound, classes=tuple(classes), fingerprints=tuple(fps))
+    return QuSet(bound=bound, classes=acc.sorted_classes())

@@ -153,6 +153,19 @@ class TestCertify:
         assert certify(candidate, qu_bound=8).certified
         assert sum(m is candidate.presentation.relations for m in sources) == 1
 
+    def test_one_snf_of_phi_per_certify(self, monkeypatch):
+        snf = laurent_modules.smith_normal_form
+        sources = []
+
+        def counting(m):
+            sources.append(m)
+            return snf(m)
+
+        monkeypatch.setattr(laurent_modules, "smith_normal_form", counting)
+        report = certify(mixed_candidate(), qu_bound=4)
+        assert report.certified
+        assert sum(m is report.epimorphism.phi for m in sources) == 1
+
     def test_reports_byte_identical(self):
         a = jsonio.canonical_dumps(jsonio.report_to_json(certify(mixed_candidate(), seed=5)))
         b = jsonio.canonical_dumps(jsonio.report_to_json(certify(mixed_candidate(), seed=5)))

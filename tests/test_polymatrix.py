@@ -8,7 +8,7 @@ import pytest
 from lamprigid import FieldSpec, FpPoly, PolyMatrix, determinant, is_unimodular, matrix_mul, smith_normal_form
 from lamprigid.errors import FieldMismatch, NotSquare, ShapeMismatch
 
-from oracles import determinantal_divisor_diag, random_matrix
+from oracles import determinantal_divisor_diag, leibniz_determinant, random_matrix
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -66,6 +66,23 @@ class TestUnimodular:
         # det [[x, 1], [1, x]] = x^2 - 1
         m = mat(F3, [[(0, 1), (1,)], [(1,), (0, 1)]])
         assert determinant(m) == poly(F3, 2, 0, 1)
+
+    def test_determinant_matches_leibniz_oracle(self):
+        rng = random.Random(17)
+        # zero pivots at steps 0 and 1: [[0, 1, 0], [0, 0, 1], [x, 0, 0]] has det x
+        cases = [PolyMatrix.zeros(F2, 0, 0), PolyMatrix.zeros(F3, 0, 0),
+                 mat(F3, [[(), (1,), ()], [(), (), (1,)], [(0, 1), (), ()]])]
+        for field in (F2, F3):
+            for n in range(1, 5):
+                for trial in range(12):
+                    rows = random_matrix(rng, field, n, n, 2).to_lists()
+                    if trial % 3 == 1 and n > 1:
+                        rows[-1] = list(rows[0])  # singular: a repeated row
+                    if trial % 3 == 2:
+                        rows[0][0] = FpPoly.zero(field)  # zero leading pivot
+                    cases.append(PolyMatrix.from_rows(field, rows))
+        for m in cases:
+            assert determinant(m) == leibniz_determinant(m), m
 
 
 class TestSmithNormalForm:

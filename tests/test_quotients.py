@@ -1,6 +1,8 @@
 import json
 import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -333,3 +335,56 @@ class TestCompareQu:
         assert not cmp.equal
         side, fp = cmp.witness
         assert side == "left" and fp.abelian_invariants == (2, 2)
+
+    def test_one_fingerprint_per_table(self, monkeypatch):
+        calls = {"fingerprint": 0, "semidirect_table": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(quotients, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(quotients, name, counting)
+        cmp = compare_qu(bundled("mixed_free_torsion").presentation,
+                         LamplighterSpec(F2, 1, None), 8)
+        assert cmp.equal
+        assert calls["fingerprint"] == calls["semidirect_table"] > 0
+
+
+_BROKEN_TABLES_SCRIPT = """
+import json
+import numpy as np
+from lamprigid.errors import CertificateError
+from lamprigid.quotients import FiniteGroupTable
+
+cases = {
+    "not square": np.zeros((2, 3)),
+    "out of range": [[0, 2], [2, 0]],
+    "two left identities": [[0, 1], [0, 1]],
+    "left identity only": [[0, 1], [0, 0]],
+    "monoid": [[0, 1], [1, 1]],
+    "non-associative loop": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+}
+outcome = {"debug": __debug__}
+for name, mul in cases.items():
+    try:
+        FiniteGroupTable.build(np.array(mul))
+        outcome[name] = "accepted"
+    except CertificateError as exc:
+        outcome[name] = str(exc)
+print(json.dumps(outcome))
+"""
+
+
+def test_broken_tables_rejected_under_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_TABLES_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "debug": False,
+        "not square": "table is not square",
+        "out of range": "table entry out of range",
+        "two left identities": "table has no unique identity",
+        "left identity only": "identity fails on the right",
+        "monoid": "some element lacks a unique inverse",
+        "non-associative loop": "associativity fails",
+    }

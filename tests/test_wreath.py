@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -337,6 +340,35 @@ class TestGroupEpimorphism:
             phi = epimorphism_to_free(pres, 2)
             epi = build_lamplighter_epimorphism(pres, phi)
             epi.law_check(samples=300, seed=rng.randint(0, 10 ** 6))
+
+
+_BROKEN_LAW_SCRIPT = """
+import json
+from lamprigid import FieldSpec, ModulePresentation, build_lamplighter_epimorphism
+from lamprigid import epimorphism_to_free, wreath
+from lamprigid.errors import CertificateError
+
+pres = ModulePresentation.free(FieldSpec(2), 1)
+epi = build_lamplighter_epimorphism(pres, epimorphism_to_free(pres, 1))
+# drop the x^k twist: (a, k)(a', k') = (a + a', k + k') is not the group law
+wreath.candidate_mul = lambda a, b: (tuple(c + c2 for c, c2 in zip(a[0], b[0])), a[1] + b[1])
+try:
+    epi.law_check(samples=1000, seed=0)
+    outcome = "accepted"
+except CertificateError as exc:
+    outcome = str(exc)
+print(json.dumps({"debug": __debug__, "broken candidate_mul": outcome}))
+"""
+
+
+def test_broken_law_rejected_under_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_LAW_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "debug": False,
+        "broken candidate_mul": "homomorphism law failed on a sampled pair",
+    }
 
 
 class TestScaleShiftHelpers:
