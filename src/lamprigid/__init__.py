@@ -74,7 +74,6 @@ from .wreath import (
     hom_from_generator_images,
     identity,
     lamps_to_module,
-    laurent_to_lamps,
     module_to_lamps,
     wreath_inv,
     wreath_mul,

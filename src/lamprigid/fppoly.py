@@ -15,26 +15,48 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import BothZero, DivisionByZero, FieldMismatch
+from .errors import BothZero, DivisionByZero, FieldMismatch, require
 
 NEG_INF = float("-inf")
 
 Degree = Union[int, float]
 
 
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+PRIMALITY_LIMIT = 3317044064679887385961981
+"""Miller-Rabin to the bases PRIME_BASES is deterministic below this bound
+(Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)."""
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check (moduli here are tiny)."""
+    """Deterministic Miller-Rabin primality test.
+
+    Raises ValueError for an n at or above PRIMALITY_LIMIT that has no factor
+    in PRIME_BASES, where the test would no longer be a proof.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"modulus {n} is too large: primality is decided below "
+                         f"{PRIMALITY_LIMIT} only")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -270,8 +292,8 @@ def poly_gcd_ext(a: FpPoly, b: FpPoly) -> tuple[FpPoly, FpPoly, FpPoly]:
         t0, t1 = t1, t0 - q * t1
     lead_inv = field.inv(r0.leading_coefficient)
     g, u, v = r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
-    assert (u * a + v * b) == g, "Bezout certificate failed"
-    assert g.divides(a) and g.divides(b), "gcd does not divide its inputs"
+    require((u * a + v * b) == g, "Bezout certificate failed")
+    require(g.divides(a) and g.divides(b), "gcd does not divide its inputs")
     return g, u, v
 
 

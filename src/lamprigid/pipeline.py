@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import require
 from .fppoly import FieldSpec
 from .laurent_modules import (
     ModuleDecomposition,
@@ -110,10 +111,11 @@ class RigidityReport:
     conclusion: str
 
     def __post_init__(self):
-        assert (self.epimorphism is not None) == (
-            self.rank_check is not None and self.rank_check.passed)
-        if self.rank_check is not None and self.rank_check.passed:
-            assert self.ab_check.passed
+        rank_passed = self.rank_check is not None and self.rank_check.passed
+        require((self.epimorphism is not None) == rank_passed,
+                "epimorphism recorded iff the rank check passed")
+        require(self.ab_check.passed or not rank_passed,
+                "rank check passed after a failed abelianization check")
 
 
 def abelianization_check(candidate: CandidateGroup) -> AbelianizationCheck:

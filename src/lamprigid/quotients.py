@@ -180,7 +180,7 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
 def build_group_table(trunc: FiniteTruncation, m: int,
                       order_cap: int = 4096) -> FiniteGroupTable:
     """Explicit table of (N / (x^m - 1) N) x| Z/mZ from a finite truncation."""
-    assert trunc.m == m, "truncation was taken at a different m"
+    require(trunc.m == m, "truncation was taken at a different m")
     return semidirect_table(trunc.field, [list(r) for r in trunc.x_action], m, order_cap)
 
 

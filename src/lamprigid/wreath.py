@@ -20,7 +20,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     ConjugationMismatch,
@@ -30,7 +33,7 @@ from .errors import (
     SpecMismatch,
     require,
 )
-from .fppoly import FieldSpec, FpPoly, LaurentPoly, laurent_canonicalize
+from .fppoly import FieldSpec, FpPoly, LaurentPoly
 from .laurent_modules import ModulePresentation, check_epimorphism
 from .polymatrix import PolyMatrix
 
@@ -188,7 +191,8 @@ def scale_lamps(a: WreathElement, c: int) -> WreathElement:
 def relabel_lamps(a: WreathElement, unit: int) -> WreathElement:
     """Base-index relabeling i -> unit * i (cyclic base, unit invertible mod m)."""
     m = a.spec.base_order
-    assert m is not None
+    if m is None:
+        raise SpecMismatch("cyclic base required")
     return WreathElement(
         a.spec,
         tuple(((unit * i) % m, v) for i, v in a.lamps),
@@ -233,19 +237,6 @@ def lamps_to_module(a: WreathElement) -> tuple[FpPoly, ...]:
             coeffs[i] = v[j]
         coords.append(FpPoly(field, tuple(coeffs)))
     return tuple(coords)
-
-
-def laurent_to_lamps(spec: LamplighterSpec, vec: Sequence[LaurentPoly]) -> WreathElement:
-    """Same dictionary over the integer base, for vectors over the Laurent ring."""
-    if spec.is_cyclic:
-        raise SpecMismatch("integer base required")
-    if len(vec) != spec.n:
-        raise ValueError("coordinate count differs from the lamp rank")
-    lamps: dict[int, list[int]] = {}
-    for j, f in enumerate(vec):
-        for e, c in f.terms():
-            lamps.setdefault(e, [0] * spec.n)[j] = c
-    return element(spec, lamps.items(), 0)
 
 
 def _apply_poly(poly: FpPoly | LaurentPoly, w: WreathElement, step: int) -> WreathElement:
@@ -333,7 +324,8 @@ def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
     """
     spec = gi.target
     m = spec.base_order
-    assert m is not None
+    if m is None:
+        raise SpecMismatch("cyclic base required")
     for i, w in enumerate(gi.module_gen_images):
         if not w.in_base:
             raise NotBaseValued(f"image of generator {i} has shift {w.shift}")
@@ -398,7 +390,8 @@ def cocycle_verify(hom: VerifiedHom, bound: int) -> CocycleReport:
     failure here means the hom object is corrupted, not that the input is bad.
     """
     m = hom.target.base_order
-    assert m is not None
+    if m is None:
+        raise SpecMismatch("cyclic base required")
     g: dict[int, WreathElement] = {}
     for k in range(-2 * bound, 2 * bound + 1):
         g[k] = hom.section_lamp(k)
@@ -425,14 +418,78 @@ def cocycle_verify(hom: VerifiedHom, bound: int) -> CocycleReport:
 CandidateElement = tuple[tuple[LaurentPoly, ...], int]
 """Element (a, k) of the candidate group, a given by generator coefficients."""
 
+Batch = tuple[np.ndarray, int, np.ndarray]
+"""B elements (a, k) as (coeffs, lo, shifts): coeffs[b, j, e] is the coefficient
+of x^(lo + e) in coordinate j of the b-th a, shifts[b] is its k. Candidate
+elements have one coordinate per module generator; lamp-group elements have one
+per lamp coordinate, read through the coefficient dictionary."""
 
-def candidate_mul(a: CandidateElement, b: CandidateElement) -> CandidateElement:
+LAW_CHUNK = 64
+"""Pairs per law-check batch; it bounds the arrays, and so peak memory, at any sample count."""
+
+
+def _twisted_sum(x: Batch, y: Batch, p: int) -> Batch:
+    """(a + x^k a', k + k') for each pair of rows, reduced mod p."""
+    (xc, xlo, xk), (yc, ylo, yk) = x, y
+    lo = min(xlo, ylo + int(xk.min()))
+    hi = max(xlo + xc.shape[2], ylo + int(xk.max()) + yc.shape[2])
+    out = np.zeros(xc.shape[:2] + (hi - lo,), dtype=xc.dtype)
+    out[:, :, xlo - lo:xlo - lo + xc.shape[2]] = xc
+    rows = np.arange(len(yc))[:, None, None]
+    coords = np.arange(yc.shape[1])[None, :, None]
+    cols = (ylo - lo + xk)[:, None, None] + np.arange(yc.shape[2])
+    out[rows, coords, cols] += yc
+    return out % p, lo, xk + yk
+
+
+def candidate_mul(a: Batch, b: Batch, p: int) -> Batch:
     """(a, k)(a', k') = (a + x^k a', k + k') in the module semidirect product."""
-    coeffs, k = a
-    coeffs2, k2 = b
-    field = coeffs[0].field
-    xk = LaurentPoly.monomial(field, k)
-    return tuple(c + xk * c2 for c, c2 in zip(coeffs, coeffs2)), k + k2
+    return _twisted_sum(a, b, p)
+
+
+def lamp_mul(u: Batch, v: Batch, p: int) -> Batch:
+    """(L, g)(L', g') = (L + g.L', g + g') in the lamp group, L' translated by g."""
+    return _twisted_sum(u, v, p)
+
+
+def _same_elements(x: Batch, y: Batch) -> bool:
+    """Whether two batches hold the same elements, whatever exponent window each uses."""
+    lo = min(x[1], y[1])
+    hi = max(x[1] + x[0].shape[2], y[1] + y[0].shape[2])
+
+    def widened(coeffs: np.ndarray, c_lo: int) -> np.ndarray:
+        return np.pad(coeffs, ((0, 0), (0, 0), (c_lo - lo, hi - c_lo - coeffs.shape[2])))
+
+    return (np.array_equal(widened(x[0], x[1]), widened(y[0], y[1]))
+            and np.array_equal(x[2], y[2]))
+
+
+def lamp_elements(spec: LamplighterSpec, batch: Batch) -> list[WreathElement]:
+    """The lamp-group elements of a batch, as canonical WreathElements."""
+    coeffs, lo, shifts = batch
+    return [element(spec, [(lo + e, [int(c) for c in col]) for e, col in enumerate(row.T)],
+                    int(k))
+            for row, k in zip(coeffs, shifts)]
+
+
+def _draw_elements(rng: random.Random, p: int, g: int, count: int, dtype) -> Batch:
+    """count seeded elements (a, k), exponents -2..3 at columns 0..5.
+
+    Each coordinate of a gets 0-3 terms (exponent, coefficient), drawn as
+    randint(-2, 3) then randrange(p); repeated exponents add up. Then k is
+    randint(-3, 3).
+    """
+    flat = [0] * (count * g * 6)
+    shifts = []
+    pos = 0
+    for _ in range(count):
+        for _ in range(g):
+            for _ in range(rng.randint(0, 3)):
+                e = rng.randint(-2, 3)
+                flat[pos + e + 2] += rng.randrange(p)
+            pos += 6
+        shifts.append(rng.randint(-3, 3))
+    return np.array(flat, dtype=dtype).reshape(count, g, 6) % p, -2, np.array(shifts)
 
 
 @dataclass(frozen=True)
@@ -453,39 +510,66 @@ class VerifiedGroupEpi:
     phi: PolyMatrix
     target: LamplighterSpec
 
+    @cached_property
+    def phi_coeffs(self) -> np.ndarray:
+        """phi as P[i, j, d], the coefficient of x^d in phi[i, j].
+
+        The image of a has coordinates sum_j,d P[i, j, d] x^d a_j: each of its
+        coefficients sums at most g(D+1) products below p^2 before reduction.
+        The dtype is int64 when that bound stays below 2^63 and Python integers
+        (object) otherwise, so the arithmetic is exact for every prime.
+        """
+        p = self.source.field.p
+        width = 1 + max((int(e.degree) for e in self.phi.entries if e), default=0)
+        exact = self.phi.cols * width * (p - 1) ** 2 < 2 ** 63
+        out = np.zeros((self.phi.rows, self.phi.cols, width),
+                       dtype=np.int64 if exact else object)
+        for i in range(self.phi.rows):
+            for j in range(self.phi.cols):
+                coeffs = self.phi.entry(i, j).coeffs
+                out[i, j, :len(coeffs)] = coeffs
+        return out
+
+    def _image(self, batch: Batch) -> Batch:
+        """(phi(a), k) for every element of a candidate batch."""
+        coeffs, lo, shifts = batch
+        phi = self.phi_coeffs
+        out = np.zeros((len(coeffs), phi.shape[0], coeffs.shape[2] + phi.shape[2] - 1),
+                       dtype=phi.dtype)
+        for d in range(phi.shape[2]):
+            out[:, :, d:d + coeffs.shape[2]] += phi[:, :, d] @ coeffs
+        return out % self.source.field.p, lo, shifts
+
     def evaluate(self, elem: CandidateElement) -> WreathElement:
+        """Image of one element: the law check's batch computation on a batch of one."""
         coeffs, k = elem
         if len(coeffs) != self.source.generators:
             raise ValueError("one coefficient per module generator required")
-        field = self.source.field
-        out = []
-        for i in range(self.phi.rows):
-            acc = LaurentPoly.zero(field)
-            for j in range(self.phi.cols):
-                acc = acc + LaurentPoly.from_poly(self.phi.entry(i, j)) * coeffs[j]
-            out.append(acc)
-        return WreathElement(self.target, laurent_to_lamps(self.target, out).lamps, k)
+        terms = [(j, e, c) for j, f in enumerate(coeffs) for e, c in f.terms()]
+        lo = min((e for _, e, _ in terms), default=0)
+        hi = max((e for _, e, _ in terms), default=0)
+        dense = np.zeros((1, len(coeffs), hi - lo + 1), dtype=self.phi_coeffs.dtype)
+        for j, e, c in terms:
+            dense[0, j, e - lo] = c
+        return lamp_elements(self.target, self._image((dense, lo, np.array([k]))))[0]
 
     def law_check(self, samples: int = 1000, seed: int = 0) -> LawCheckReport:
-        """Verify f(ab) = f(a) f(b) on seeded random pairs of group elements."""
+        """Verify f(ab) = f(a) f(b) on seeded random pairs of group elements.
+
+        The pairs a_i, b_i are drawn in the order a_1, b_1, a_2, ... and checked
+        LAW_CHUNK pairs at a time, each side as one array computation.
+        """
         rng = random.Random(seed)
-        field = self.source.field
-        g = self.source.generators
-
-        def random_element() -> CandidateElement:
-            coeffs = []
-            for _ in range(g):
-                terms = [(rng.randint(-2, 3), rng.randrange(field.p))
-                         for _ in range(rng.randint(0, 3))]
-                coeffs.append(laurent_canonicalize(field, terms))
-            return tuple(coeffs), rng.randint(-3, 3)
-
-        for _ in range(samples):
-            a = random_element()
-            b = random_element()
-            lhs = self.evaluate(candidate_mul(a, b))
-            rhs = wreath_mul(self.evaluate(a), self.evaluate(b))
-            require(lhs == rhs, "homomorphism law failed on a sampled pair")
+        p = self.source.field.p
+        for start in range(0, samples, LAW_CHUNK):
+            count = min(LAW_CHUNK, samples - start)
+            coeffs, lo, shifts = _draw_elements(rng, p, self.source.generators, 2 * count,
+                                                self.phi_coeffs.dtype)
+            a = (coeffs[0::2], lo, shifts[0::2])
+            b = (coeffs[1::2], lo, shifts[1::2])
+            lhs = self._image(candidate_mul(a, b, p))
+            rhs = lamp_mul(self._image(a), self._image(b), p)
+            require(_same_elements(lhs, rhs), "homomorphism law failed on a sampled pair")
         return LawCheckReport(samples=samples, seed=seed)
 
 

@@ -19,9 +19,11 @@ from lamprigid import (
     FieldSpec,
     FiniteGroupTable,
     FpPoly,
+    LaurentPoly,
     PolyMatrix,
     decompose,
     determinant,
+    laurent_canonicalize,
     poly_divmod,
     poly_gcd,
     x_pow_minus_one,
@@ -39,6 +41,7 @@ from lamprigid.quotients import (
     quotient_table,
     semidirect_table,
 )
+from lamprigid.wreath import CandidateElement, VerifiedGroupEpi, WreathElement, element
 
 
 def all_polys(field: FieldSpec, max_deg: int):
@@ -304,3 +307,66 @@ def lattice_qu(source, bound: int) -> QuSet:
                 if table.order // len(normal) <= bound:
                     acc.add(quotient_table(table, normal))
     return QuSet(bound=bound, classes=acc.sorted_classes())
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """Primality by trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+# --- the homomorphism law, one pair at a time, in LaurentPoly arithmetic --------
+
+def law_pairs(field: FieldSpec, generators: int, samples: int, seed: int
+              ) -> list[tuple[CandidateElement, CandidateElement]]:
+    """The seeded pairs (a, b) the law check draws, as LaurentPoly coefficients."""
+    rng = random.Random(seed)
+
+    def random_element() -> CandidateElement:
+        coeffs = []
+        for _ in range(generators):
+            terms = [(rng.randint(-2, 3), rng.randrange(field.p))
+                     for _ in range(rng.randint(0, 3))]
+            coeffs.append(laurent_canonicalize(field, terms))
+        return tuple(coeffs), rng.randint(-3, 3)
+
+    pairs = []
+    for _ in range(samples):
+        a = random_element()
+        pairs.append((a, random_element()))
+    return pairs
+
+
+def laurent_candidate_mul(a: CandidateElement, b: CandidateElement) -> CandidateElement:
+    """(a, k)(a', k') = (a + x^k a', k + k') in the module semidirect product."""
+    coeffs, k = a
+    coeffs2, k2 = b
+    xk = LaurentPoly.monomial(coeffs[0].field, k)
+    return tuple(c + xk * c2 for c, c2 in zip(coeffs, coeffs2)), k + k2
+
+
+def laurent_evaluate(epi: VerifiedGroupEpi, elem: CandidateElement) -> WreathElement:
+    """(phi(a), k), phi applied entry by entry in the Laurent ring."""
+    coeffs, k = elem
+    field = epi.source.field
+    out = []
+    for i in range(epi.phi.rows):
+        acc = LaurentPoly.zero(field)
+        for j in range(epi.phi.cols):
+            acc = acc + LaurentPoly.from_poly(epi.phi.entry(i, j)) * coeffs[j]
+        out.append(acc)
+    lamps: dict[int, list[int]] = {}
+    for j, f in enumerate(out):
+        for e, c in f.terms():
+            lamps.setdefault(e, [0] * epi.target.n)[j] = c
+    return element(epi.target, lamps.items(), k)

@@ -14,9 +14,9 @@ from lamprigid import (
     poly_gcd_ext,
 )
 from lamprigid.errors import BothZero, DivisionByZero, FieldMismatch
-from lamprigid.fppoly import NEG_INF
+from lamprigid.fppoly import NEG_INF, PRIMALITY_LIMIT, is_prime
 
-from oracles import brute_monic_divisors, random_poly
+from oracles import brute_monic_divisors, random_poly, trial_division_is_prime
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -34,6 +34,20 @@ class TestFieldSpec:
                 FieldSpec(bad)
         for good in (2, 3, 5, 7, 11, 97):
             assert FieldSpec(good).p == good
+
+    def test_miller_rabin_matches_trial_division(self):
+        assert all(is_prime(n) == trial_division_is_prime(n) for n in range(10 ** 5))
+
+    def test_strong_pseudoprimes_rejected(self):
+        assert not is_prime(3215031751)  # strong pseudoprime to the bases 2, 3, 5, 7
+        assert not is_prime(3825123056546413051)  # ... and to every prime base up to 23
+        assert FieldSpec(10 ** 18 + 3).p == 10 ** 18 + 3
+
+    def test_undecided_modulus_raises(self):
+        # the limit itself is a strong pseudoprime to all 13 bases
+        with pytest.raises(ValueError, match="too large"):
+            FieldSpec(PRIMALITY_LIMIT)
+        assert not is_prime(2 * PRIMALITY_LIMIT)
 
 
 class TestFpPolyBasics:

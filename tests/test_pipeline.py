@@ -16,7 +16,7 @@ from lamprigid import (
     decompose,
     rank_check,
 )
-from lamprigid import jsonio, laurent_modules
+from lamprigid import cli, jsonio, laurent_modules
 from lamprigid.errors import InvalidInput
 
 F2 = FieldSpec(2)
@@ -171,6 +171,45 @@ class TestCertify:
         b = jsonio.canonical_dumps(jsonio.report_to_json(certify(mixed_candidate(), seed=5)))
         assert a == b
 
+    def test_large_prime_candidate_certified(self, capsys):
+        # p = 10^18 + 3: the law check's sums leave int64 and must stay exact
+        path = pathlib.Path(__file__).resolve().parents[1] / "tests" / "data" / "large_p.json"
+        assert cli.main(["certify", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["certified"] is True
+
+
+_INCONSISTENT_REPORT_SCRIPT = """
+import dataclasses
+import json
+from lamprigid import CandidateGroup, FieldSpec, certify
+from lamprigid.errors import CertificateError
+
+report = certify(CandidateGroup.free(FieldSpec(2), 1), qu_bound=4)
+inconsistent = {
+    "epimorphism dropped": {"epimorphism": None},
+    "abelianization failed": {"ab_check": dataclasses.replace(report.ab_check, passed=False)},
+}
+result = {"debug": __debug__}
+for name, change in inconsistent.items():
+    try:
+        dataclasses.replace(report, **change)
+        result[name] = "accepted"
+    except CertificateError as exc:
+        result[name] = str(exc)
+print(json.dumps(result))
+"""
+
+
+def test_inconsistent_report_rejected_under_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-c", _INCONSISTENT_REPORT_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "debug": False,
+        "epimorphism dropped": "epimorphism recorded iff the rank check passed",
+        "abelianization failed": "rank check passed after a failed abelianization check",
+    }
+
 
 class TestJsonSchemas:
     def test_candidate_round_trip(self):
@@ -264,6 +303,11 @@ class TestCli:
         res = run_cli("certify", '{"p":4,"n":1,"presentation":{"generators":1}}')
         assert res.returncode == 2
         assert "input error" in res.stderr
+        # p at the bound where primality stops being decided
+        res = run_cli("certify", '{"p":3317044064679887385961981,"n":1,'
+                      '"presentation":{"generators":1}}')
+        assert res.returncode == 2
+        assert "too large" in res.stderr
         assert run_cli("certify", "/nonexistent/file.json").returncode == 2
 
     def test_usage_error(self):

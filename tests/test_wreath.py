@@ -1,9 +1,12 @@
 import json
+import pathlib
 import random
 import subprocess
 import sys
 
 import pytest
+
+import oracles
 
 from lamprigid import (
     FieldSpec,
@@ -28,6 +31,7 @@ from lamprigid import (
     wreath_mul,
     wreath_pow,
 )
+from lamprigid import jsonio, wreath
 from lamprigid.errors import (
     ConjugationMismatch,
     NotBaseValued,
@@ -36,7 +40,17 @@ from lamprigid.errors import (
     RelationViolated,
     SpecMismatch,
 )
-from lamprigid.wreath import delta, scale_lamps, shift_lamps, translation
+from lamprigid.wreath import (
+    candidate_mul,
+    delta,
+    lamp_elements,
+    lamp_mul,
+    scale_lamps,
+    shift_lamps,
+    translation,
+)
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -342,6 +356,68 @@ class TestGroupEpimorphism:
             epi.law_check(samples=300, seed=rng.randint(0, 10 ** 6))
 
 
+def chain_presentation(field, generators):
+    """R^g modulo e_(i+1) = (x + i) e_i: free of rank 1, its phi has degree g - 1."""
+    rows = [[FpPoly.zero(field)] * (generators - 1) for _ in range(generators)]
+    for i in range(generators - 1):
+        rows[i][i] = -poly(field, i % field.p, 1)
+        rows[i + 1][i] = FpPoly.one(field)
+    return ModulePresentation.make(field, generators, rows)
+
+
+# torsion_only has free rank 0, so no epimorphism and no law check.
+LAW_CASES = ("free_rank1", "free_rank2_p3", "mixed_free_torsion", "disguised16", "large_p")
+
+
+def law_case_epi(name):
+    if name == "disguised16":
+        pres, n = chain_presentation(F3, 16), 1
+    else:
+        path = (ROOT / "tests" / "data" / "large_p.json" if name == "large_p"
+                else ROOT / "candidates" / f"{name}.json")
+        candidate = jsonio.parse_candidate(json.loads(path.read_text()))
+        pres, n = candidate.presentation, candidate.n
+    return build_lamplighter_epimorphism(pres, epimorphism_to_free(pres, n))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", LAW_CASES)
+def test_batched_law_matches_laurent_oracle(name, seed, monkeypatch):
+    """The law check draws the pairs of the per-pair oracle, and both of its
+    sides, and evaluate, agree with LaurentPoly arithmetic pair by pair."""
+    epi = law_case_epi(name)
+    field, p = epi.source.field, epi.source.field.p
+    assert (epi.phi_coeffs.dtype == object) == (name == "large_p")
+    draw = wreath._draw_elements
+    drawn = []
+
+    def recording(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(wreath, "_draw_elements", recording)
+    assert epi.law_check(samples=1000, seed=seed).samples == 1000
+
+    pairs = oracles.law_pairs(field, epi.source.generators, 1000, seed)
+    elements = [x for pair in pairs for x in pair]
+    assert [len(coeffs) for coeffs, _, _ in drawn] == [128] * 15 + [80]
+    assert all(lo == -2 for _, lo, _ in drawn)
+    assert [int(k) for _, _, shifts in drawn for k in shifts] == [k for _, k in elements]
+    assert [[[int(c) for c in coord] for coord in row] for coeffs, _, _ in drawn for row in coeffs] \
+        == [[[f.coefficient(e) for e in range(-2, 4)] for f in a] for a, _ in elements]
+
+    coeffs, lo, shifts = drawn[0]
+    a = (coeffs[0::2], lo, shifts[0::2])
+    b = (coeffs[1::2], lo, shifts[1::2])
+    lhs = lamp_elements(epi.target, epi._image(candidate_mul(a, b, p)))
+    rhs = lamp_elements(epi.target, lamp_mul(epi._image(a), epi._image(b), p))
+    for (x, y), left, right in zip(pairs, lhs, rhs):
+        fx, fy = oracles.laurent_evaluate(epi, x), oracles.laurent_evaluate(epi, y)
+        assert epi.evaluate(x) == fx and epi.evaluate(y) == fy
+        assert left == oracles.laurent_evaluate(epi, oracles.laurent_candidate_mul(x, y))
+        assert right == wreath_mul(fx, fy) == left
+
+
 _BROKEN_LAW_SCRIPT = """
 import json
 from lamprigid import FieldSpec, ModulePresentation, build_lamplighter_epimorphism
@@ -350,14 +426,30 @@ from lamprigid.errors import CertificateError
 
 pres = ModulePresentation.free(FieldSpec(2), 1)
 epi = build_lamplighter_epimorphism(pres, epimorphism_to_free(pres, 1))
-# drop the x^k twist: (a, k)(a', k') = (a + a', k + k') is not the group law
-wreath.candidate_mul = lambda a, b: (tuple(c + c2 for c, c2 in zip(a[0], b[0])), a[1] + b[1])
-try:
-    epi.law_check(samples=1000, seed=0)
-    outcome = "accepted"
-except CertificateError as exc:
-    outcome = str(exc)
-print(json.dumps({"debug": __debug__, "broken candidate_mul": outcome}))
+
+
+def untwisted(x, y, p):
+    # (a, k)(a', k') = (a + a', k + k'): drops the x^k twist of the candidate law
+    # or, on lamps, the translation of the right factor; neither is the group law
+    return (x[0] + y[0]) % p, x[1], x[2] + y[2]
+
+
+def outcome():
+    try:
+        epi.law_check(samples=1000, seed=0)
+        return "accepted"
+    except CertificateError as exc:
+        return str(exc)
+
+
+result = {"debug": __debug__}
+for law in ("candidate_mul", "lamp_mul"):
+    intact = getattr(wreath, law)
+    setattr(wreath, law, untwisted)
+    result["broken " + law] = outcome()
+    setattr(wreath, law, intact)
+result["intact"] = outcome()
+print(json.dumps(result))
 """
 
 
@@ -368,6 +460,8 @@ def test_broken_law_rejected_under_optimize():
     assert json.loads(proc.stdout) == {
         "debug": False,
         "broken candidate_mul": "homomorphism law failed on a sampled pair",
+        "broken lamp_mul": "homomorphism law failed on a sampled pair",
+        "intact": "accepted",
     }
 
 
