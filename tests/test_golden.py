@@ -1,4 +1,5 @@
-"""Pinned report bytes: `certify --json` on every bundled candidate at bounds 8 and 16.
+"""Pinned report bytes: `certify --json` on every bundled candidate at bounds 8 and 16,
+and `compare-qu --json --bound 16` on two pairs of candidates whose sides differ.
 
 The files in tests/golden/ are the canonical reports. Any change to them is a
 change of behaviour and must be argued, never regenerated to get a pass.
@@ -21,4 +22,18 @@ def test_certify_report_matches_golden(name, bound, capsys):
                      "--qu-bound", str(bound), "--json"])
     assert code == (1 if name == "torsion_only" else 0)
     expected = (ROOT / "tests" / "golden" / f"{name}_b{bound}.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+# Both sides have classes of their own, over different fields; and a left-only
+# difference where the right side's classes are a subset of the left's.
+COMPARISONS = (("free_rank1", "free_rank2_p3"), ("mixed_free_torsion", "torsion_only"))
+
+
+@pytest.mark.parametrize("left,right", COMPARISONS)
+def test_compare_qu_report_matches_golden(left, right, capsys):
+    code = cli.main(["compare-qu", str(ROOT / "candidates" / f"{left}.json"),
+                     str(ROOT / "candidates" / f"{right}.json"), "--bound", "16", "--json"])
+    assert code == 0
+    expected = (ROOT / "tests" / "golden" / f"compare_{left}_{right}_b16.json").read_text()
     assert capsys.readouterr().out == expected
