@@ -3,7 +3,8 @@
 Subcommands: snf, decompose, wreath (mul|inv|abelianize), quotients,
 compare-qu, certify. Inputs are file paths, inline JSON (anything starting
 with '{'), or '-' for stdin. Exit codes: 0 success or certified pass, 1 a
-produced report that fails certification, 2 malformed input or usage error.
+produced report that fails certification, 2 malformed input or usage error,
+3 an internal error: one of the program's own certificates failed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from typing import Any
 
 from . import jsonio
-from .errors import AlgebraError, InvalidInput
+from .errors import AlgebraError, CertificateError, InvalidInput
 from .laurent_modules import decompose, torsion_quotient_order
 from .pipeline import certify
 from .polymatrix import smith_normal_form
@@ -231,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInput as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except CertificateError as exc:
+        print(f"internal error: certificate failed: {exc}", file=sys.stderr)
+        return 3
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

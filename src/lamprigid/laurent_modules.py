@@ -23,7 +23,7 @@ from functools import cached_property
 
 from . import linalg_fp as la
 from .errors import (
-    InvalidM, NotNormalized, NotSurjective, RankDeficient, RelationNotKilled, ZeroDivisor)
+    InvalidM, NotNormalized, NotSurjective, RankDeficient, RelationNotKilled, ZeroDivisor, require)
 from .fppoly import FieldSpec, FpPoly, LaurentPoly, poly_gcd, x_pow_minus_one
 from .polymatrix import PolyMatrix, SmithDecomposition, matrix_mul, smith_normal_form, stack_columns
 
@@ -85,12 +85,12 @@ class ModuleDecomposition:
     invariant_factors: tuple[FpPoly, ...]
 
     def __post_init__(self):
-        assert self.free_rank >= 0
+        require(self.free_rank >= 0, "negative free rank")
         for f in self.invariant_factors:
-            assert f.is_monic and f.degree >= 1, "unit or zero invariant factor"
-            assert f.constant_term != 0, "invariant factor divisible by x"
+            require(f.is_monic and f.degree >= 1, "unit or zero invariant factor")
+            require(f.constant_term != 0, "invariant factor divisible by x")
         for f, g in zip(self.invariant_factors, self.invariant_factors[1:]):
-            assert f.divides(g), "invariant factor chain broken"
+            require(f.divides(g), "invariant factor chain broken")
 
     @property
     def torsion_degree_sum(self) -> int:
@@ -173,7 +173,7 @@ class FiniteTruncation:
     Basis vectors are monomials x^j inside each cyclic summand of the Smith
     form, ordered by (summand index, degree). The action matrix raised to the
     m-th power is the identity, and the generator images span the whole space
-    under the action-generated algebra; both facts are asserted on build.
+    under the action-generated algebra; both facts are certified on build.
     """
 
     field: FieldSpec
@@ -185,10 +185,11 @@ class FiniteTruncation:
     def __post_init__(self):
         p = self.field.p
         d = self.dim
-        assert len(self.x_action) == d and all(len(r) == d for r in self.x_action)
+        require(len(self.x_action) == d and all(len(r) == d for r in self.x_action),
+                "x-action is not a dim x dim matrix")
         if d:
             power = la.mat_pow([list(r) for r in self.x_action], self.m, p)
-            assert power == la.identity(d), "x-action does not have order dividing m"
+            require(power == la.identity(d), "x-action does not have order dividing m")
         span: list[list[int]] = []
         pivots: list[int] = []
         frontier = [list(v) for v in self.generator_images]
@@ -199,7 +200,7 @@ class FiniteTruncation:
                 span.append(red)
                 span, pivots = la.rref(span, p)
                 frontier.append(la.mat_vec(self.x_action, vec, p))
-        assert len(span) == d, "generator images fail to span the truncation"
+        require(len(span) == d, "generator images fail to span the truncation")
 
 
 def block_companion(chain: list[FpPoly]) -> list[list[int]]:
@@ -238,7 +239,7 @@ def finite_truncation(pres: ModulePresentation, m: int) -> FiniteTruncation:
     snf = smith_normal_form(bordered)
     annihilators = []
     for d in snf.diag[:g]:
-        assert not d.is_zero, "truncation is not finite"
+        require(not d.is_zero, "truncation is not finite")
         annihilators.append(d.strip_x().monic())
     degs = [int(f.degree) for f in annihilators]
     dim = sum(degs)
@@ -268,6 +269,6 @@ def finite_truncation(pres: ModulePresentation, m: int) -> FiniteTruncation:
         x_action=tuple(tuple(r) for r in action),
         generator_images=tuple(images),
     )
-    assert dim == quotient_dim(decompose(pres), m), \
-        "truncation dimension disagrees with the rank formula"
+    require(dim == quotient_dim(decompose(pres), m),
+            "truncation dimension disagrees with the rank formula")
     return trunc

@@ -14,8 +14,10 @@ N_d = 1 + x + ... + x^(d-1) (K. Brown, Cohomology of Groups, IV.3). Over the
 polynomial ring each M is a direct sum of cyclic modules along a divisor chain
 dominated by the truncation's own invariant chain, so enumerating those chains
 and one a per cohomology class gives one table of order p^dim(M) * d <= B per
-candidate quotient, deduplicated by fingerprint and isomorphism test. The
-normal-subgroup lattice search remains for tests and tools that need it.
+candidate quotient. One comparison classifies each extension once: each
+distinct key (p, d, chain, a) of either side gives one table, sorted into
+isomorphism classes by fingerprint and isomorphism test. The normal-subgroup
+lattice search remains for tests and tools that need it.
 """
 
 from __future__ import annotations
@@ -427,9 +429,6 @@ class QuSet:
     def fingerprints(self) -> tuple[QuotientFingerprint, ...]:
         return tuple(t.fingerprint for t in self.classes)
 
-    def describe(self) -> list[str]:
-        return [fp.describe() for fp in self.fingerprints]
-
 
 def _source_presentation(source: ModulePresentation | LamplighterSpec) -> ModulePresentation:
     if isinstance(source, LamplighterSpec):
@@ -484,27 +483,7 @@ def _dominated_chains(base_chain: list[FpPoly], divisors: list[FpPoly],
     return out
 
 
-class _ClassAccumulator:
-    """Isomorphism-class dedupe keyed by fingerprint."""
-
-    def __init__(self):
-        self.by_key: dict[tuple, list[FiniteGroupTable]] = {}
-
-    def add(self, table: FiniteGroupTable) -> bool:
-        """Keep table unless an isomorphic one is kept; one bucket holds equal fingerprints."""
-        bucket = self.by_key.setdefault(table.fingerprint.key(), [])
-        if any(isomorphic(table, kept) for kept in bucket):
-            return False
-        bucket.append(table)
-        return True
-
-    def sorted_classes(self) -> tuple[FiniteGroupTable, ...]:
-        flat = [t for bucket in self.by_key.values() for t in bucket]
-        flat.sort(key=lambda t: t.fingerprint.key())
-        return tuple(flat)
-
-
-def _twist_classes(field: FieldSpec, action: list[list[int]], m: int) -> list[np.ndarray]:
+def _twist_classes(field: FieldSpec, action: list[list[int]], m: int) -> list[tuple[int, ...]]:
     """One twist from each class of H^2(C_m, M) = M^x / N_m M, N_m = 1 + A + ... + A^(m-1).
 
     M = F_p^d with x acting by A, A^m = I. The modules truncated_qu passes have
@@ -527,9 +506,56 @@ def _twist_classes(field: FieldSpec, action: list[list[int]], m: int) -> list[np
     reps = []
     for k in fixed:
         if not covered[k]:
-            reps.append(vecs[k])
+            reps.append(tuple(int(a) for a in vecs[k]))
             covered[((vecs[k] + norm_image) % p) @ radix] = True
     return reps
+
+
+def _extensions(source: ModulePresentation | LamplighterSpec, bound: int):
+    """Yield (key, field, action, twist) for each E(M, d, a) that truncated_qu
+    needs; the key (p, d, chain coefficients, twist) determines the table."""
+    pres = _source_presentation(source)
+    field = pres.field
+    p = field.p
+    dec = decompose(pres)
+    for d in range(1, bound + 1):
+        c = 0
+        while p ** (c + 1) * d <= bound:
+            c += 1
+        xd1 = x_pow_minus_one(field, d)
+        base_chain = [g for g in (poly_gcd(f, xd1) for f in dec.invariant_factors)
+                      if g.degree >= 1]
+        base_chain.extend([xd1] * dec.free_rank)
+        divisors = _small_divisors(xd1, c)
+        for chain in _dominated_chains(base_chain, divisors, c):
+            action = block_companion(chain)
+            for twist in _twist_classes(field, action, d):
+                yield (p, d, tuple(h.coeffs for h in chain), twist), field, action, twist
+
+
+def _classify(sources: Sequence[ModulePresentation | LamplighterSpec], bound: int,
+              order_cap: int, bound_cap: int) -> list[QuSet]:
+    """The quotient set of each source, drawn from one pool of class
+    representatives that lives for this call: each distinct key's table is
+    built once and joins an isomorphic kept table of equal fingerprint, or is kept."""
+    if bound < 1 or bound > bound_cap:
+        raise OrderBoundExceeded(f"bound {bound} outside 1..{bound_cap}")
+    rep_of: dict[tuple, FiniteGroupTable] = {}
+    by_fingerprint: dict[tuple, list[FiniteGroupTable]] = {}
+    qu_sets = []
+    for source in sources:
+        reps = []
+        for key, field, action, twist in _extensions(source, bound):
+            if key not in rep_of:
+                table = semidirect_table(field, action, key[1], order_cap, twist)
+                bucket = by_fingerprint.setdefault(table.fingerprint.key(), [])
+                rep_of[key] = next((kept for kept in bucket if isomorphic(table, kept)), table)
+                if rep_of[key] is table:
+                    bucket.append(table)
+            reps.append(rep_of[key])
+        classes = sorted(dict.fromkeys(reps), key=lambda t: t.fingerprint.key())
+        qu_sets.append(QuSet(bound=bound, classes=tuple(classes)))
+    return qu_sets
 
 
 def truncated_qu(source: ModulePresentation | LamplighterSpec, bound: int,
@@ -551,27 +577,7 @@ def truncated_qu(source: ModulePresentation | LamplighterSpec, bound: int,
     Groups, IV.3). Every table has order <= bound; the fingerprint and
     isomorphism dedupe merges the extensions that coincide.
     """
-    if bound < 1 or bound > bound_cap:
-        raise OrderBoundExceeded(f"bound {bound} outside 1..{bound_cap}")
-    pres = _source_presentation(source)
-    field = pres.field
-    p = field.p
-    dec = decompose(pres)
-    acc = _ClassAccumulator()
-    for d in range(1, bound + 1):
-        c = 0
-        while p ** (c + 1) * d <= bound:
-            c += 1
-        xd1 = x_pow_minus_one(field, d)
-        base_chain = [g for g in (poly_gcd(f, xd1) for f in dec.invariant_factors)
-                      if g.degree >= 1]
-        base_chain.extend([xd1] * dec.free_rank)
-        divisors = _small_divisors(xd1, c)
-        for chain in _dominated_chains(base_chain, divisors, c):
-            action = block_companion(chain)
-            for twist in _twist_classes(field, action, d):
-                acc.add(semidirect_table(field, action, d, order_cap, twist))
-    return QuSet(bound=bound, classes=acc.sorted_classes())
+    return _classify((source,), bound, order_cap, bound_cap)[0]
 
 
 @dataclass(frozen=True)
@@ -590,30 +596,21 @@ class QuComparison:
 def compare_qu(left: ModulePresentation | LamplighterSpec,
                right: ModulePresentation | LamplighterSpec,
                bound: int, order_cap: int = 4096, bound_cap: int = 16) -> QuComparison:
-    """Equality of bounded quotient sets, or the smallest-order witness class."""
-    lset = truncated_qu(left, bound, order_cap, bound_cap)
-    rset = truncated_qu(right, bound, order_cap, bound_cap)
-
-    def missing_from(src: QuSet, dst: QuSet) -> list[QuotientFingerprint]:
-        return [table.fingerprint for table in src.classes
-                if not any(table.fingerprint == other.fingerprint and isomorphic(table, other)
-                           for other in dst.classes)]
-
-    left_only = missing_from(lset, rset)
-    right_only = missing_from(rset, lset)
-    witness = None
-    candidates = ([("left", fp) for fp in left_only]
-                  + [("right", fp) for fp in right_only])
-    if candidates:
-        witness = min(candidates, key=lambda t: t[1].key())
+    """Equality of bounded quotient sets, or the smallest-order witness class.
+    Both sides draw from one pool of class representatives, so a class is on
+    one side only iff its representative is; no isomorphism test crosses sides."""
+    lset, rset = _classify((left, right), bound, order_cap, bound_cap)
+    left_only = tuple(t.fingerprint for t in lset.classes if t not in rset.classes)
+    right_only = tuple(t.fingerprint for t in rset.classes if t not in lset.classes)
+    candidates = [("left", fp) for fp in left_only] + [("right", fp) for fp in right_only]
     return QuComparison(
         bound=bound,
         equal=not candidates,
         left_fingerprints=lset.fingerprints,
         right_fingerprints=rset.fingerprints,
-        left_only=tuple(left_only),
-        right_only=tuple(right_only),
-        witness=witness,
+        left_only=left_only,
+        right_only=right_only,
+        witness=min(candidates, key=lambda t: t[1].key()) if candidates else None,
     )
 
 

@@ -25,6 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import linalg_fp as la
 from .errors import (
     ConjugationMismatch,
     CocycleViolation,
@@ -320,7 +321,7 @@ def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
     Checks, in the finite target: base-valuedness, order dividing p, pairwise
     commutation, every relator column (x acting by t-image conjugation), the
     conjugation action itself, and invertibility of the t-image shift mod m.
-    Also reports surjectivity via subgroup closure.
+    Also decides surjectivity, by one rank computation over F_p.
     """
     spec = gi.target
     m = spec.base_order
@@ -358,17 +359,13 @@ def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
         if not acc.is_identity:
             raise RelationViolated(j, "relator image is nontrivial")
 
-    generators = list(gi.module_gen_images) + [gi.t_image]
-    seen = {identity(spec)}
-    frontier = [identity(spec)]
-    while frontier:
-        cur = frontier.pop()
-        for g in generators:
-            nxt = wreath_mul(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    surjective = len(seen) == spec.order
+    # The image maps onto Z/mZ and meets the base in the span of all translates of the
+    # generator images and of t-image^m (lamps (1 + x + ... + x^(m-1)) u for t-image lamps u),
+    # as t-image conjugation translates by the unit sigma: its order is m p^rank.
+    base_gens = list(gi.module_gen_images) + [wreath_pow(gi.t_image, m)]
+    rows = [[c for i in range(m) for c in shift_lamps(w, k).lamp_at(i)]
+            for w in base_gens for k in range(m)]
+    surjective = len(la.rref(rows, spec.field.p)[0]) == spec.n * m
 
     return VerifiedHom(images=gi, sigma=sigma, sigma_inverse=sigma_inverse,
                        surjective=surjective)

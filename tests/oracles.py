@@ -30,18 +30,26 @@ from lamprigid import (
 )
 from lamprigid.laurent_modules import block_companion
 from lamprigid.quotients import (
+    QuComparison,
     QuSet,
-    _ClassAccumulator,
     _dominated_chains,
     _small_divisors,
     _source_presentation,
     cyclic_table,
     direct_product_table,
     enumerate_normal_subgroups,
+    isomorphic,
     quotient_table,
     semidirect_table,
+    truncated_qu,
 )
-from lamprigid.wreath import CandidateElement, VerifiedGroupEpi, WreathElement, element
+from lamprigid.wreath import (
+    CandidateElement,
+    GeneratorImages,
+    VerifiedGroupEpi,
+    WreathElement,
+    element,
+)
 
 
 def all_polys(field: FieldSpec, max_deg: int):
@@ -272,6 +280,14 @@ def brute_normal_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
 
 # --- bounded quotient sets through normal-subgroup lattices -------------------
 
+def _keep_new_class(kept: list[FiniteGroupTable], table: FiniteGroupTable) -> bool:
+    """Append table to kept unless an isomorphic table is already there."""
+    if any(isomorphic(table, other) for other in kept):
+        return False
+    kept.append(table)
+    return True
+
+
 def lattice_qu(source, bound: int) -> QuSet:
     """Bounded quotient set of N x| Z by searching normal-subgroup lattices.
 
@@ -281,8 +297,9 @@ def lattice_qu(source, bound: int) -> QuSet:
     log_p(bound); those quotient modules are enumerated as dominated divisor
     chains of x^m - 1 and each resulting small semidirect product is searched
     through its full normal-subgroup lattice. Shares only the module
-    enumeration and the dedupe with truncated_qu; the groups themselves come
-    from kernels rather than from cyclic extensions.
+    enumeration with truncated_qu; the groups themselves come from kernels
+    rather than from cyclic extensions, and the classes are kept by pairwise
+    isomorphism tests rather than by the library's classifier.
     """
     pres = _source_presentation(source)
     field = pres.field
@@ -291,22 +308,49 @@ def lattice_qu(source, bound: int) -> QuSet:
     cmax = 0
     while p ** (cmax + 1) <= bound:
         cmax += 1
-    acc = _ClassAccumulator()
+    kept: list[FiniteGroupTable] = []
     for m in range(1, bound + 1):
         xm1 = x_pow_minus_one(field, m)
         base_chain = [g for g in (poly_gcd(f, xm1) for f in dec.invariant_factors)
                       if g.degree >= 1]
         base_chain.extend([xm1] * dec.free_rank)
         divisors = _small_divisors(xm1, min(cmax, m))
-        seen_modules = _ClassAccumulator()
+        seen_modules: list[FiniteGroupTable] = []
         for chain in _dominated_chains(base_chain, divisors, cmax):
             table = semidirect_table(field, block_companion(chain), m)
-            if not seen_modules.add(table):
+            if not _keep_new_class(seen_modules, table):
                 continue
             for normal in enumerate_normal_subgroups(table):
                 if table.order // len(normal) <= bound:
-                    acc.add(quotient_table(table, normal))
-    return QuSet(bound=bound, classes=acc.sorted_classes())
+                    _keep_new_class(kept, quotient_table(table, normal))
+    kept.sort(key=lambda t: t.fingerprint.key())
+    return QuSet(bound=bound, classes=tuple(kept))
+
+
+def two_sided_compare_qu(left, right, bound: int) -> QuComparison:
+    """compare_qu as two separate truncated_qu calls whose classes are matched
+    across the sides by isomorphism tests, with no classification shared."""
+    lset = truncated_qu(left, bound)
+    rset = truncated_qu(right, bound)
+
+    def missing_from(src: QuSet, dst: QuSet) -> list:
+        return [table.fingerprint for table in src.classes
+                if not any(table.fingerprint == other.fingerprint and isomorphic(table, other)
+                           for other in dst.classes)]
+
+    left_only = missing_from(lset, rset)
+    right_only = missing_from(rset, lset)
+    candidates = ([("left", fp) for fp in left_only]
+                  + [("right", fp) for fp in right_only])
+    return QuComparison(
+        bound=bound,
+        equal=not candidates,
+        left_fingerprints=lset.fingerprints,
+        right_fingerprints=rset.fingerprints,
+        left_only=tuple(left_only),
+        right_only=tuple(right_only),
+        witness=min(candidates, key=lambda t: t[1].key()) if candidates else None,
+    )
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -370,3 +414,41 @@ def laurent_evaluate(epi: VerifiedGroupEpi, elem: CandidateElement) -> WreathEle
         for e, c in f.terms():
             lamps.setdefault(e, [0] * epi.target.n)[j] = c
     return element(epi.target, lamps.items(), k)
+
+
+def bfs_surjective(gi: GeneratorImages) -> bool:
+    """Whether the images generate the whole finite target, by breadth-first
+    closure of the generator set under right multiplication.
+
+    Elements are dense (lamps, shift) arrays, and the wreath law
+    (L, s)(L', s') = (L + x^s L', s + s'), with (x^s L)(i) = L(i - s), is
+    written out here instead of taken from lamprigid.wreath. A whole frontier
+    is multiplied by each generator at once.
+    """
+    spec = gi.target
+    p, n, m = spec.field.p, spec.n, spec.base_order
+    radix = p ** np.arange(m * n, dtype=np.int64)
+
+    def dense(w: WreathElement) -> tuple[np.ndarray, int]:
+        lamps = np.zeros((m, n), dtype=np.int64)
+        for i, v in w.lamps:
+            lamps[i] = v
+        return lamps, w.shift % m
+
+    generators = [dense(w) for w in gi.module_gen_images + (gi.t_image,)]
+    seen = np.zeros(spec.order, dtype=bool)
+    seen[0] = True
+    lamps, shifts = np.zeros((1, m, n), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    while len(shifts):
+        grown_lamps, grown_shifts = [], []
+        for g_lamps, g_shift in generators:
+            translated = g_lamps[(np.arange(m)[None, :] - shifts[:, None]) % m]
+            grown_lamps.append((lamps + translated) % p)
+            grown_shifts.append((shifts + g_shift) % m)
+        lamps, shifts = np.concatenate(grown_lamps), np.concatenate(grown_shifts)
+        codes = (lamps.reshape(len(shifts), m * n) @ radix) * m + shifts
+        codes, first = np.unique(codes, return_index=True)
+        fresh = ~seen[codes]
+        seen[codes[fresh]] = True
+        lamps, shifts = lamps[first[fresh]], shifts[first[fresh]]
+    return bool(seen.all())

@@ -1,4 +1,7 @@
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -235,3 +238,65 @@ class TestFiniteTruncation:
         rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
         pres = random_presentation(rng, F2, max_gens=gens)
         finite_truncation(pres, m)  # spanning and order assertions run at build
+
+
+_CORRUPTED_MODULES_SCRIPT = """
+import json
+import types
+from lamprigid import laurent_modules as lm
+from lamprigid.errors import CertificateError
+from lamprigid.fppoly import FieldSpec, FpPoly
+
+F2, F3 = FieldSpec(2), FieldSpec(3)
+x_plus_1, x2_x_1 = FpPoly(F2, (1, 1)), FpPoly(F2, (1, 1, 1))
+free = lm.ModulePresentation.free(F2, 1)
+real_snf, real_dim = lm.smith_normal_form, lm.quotient_dim
+
+
+def zero_diagonal_snf(matrix):
+    return types.SimpleNamespace(diag=(FpPoly.zero(F2),), u=real_snf(matrix).u)
+
+
+cases = {
+    "negative rank": lambda: lm.ModuleDecomposition(F2, -1, ()),
+    "unit factor": lambda: lm.ModuleDecomposition(F2, 0, (FpPoly(F2, (1,)),)),
+    "non-monic factor": lambda: lm.ModuleDecomposition(F3, 0, (FpPoly(F3, (1, 2)),)),
+    "factor x": lambda: lm.ModuleDecomposition(F2, 0, (FpPoly(F2, (0, 1)),)),
+    "broken chain": lambda: lm.ModuleDecomposition(F2, 0, (x_plus_1, x2_x_1)),
+    "ragged action": lambda: lm.FiniteTruncation(F2, 1, 2, ((1, 0), (0,)), ((1, 0),)),
+    "action order": lambda: lm.FiniteTruncation(F3, 1, 1, ((2,),), ((1,),)),
+    "no span": lambda: lm.FiniteTruncation(F2, 1, 1, ((1,),), ((0,),)),
+    "infinite": lambda: (setattr(lm, "smith_normal_form", zero_diagonal_snf),
+                         lm.finite_truncation(free, 3)),
+    "dimension": lambda: (setattr(lm, "smith_normal_form", real_snf),
+                          setattr(lm, "quotient_dim", lambda dec, m: real_dim(dec, m) + 1),
+                          lm.finite_truncation(free, 3)),
+}
+outcome = {"debug": __debug__}
+for name, build in cases.items():
+    try:
+        build()
+        outcome[name] = "accepted"
+    except CertificateError as exc:
+        outcome[name] = str(exc)
+print(json.dumps(outcome))
+"""
+
+
+def test_corrupted_modules_rejected_under_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_MODULES_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "debug": False,
+        "negative rank": "negative free rank",
+        "unit factor": "unit or zero invariant factor",
+        "non-monic factor": "unit or zero invariant factor",
+        "factor x": "invariant factor divisible by x",
+        "broken chain": "invariant factor chain broken",
+        "ragged action": "x-action is not a dim x dim matrix",
+        "action order": "x-action does not have order dividing m",
+        "no span": "generator images fail to span the truncation",
+        "infinite": "truncation is not finite",
+        "dimension": "truncation dimension disagrees with the rank formula",
+    }

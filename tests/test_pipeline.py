@@ -16,7 +16,7 @@ from lamprigid import (
     decompose,
     rank_check,
 )
-from lamprigid import cli, jsonio, laurent_modules
+from lamprigid import cli, jsonio, laurent_modules, wreath
 from lamprigid.errors import InvalidInput
 
 F2 = FieldSpec(2)
@@ -312,6 +312,19 @@ class TestCli:
 
     def test_usage_error(self):
         assert run_cli("certify").returncode == 2
+
+    def test_certificate_failure_exit_code(self, monkeypatch, capsys):
+        # the batched candidate law without its x^k twist: the input is valid,
+        # so the failed law check is the program's fault, not malformed input
+        def untwisted(x, y, p):
+            return (x[0] + y[0]) % p, x[1], x[2] + y[2]
+
+        monkeypatch.setattr(wreath, "candidate_mul", untwisted)
+        path = pathlib.Path(__file__).resolve().parents[1] / "candidates" / "free_rank1.json"
+        code = cli.main(["certify", str(path), "--qu-bound", "4"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "internal error: certificate failed: homomorphism law failed on a sampled pair\n")
 
     def test_certify_json_deterministic(self):
         args = ("certify", "candidates/mixed_free_torsion.json", "--qu-bound", "4",

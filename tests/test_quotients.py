@@ -1,3 +1,4 @@
+import itertools
 import json
 import pathlib
 import random
@@ -28,7 +29,12 @@ from lamprigid.errors import NotNormal, OrderBoundExceeded
 from lamprigid.fppoly import FpPoly
 from lamprigid.quotients import cyclic_table, direct_product_table, semidirect_table
 
-from oracles import brute_normal_subgroups, lattice_qu, small_group_catalog
+from oracles import (
+    brute_normal_subgroups,
+    lattice_qu,
+    small_group_catalog,
+    two_sided_compare_qu,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -49,6 +55,27 @@ def bundled(name):
 
 def fingerprints_agree(source, bound):
     return truncated_qu(source, bound).fingerprints == lattice_qu(source, bound).fingerprints
+
+
+@st.composite
+def small_modules(draw):
+    """Diagonal presentations over F_2 or F_3: free rank 0 or 1 plus one or two
+    cyclic torsion summands of degree 1 to 3 with nonzero constant term."""
+    field = draw(st.sampled_from([F2, F3]))
+    free_rank, factors = draw(st.integers(0, 1)), draw(st.integers(1, 2))
+    p = field.p
+    diagonal = []
+    for _ in range(factors):
+        degree = draw(st.integers(1, 3))
+        coeffs = ([draw(st.integers(1, p - 1))]
+                  + [draw(st.integers(0, p - 1)) for _ in range(degree - 1)]
+                  + [draw(st.integers(1, p - 1))])
+        diagonal.append(FpPoly(field, tuple(coeffs)))
+    gens = factors + free_rank
+    rows = [[FpPoly.zero(field)] * factors for _ in range(gens)]
+    for i, f in enumerate(diagonal):
+        rows[i][i] = f
+    return ModulePresentation.make(field, gens, rows)
 
 
 class TestBuildGroupTable:
@@ -294,23 +321,9 @@ class TestAgainstLatticeRoute:
     def test_larger_bounds(self, name, bound):
         assert fingerprints_agree(bundled(name).presentation, bound)
 
-    @given(st.sampled_from([F2, F3]), st.integers(0, 1), st.integers(1, 2),
-           st.integers(1, 8), st.data())
+    @given(small_modules(), st.integers(1, 8))
     @settings(max_examples=15, deadline=None)
-    def test_random_small_modules(self, field, free_rank, factors, bound, data):
-        p = field.p
-        diagonal = []
-        for _ in range(factors):
-            degree = data.draw(st.integers(1, 3))
-            coeffs = ([data.draw(st.integers(1, p - 1))]
-                      + [data.draw(st.integers(0, p - 1)) for _ in range(degree - 1)]
-                      + [data.draw(st.integers(1, p - 1))])
-            diagonal.append(FpPoly(field, tuple(coeffs)))
-        gens = factors + free_rank
-        rows = [[FpPoly.zero(field)] * factors for _ in range(gens)]
-        for i, f in enumerate(diagonal):
-            rows[i][i] = f
-        pres = ModulePresentation.make(field, gens, rows)
+    def test_random_small_modules(self, pres, bound):
         assert fingerprints_agree(pres, bound)
 
 
@@ -335,6 +348,47 @@ class TestCompareQu:
         assert not cmp.equal
         side, fp = cmp.witness
         assert side == "left" and fp.abelian_invariants == (2, 2)
+
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_against_two_sided_route_lamp_groups(self, name):
+        candidate = bundled(name)
+        lamp = LamplighterSpec(candidate.field, candidate.n, None)
+        for bound in range(1, 17):
+            assert (compare_qu(candidate.presentation, lamp, bound)
+                    == two_sided_compare_qu(candidate.presentation, lamp, bound)), bound
+
+    @pytest.mark.parametrize("bound", [8, 16])
+    def test_against_two_sided_route_candidate_pairs(self, bound):
+        for left, right in itertools.product(CANDIDATE_NAMES, repeat=2):
+            l_pres, r_pres = bundled(left).presentation, bundled(right).presentation
+            assert (compare_qu(l_pres, r_pres, bound)
+                    == two_sided_compare_qu(l_pres, r_pres, bound)), (left, right)
+
+    @given(small_modules(), small_modules(), st.integers(1, 12))
+    @settings(max_examples=15, deadline=None)
+    def test_against_two_sided_route_random_modules(self, left, right, bound):
+        assert compare_qu(left, right, bound) == two_sided_compare_qu(left, right, bound)
+
+    def test_one_table_per_distinct_key_and_no_state_across_calls(self, monkeypatch):
+        left = bundled("mixed_free_torsion").presentation
+        right = LamplighterSpec(F2, 1, None)
+        per_side = [[key for key, *_ in quotients._extensions(side, 16)]
+                    for side in (left, right)]
+        keys = set(per_side[0]) | set(per_side[1])
+        assert len(keys) < len(per_side[0]) + len(per_side[1])  # the sides share keys
+        builds = []
+        original = quotients.semidirect_table
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(quotients, "semidirect_table", counting)
+        first = compare_qu(left, right, 16)
+        assert len(builds) == len(keys)
+        second = compare_qu(left, right, 16)
+        assert len(builds) == 2 * len(keys)
+        assert first == second
 
     def test_one_fingerprint_per_table(self, monkeypatch):
         calls = {"fingerprint": 0, "semidirect_table": 0}

@@ -474,3 +474,38 @@ class TestScaleShiftHelpers:
     def test_shift_wraps_cyclically(self):
         a = element(W123, {2: [1]}, 0)
         assert shift_lamps(a, 1) == element(W123, {0: [1]}, 0)
+
+
+def _example_generator_images():
+    """Generator images of every example hom in this file and in the acceptance
+    suite, plus images of 1 + x, where the lamp part of t-image^m decides."""
+    free2 = ModulePresentation.free(F2, 1)
+    torsion = ModulePresentation.make(F2, 1, [[poly(F2, 1, 0, 0, 1)]])
+    w124, w125 = LamplighterSpec(F2, 1, 4), LamplighterSpec(F2, 1, 5)
+    w325 = LamplighterSpec(F3, 2, 5)
+    one_plus_x = element(W123, {0: [1], 1: [1]})
+    cases = [(free2, W123, (delta(W123, 0),), element(W123, t_lamps, 1))
+             for t_lamps in ({}, {0: [1]}, {1: [1], 2: [1]})]
+    cases += [
+        (free2, W123, (identity(W123),), translation(W123)),
+        (torsion, W123, (delta(W123, 0),), translation(W123)),
+        (free2, w124, (delta(w124, 0),), translation(w124)),
+        (free2, w125, (delta(w125, 0),), element(w125, {}, 2)),
+        (free2, w125, (delta(w125, 0),), element(w125, {3: [1]}, 2)),
+        (ModulePresentation.free(F3, 2), w325, (delta(w325, 0, 0), delta(w325, 0, 1)),
+         element(w325, {2: [1, 2]}, 3)),
+        (free2, W123, (one_plus_x,), translation(W123)),
+        (free2, W123, (one_plus_x,), element(W123, {0: [1]}, 1)),
+    ]
+    return [GeneratorImages(source=source, target=target, module_gen_images=images,
+                            t_image=t_image)
+            for source, target, images, t_image in cases]
+
+
+def test_surjectivity_matches_bfs_oracle():
+    verdicts = []
+    for gi in _example_generator_images():
+        surjective = hom_from_generator_images(gi).surjective
+        assert surjective == oracles.bfs_surjective(gi), gi
+        verdicts.append(surjective)
+    assert verdicts == [True] * 3 + [False, True, True, True, True, True, False, True]
