@@ -108,6 +108,13 @@ def determinant(m: PolyMatrix) -> FpPoly:
     After step k each entry of the trailing block is a (k+1)x(k+1) minor of m,
     so dividing by the previous pivot is exact over F_p[x]; every division is
     checked. A zero pivot is replaced by a row swap, which flips the sign.
+
+    Step k sets a[i][j] to (a[i][j]*piv - a[i][k]*a[k][j]) / prev. When piv
+    equals prev and a[i][k] or a[k][j] is zero, that is a[i][j]*piv/prev =
+    a[i][j], so the update is skipped: the whole row i when a[i][k] is zero,
+    the entry (i, j) when a[k][j] is zero. Every other division is computed
+    and checked. Transforms that stay close to unit triangular, as in SNF
+    certificates, skip almost every update.
     """
     if m.rows != m.cols:
         raise NotSquare(f"determinant of a {m.rows}x{m.cols} matrix")
@@ -122,8 +129,13 @@ def determinant(m: PolyMatrix) -> FpPoly:
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
         piv = a[k][k]
+        same = piv == prev
         for i in range(k + 1, n):
+            if same and not a[i][k]:
+                continue
             for j in range(k + 1, n):
+                if same and not a[k][j]:
+                    continue
                 q, r = poly_divmod(a[i][j] * piv - a[i][k] * a[k][j], prev)
                 require(r.is_zero, "Bareiss division is not exact")
                 a[i][j] = q
@@ -196,20 +208,20 @@ class _Worker:
             row[i], row[j] = row[j], row[i]
 
     def row_sub(self, i: int, j: int, q: FpPoly) -> None:
-        """row_i -= q * row_j"""
+        """row_i -= q * row_j, leaving the entries opposite a zero of row_j as they are"""
         if q.is_zero:
             return
-        self.a[i] = [e - q * f for e, f in zip(self.a[i], self.a[j])]
-        self.u[i] = [e - q * f for e, f in zip(self.u[i], self.u[j])]
+        self.a[i] = [e - q * f if f else e for e, f in zip(self.a[i], self.a[j])]
+        self.u[i] = [e - q * f if f else e for e, f in zip(self.u[i], self.u[j])]
 
     def col_sub(self, i: int, j: int, q: FpPoly) -> None:
-        """col_i -= q * col_j"""
+        """col_i -= q * col_j, leaving the entries opposite a zero of col_j as they are"""
         if q.is_zero:
             return
-        for row in self.a:
-            row[i] = row[i] - q * row[j]
-        for row in self.v:
-            row[i] = row[i] - q * row[j]
+        for grid in (self.a, self.v):
+            for row in grid:
+                if row[j]:
+                    row[i] = row[i] - q * row[j]
 
     def col_add(self, i: int, j: int, q: FpPoly) -> None:
         self.col_sub(i, j, -q)

@@ -472,20 +472,36 @@ def lamp_elements(spec: LamplighterSpec, batch: Batch) -> list[WreathElement]:
 def _draw_elements(rng: random.Random, p: int, g: int, count: int, dtype) -> Batch:
     """count seeded elements (a, k), exponents -2..3 at columns 0..5.
 
-    Each coordinate of a gets 0-3 terms (exponent, coefficient), drawn as
-    randint(-2, 3) then randrange(p); repeated exponents add up. Then k is
-    randint(-3, 3).
+    Each coordinate of a gets randint(0, 3) terms (exponent, coefficient),
+    drawn as randint(-2, 3) then randrange(p); repeated exponents add up. Then
+    k is randint(-3, 3). Each draw is written out as the loop random.Random
+    itself runs for randint and randrange (r = getrandbits(n.bit_length()),
+    redrawn while r >= n, for a range of n values), so the stream is
+    random.Random's own, without the call overhead.
     """
+    bits = rng.getrandbits
+    p_bits = p.bit_length()
     flat = [0] * (count * g * 6)
     shifts = []
     pos = 0
     for _ in range(count):
         for _ in range(g):
-            for _ in range(rng.randint(0, 3)):
-                e = rng.randint(-2, 3)
-                flat[pos + e + 2] += rng.randrange(p)
+            terms = bits(3)
+            while terms >= 4:
+                terms = bits(3)
+            for _ in range(terms):
+                col = bits(3)
+                while col >= 6:
+                    col = bits(3)
+                c = bits(p_bits)
+                while c >= p:
+                    c = bits(p_bits)
+                flat[pos + col] += c
             pos += 6
-        shifts.append(rng.randint(-3, 3))
+        k = bits(3)
+        while k >= 7:
+            k = bits(3)
+        shifts.append(k - 3)
     return np.array(flat, dtype=dtype).reshape(count, g, 6) % p, -2, np.array(shifts)
 
 

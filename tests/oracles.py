@@ -171,7 +171,8 @@ def verified_residue_count(f: FpPoly) -> int:
     count = p ** d
     vecs, radix = _residue_grid(p, d)
     images = (vecs @ comp.T % p) @ radix
-    assert len(np.unique(images)) == count, "x-action is not a bijection on residues"
+    # count images in 0..count-1: every residue is hit iff the action is a bijection
+    assert np.bincount(images, minlength=count).all(), "x-action is not a bijection on residues"
     vec = np.zeros(d, dtype=np.int64)
     vec[0] = 1
     for i in range(1, 2 * d + 1):

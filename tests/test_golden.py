@@ -1,5 +1,6 @@
 """Pinned report bytes: `certify --json` on every bundled candidate at bounds 8 and 16,
-and `compare-qu --json --bound 16` on two pairs of candidates whose sides differ.
+on two of them re-presented with 16 generators at bound 8, and `compare-qu --json
+--bound 16` on two pairs of candidates whose sides differ.
 
 The files in tests/golden/ are the canonical reports. Any change to them is a
 change of behaviour and must be argued, never regenerated to get a pass.
@@ -22,6 +23,18 @@ def test_certify_report_matches_golden(name, bound, capsys):
                      "--qu-bound", str(bound), "--json"])
     assert code == (1 if name == "torsion_only" else 0)
     expected = (ROOT / "tests" / "golden" / f"{name}_b{bound}.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+# The bundled modules have at most 2 generators; these re-present two of them
+# with 16 (tests/data/disguised16_*.json), so SNF elimination, its determinant
+# certificates and the law check work on wide, sparse matrices.
+@pytest.mark.parametrize("name", ["free_rank2_p3", "torsion_only"])
+def test_disguised_certify_report_matches_golden(name, capsys):
+    code = cli.main(["certify", str(ROOT / "tests" / "data" / f"disguised16_{name}.json"),
+                     "--qu-bound", "8", "--json"])
+    assert code == (1 if name == "torsion_only" else 0)
+    expected = (ROOT / "tests" / "golden" / f"disguised16_{name}_b8.json").read_text()
     assert capsys.readouterr().out == expected
 
 

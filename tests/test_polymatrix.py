@@ -8,7 +8,7 @@ import pytest
 from lamprigid import FieldSpec, FpPoly, PolyMatrix, determinant, is_unimodular, matrix_mul, smith_normal_form
 from lamprigid.errors import FieldMismatch, NotSquare, ShapeMismatch
 
-from oracles import determinantal_divisor_diag, leibniz_determinant, random_matrix
+from oracles import determinantal_divisor_diag, leibniz_determinant, random_matrix, random_poly
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -48,12 +48,60 @@ class TestMatrixMul:
             matrix_mul(PolyMatrix.identity(F2, 2), PolyMatrix.identity(F3, 2))
 
 
+def _sparse_matrices(rng):
+    """Matrices up to 6x6 on which Bareiss skips the updates with a zero multiplier.
+
+    Unit triangular, permutation, near-identity and 70%-zero matrices keep unit
+    pivots; a non-unit pivot after unit ones takes the full update, and diag(x + 1,
+    1, ..., 1), whose Bareiss pivots all equal x + 1, the skip path with prev != 1.
+    """
+    def sparse(field, n, zero_share):
+        return [[FpPoly.zero(field) if rng.random() < zero_share
+                 else random_poly(rng, field, 2) for _ in range(n)] for _ in range(n)]
+
+    def clear_below(rows, k):
+        # unit columns 0..k-1, zero below the diagonal: the first k pivots are 1
+        for j in range(k):
+            rows[j][j] = FpPoly.one(rows[j][j].field)
+            for i in range(j + 1, len(rows)):
+                rows[i][j] = FpPoly.zero(rows[i][j].field)
+        return rows
+
+    out = []
+    for field in (F2, F3, F5):
+        for n in range(1, 7):
+            triangular = clear_below(sparse(field, n, 0.5), n)
+            lower = [list(col) for col in zip(*triangular)]
+            perm = rng.sample(range(n), n)
+            permutation = [[FpPoly.one(field) if j == perm[i] else FpPoly.zero(field)
+                            for j in range(n)] for i in range(n)]
+            near_identity = PolyMatrix.identity(field, n).to_lists()
+            for _ in range(2):
+                near_identity[rng.randrange(n)][rng.randrange(n)] = random_poly(rng, field, 2)
+            k = rng.randrange(n)
+            late_pivot = clear_below(sparse(field, n, 0.7), k)
+            late_pivot[k][k] = poly(field, rng.randrange(field.p), 1)
+            diagonal = PolyMatrix.identity(field, n).to_lists()
+            diagonal[0][0] = poly(field, 1, 1)  # every later Bareiss pivot is x + 1 too
+            for rows in (triangular, lower, permutation, near_identity,
+                         sparse(field, n, 0.7), late_pivot, diagonal):
+                out.append(PolyMatrix.from_rows(field, rows))
+    return out
+
+
 class TestUnimodular:
     def test_identity(self):
         assert is_unimodular(PolyMatrix.identity(F5, 3))
 
     def test_single_x(self):
         assert not is_unimodular(mat(F2, [[(0, 1)]]))
+        # the identity with one x on the diagonal: Bareiss skips every other update
+        for field in (F2, F3, F5):
+            for n in range(1, 7):
+                for i in range(n):
+                    rows = PolyMatrix.identity(field, n).to_lists()
+                    rows[i][i] = poly(field, 0, 1)
+                    assert not is_unimodular(PolyMatrix.from_rows(field, rows)), (n, i)
 
     def test_upper_triangular_unit(self):
         assert is_unimodular(mat(F2, [[(1,), (0, 1)], [(), (1,)]]))
@@ -81,6 +129,7 @@ class TestUnimodular:
                     if trial % 3 == 2:
                         rows[0][0] = FpPoly.zero(field)  # zero leading pivot
                     cases.append(PolyMatrix.from_rows(field, rows))
+        cases += _sparse_matrices(random.Random(29))
         for m in cases:
             assert determinant(m) == leibniz_determinant(m), m
 
@@ -163,7 +212,7 @@ class TestSmithNormalForm:
 # script runs under python -O, where a bare assert would let all of them pass.
 _CORRUPTED_SNF_SCRIPT = """
 import json
-from lamprigid import FieldSpec, FpPoly, PolyMatrix, smith_normal_form
+from lamprigid import FieldSpec, FpPoly, PolyMatrix, matrix_mul, smith_normal_form
 from lamprigid.errors import CertificateError
 from lamprigid.polymatrix import SmithDecomposition
 
@@ -184,6 +233,17 @@ x = FpPoly(F2, (0, 1))
 bad_u = PolyMatrix(F2, 2, 2, (snf.u.entries[0] + x,) + snf.u.entries[1:])
 bad_v = PolyMatrix(F2, 2, 2, snf.v.entries[:3] + (snf.v.entries[3] + x,))
 singular = mat(F2, [[(0, 1), ()], [(), (1,)]])
+three = mat(F3, [[(1, 1), (2,), ()], [(), (0, 1), (1,)], [(2,), (), (1, 0, 1)]])
+
+def x_in_v(i):
+    # V is the identity with x at (i, i), D = M*V, so only V's certificate fails
+    rows = PolyMatrix.identity(F3, 3).to_lists()
+    rows[i][i] = FpPoly(F3, (0, 1))
+    v = PolyMatrix.from_rows(F3, rows)
+    d = matrix_mul(three, v)
+    return dict(source=three, u=PolyMatrix.identity(F3, 3), d=d, v=v,
+                diag=tuple(d.entry(j, j) for j in range(3)))
+
 cases = {
     "corrupted U": dict(source=source, u=bad_u, d=snf.d, v=snf.v, diag=snf.diag),
     "corrupted V": dict(source=source, u=snf.u, d=snf.d, v=bad_v, diag=snf.diag),
@@ -192,6 +252,7 @@ cases = {
     "off-diagonal D": claimed(mat(F2, [[(1,), (1,)], [(), (1,)]])),
     "broken chain": claimed(mat(F2, [[(0, 1), ()], [(), (1, 1)]])),
     "non-monic diagonal": claimed(mat(F3, [[(2,)]])),
+    **{f"x in V at {i}": x_in_v(i) for i in range(3)},
 }
 outcome = {"debug": __debug__}
 for name, fields in cases.items():
@@ -217,4 +278,7 @@ def test_corrupted_snf_rejected_under_optimize():
         "off-diagonal D": "D has off-diagonal entries",
         "broken chain": "divisibility chain broken",
         "non-monic diagonal": "diagonal entry not monic",
+        "x in V at 0": "V is not unimodular",
+        "x in V at 1": "V is not unimodular",
+        "x in V at 2": "V is not unimodular",
     }
