@@ -78,8 +78,11 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _wreath_spec(args: argparse.Namespace) -> LamplighterSpec:
     from .fppoly import FieldSpec
-    base = None if args.base in ("Z", "z") else int(args.base)
-    return LamplighterSpec(FieldSpec(args.p), args.n, base)
+    try:
+        base = None if args.base in ("Z", "z") else int(args.base)
+        return LamplighterSpec(FieldSpec(args.p), args.n, base)
+    except ValueError as exc:
+        raise InvalidInput(f"bad wreath group: {exc}") from exc
 
 
 def _cmd_wreath(args: argparse.Namespace) -> int:

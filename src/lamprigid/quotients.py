@@ -16,8 +16,8 @@ dominated by the truncation's own invariant chain, so enumerating those chains
 and one a per cohomology class gives one table of order p^dim(M) * d <= B per
 candidate quotient. One comparison classifies each extension once: each
 distinct key (p, d, chain, a) of either side gives one table, sorted into
-isomorphism classes by fingerprint and isomorphism test. The normal-subgroup
-lattice search remains for tests and tools that need it.
+isomorphism classes by fingerprint (read inside the table, with no quotient
+table) and isomorphism test. The lattice search remains for tests and tools.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .laurent_modules import (
 from .wreath import LamplighterSpec
 
 FULL_AXIOM_ORDER = 512
+BOUND_CAP = 16
 _SPOT_CHECK_TRIPLES = 4096
 
 
@@ -83,26 +84,32 @@ class FiniteGroupTable:
         """Isomorphism invariants, computed once per table; frozen fields keep it valid."""
         return fingerprint(self)
 
-    def conjugacy_classes(self) -> list[np.ndarray]:
-        """Orbits of the conjugation action, each sorted ascending."""
-        mul, inv = self.mul, self.inverse
-        everyone = np.arange(self.order)
-        seen = np.zeros(self.order, dtype=bool)
-        classes = []
-        for g in range(self.order):
-            if seen[g]:
-                continue
-            conj = np.unique(mul[mul[everyone, g], inv[everyone]])
-            seen[conj] = True
-            classes.append(conj)
-        return classes
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        """Order of every element, computed once."""
+        return _orders_modulo(self, np.arange(self.order) == self.identity)
+
+    @cached_property
+    def class_sizes(self) -> np.ndarray:
+        """Conjugacy class size of every element: |G| over its centralizer's order."""
+        sizes = self.order // (self.mul == self.mul.T).sum(axis=1)
+        sizes.flags.writeable = False
+        return sizes
 
     def element_order(self, g: int) -> int:
-        k, x = 1, g
-        while x != self.identity:
-            x = int(self.mul[x, g])
-            k += 1
-        return k
+        return int(self.element_orders[g])
+
+
+def _orders_modulo(table: FiniteGroupTable, member: np.ndarray) -> np.ndarray:
+    """Least k >= 1 with g^k in the subgroup with mask member, for every g."""
+    everyone = np.arange(table.order)
+    orders = np.zeros(table.order, dtype=np.int64)
+    power, k = everyone, 1
+    while not orders.all():
+        orders[(orders == 0) & member[power]] = k
+        power, k = table.mul[power, everyone], k + 1
+    orders.flags.writeable = False
+    return orders
 
 
 def cyclic_table(n: int) -> FiniteGroupTable:
@@ -231,9 +238,13 @@ def enumerate_normal_subgroups(table: FiniteGroupTable,
     if table.order > order_cap:
         raise OrderBoundExceeded(f"order {table.order} exceeds cap {order_cap}")
     atoms: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-    for cls in table.conjugacy_classes():
-        members = subgroup_closure(table, list(cls))
-        atoms.setdefault(members.tobytes(), (members, list(cls)))
+    seen = np.zeros(table.order, dtype=bool)
+    for g in range(table.order):
+        if not seen[g]:
+            cls = np.unique(table.mul[table.mul[:, g], table.inverse])  # g's class
+            seen[cls] = True
+            members = subgroup_closure(table, list(cls))
+            atoms.setdefault(members.tobytes(), (members, list(cls)))
     lattice: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     trivial = np.array([table.identity], dtype=np.int64)
     lattice[trivial.tobytes()] = (trivial, [])
@@ -252,8 +263,8 @@ def enumerate_normal_subgroups(table: FiniteGroupTable,
                 pending.append(entry)
     out = []
     for members, _ in lattice.values():
-        assert _is_subgroup(table, members)
-        assert _is_normal(table, members)
+        require(_is_subgroup(table, members), "lattice member is not a subgroup")
+        require(_is_normal(table, members), "lattice member is not normal")
         out.append(frozenset(int(x) for x in members))
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
@@ -300,43 +311,31 @@ class QuotientFingerprint:
                 f"ab={' x '.join(f'C{d}' for d in reversed(self.abelian_invariants)) or '1'})")
 
 
-def _abelian_invariants(table: FiniteGroupTable) -> tuple[int, ...]:
-    """Invariant factors d_1 | ... | d_k of an abelian table group."""
-    if table.order == 1:
-        return ()
-    orders = [table.element_order(g) for g in range(table.order)]
-    exponent = max(orders)
-    pick = min(g for g in range(table.order) if orders[g] == exponent)
-    cyclic = set()
-    x = table.identity
-    while True:
-        cyclic.add(x)
-        x = int(table.mul[x, pick])
-        if x == table.identity:
-            break
-    rest = _abelian_invariants(quotient_table(table, frozenset(cyclic)))
-    return rest + (exponent,)
-
-
 def fingerprint(table: FiniteGroupTable) -> QuotientFingerprint:
-    orders = tuple(sorted(table.element_order(g) for g in range(table.order)))
-    exponent = math.lcm(*orders)
-    classes = table.conjugacy_classes()
-    sizes = tuple(sorted(len(c) for c in classes))
-    commutators = set()
+    """Element orders, exponent, class sizes and the invariant factors of G/G'.
+    Those are read on cosets of H = G': an element of largest order modulo H
+    spans a direct summand of G/H, so record its order, join it to H, repeat
+    until H = G and reverse (Holt, Eick and O'Brien 2005, ch. 8)."""
     mul, inv = table.mul, table.inverse
-    for a in range(table.order):
-        row = mul[mul[mul[a, np.arange(table.order)],
-                      inv[a]], inv[np.arange(table.order)]]
-        commutators.update(int(x) for x in row)
-    derived = subgroup_closure(table, sorted(commutators))
-    ab = quotient_table(table, frozenset(int(x) for x in derived))
+    commutator = np.zeros(table.order, dtype=bool)
+    for a in range(table.order):  # one row of commutators [a, x] at a time: O(|G|) memory
+        commutator[mul[mul[mul[a], inv[a]], inv]] = True
+    member = np.zeros(table.order, dtype=bool)
+    member[subgroup_closure(table, list(np.flatnonzero(commutator)))] = True
+    factors = []
+    while not member.all():
+        orders = _orders_modulo(table, member)
+        g = int(np.argmax(orders))
+        factors.append(int(orders[g]))
+        member[subgroup_closure(table, list(np.flatnonzero(member)) + [g])] = True
+    sizes, counts = np.unique(table.class_sizes, return_counts=True)
+    element_orders = tuple(int(k) for k in np.sort(table.element_orders))
     return QuotientFingerprint(
         order=table.order,
-        abelian_invariants=_abelian_invariants(ab),
-        exponent=exponent,
-        element_orders=orders,
-        class_sizes=sizes,
+        abelian_invariants=tuple(reversed(factors)),
+        exponent=math.lcm(*element_orders),
+        element_orders=element_orders,
+        class_sizes=tuple(int(s) for s, c in zip(sizes, counts) for _ in range(c // s)),
     )
 
 
@@ -386,19 +385,10 @@ def isomorphic(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
     if g_table.order == 1:
         return True
     gens = _generating_sequence(g_table)
-
-    def class_size_map(table: FiniteGroupTable) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for c in table.conjugacy_classes():
-            for g in c:
-                sizes[int(g)] = len(c)
-        return sizes
-
-    g_sizes, h_sizes = class_size_map(g_table), class_size_map(h_table)
-    g_inv = {g: (g_table.element_order(g), g_sizes[g]) for g in gens}
+    g_keys = list(zip(g_table.element_orders.tolist(), g_table.class_sizes.tolist()))
     h_candidates: dict[tuple[int, int], list[int]] = {}
-    for h in range(h_table.order):
-        h_candidates.setdefault((h_table.element_order(h), h_sizes[h]), []).append(h)
+    for h, key in enumerate(zip(h_table.element_orders.tolist(), h_table.class_sizes.tolist())):
+        h_candidates.setdefault(key, []).append(h)
 
     def backtrack(i: int, images: list[int]) -> bool:
         if i == len(gens):
@@ -406,7 +396,7 @@ def isomorphic(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
             return (mapping is not None
                     and len(mapping) == g_table.order
                     and len(set(mapping.values())) == g_table.order)
-        for h in h_candidates.get(g_inv[gens[i]], []):
+        for h in h_candidates.get(g_keys[gens[i]], []):
             trial = images + [h]
             if _hom_from_images(g_table, h_table, gens[:i + 1], trial) is not None:
                 if backtrack(i + 1, trial):
@@ -534,12 +524,12 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int):
 
 
 def _classify(sources: Sequence[ModulePresentation | LamplighterSpec], bound: int,
-              order_cap: int, bound_cap: int) -> list[QuSet]:
+              order_cap: int) -> list[QuSet]:
     """The quotient set of each source, drawn from one pool of class
     representatives that lives for this call: each distinct key's table is
     built once and joins an isomorphic kept table of equal fingerprint, or is kept."""
-    if bound < 1 or bound > bound_cap:
-        raise OrderBoundExceeded(f"bound {bound} outside 1..{bound_cap}")
+    if bound < 1 or bound > BOUND_CAP:
+        raise OrderBoundExceeded(f"bound {bound} outside 1..{BOUND_CAP}")
     rep_of: dict[tuple, FiniteGroupTable] = {}
     by_fingerprint: dict[tuple, list[FiniteGroupTable]] = {}
     qu_sets = []
@@ -559,7 +549,7 @@ def _classify(sources: Sequence[ModulePresentation | LamplighterSpec], bound: in
 
 
 def truncated_qu(source: ModulePresentation | LamplighterSpec, bound: int,
-                 order_cap: int = 4096, bound_cap: int = 16) -> QuSet:
+                 order_cap: int = 4096) -> QuSet:
     """Every isomorphism class of quotients of order <= bound of N x| Z.
 
     In a finite quotient Q the image M of N is an abelian normal subgroup and
@@ -577,7 +567,7 @@ def truncated_qu(source: ModulePresentation | LamplighterSpec, bound: int,
     Groups, IV.3). Every table has order <= bound; the fingerprint and
     isomorphism dedupe merges the extensions that coincide.
     """
-    return _classify((source,), bound, order_cap, bound_cap)[0]
+    return _classify((source,), bound, order_cap)[0]
 
 
 @dataclass(frozen=True)
@@ -595,11 +585,11 @@ class QuComparison:
 
 def compare_qu(left: ModulePresentation | LamplighterSpec,
                right: ModulePresentation | LamplighterSpec,
-               bound: int, order_cap: int = 4096, bound_cap: int = 16) -> QuComparison:
+               bound: int, order_cap: int = 4096) -> QuComparison:
     """Equality of bounded quotient sets, or the smallest-order witness class.
     Both sides draw from one pool of class representatives, so a class is on
     one side only iff its representative is; no isomorphism test crosses sides."""
-    lset, rset = _classify((left, right), bound, order_cap, bound_cap)
+    lset, rset = _classify((left, right), bound, order_cap)
     left_only = tuple(t.fingerprint for t in lset.classes if t not in rset.classes)
     right_only = tuple(t.fingerprint for t in rset.classes if t not in lset.classes)
     candidates = [("left", fp) for fp in left_only] + [("right", fp) for fp in right_only]

@@ -41,6 +41,7 @@ from lamprigid.quotients import (
     isomorphic,
     quotient_table,
     semidirect_table,
+    subgroup_closure,
     truncated_qu,
 )
 from lamprigid.wreath import (
@@ -245,10 +246,48 @@ def small_group_catalog() -> list[tuple[str, FiniteGroupTable]]:
     ]
 
 
+def element_orders_by_powers(table: FiniteGroupTable) -> list[int]:
+    """The order of each element, by multiplying it by itself until the identity."""
+    orders = []
+    for g in range(table.order):
+        k, x = 1, g
+        while x != table.identity:
+            x = int(table.mul[x, g])
+            k += 1
+        orders.append(k)
+    return orders
+
+
+def abelian_invariants_by_quotients(table: FiniteGroupTable) -> tuple[int, ...]:
+    """Invariant factors d_1 | ... | d_k of G/G', through explicit quotient tables.
+
+    G/G' is built as a coset table; then an element of largest order spans a
+    direct summand, so its order is the largest factor and the rest are the
+    factors of the quotient table by its cyclic subgroup, found recursively.
+    """
+    commutators = {int(table.mul[table.mul[table.mul[a, b], table.inverse[a]],
+                                 table.inverse[b]])
+                   for a in range(table.order) for b in range(table.order)}
+    derived = subgroup_closure(table, sorted(commutators))
+    return _abelian_factors(quotient_table(table, frozenset(int(x) for x in derived)))
+
+
+def _abelian_factors(table: FiniteGroupTable) -> tuple[int, ...]:
+    if table.order == 1:
+        return ()
+    orders = element_orders_by_powers(table)
+    exponent = max(orders)
+    pick = orders.index(exponent)
+    cyclic = {table.identity}
+    x = int(table.mul[table.identity, pick])
+    while x != table.identity:
+        cyclic.add(x)
+        x = int(table.mul[x, pick])
+    return _abelian_factors(quotient_table(table, frozenset(cyclic))) + (exponent,)
+
+
 def all_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
     """Exhaustive subgroup enumeration by closing extensions one element at a time."""
-    from lamprigid.quotients import subgroup_closure
-
     trivial = frozenset({table.identity})
     found = {trivial}
     frontier = [trivial]

@@ -313,6 +313,16 @@ class TestCli:
     def test_usage_error(self):
         assert run_cli("certify").returncode == 2
 
+    @pytest.mark.parametrize("group", [["--p", "4"], ["--p", "1"], ["--p", "2", "--n", "0"],
+                                       ["--p", "2", "--base", "0"], ["--p", "2", "--base", "x"]])
+    def test_wreath_bad_group_is_input_error(self, group, capsys):
+        elem = '{"lamps":[],"shift":1}'
+        code = cli.main(["wreath", "mul", elem, elem, *group])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
     def test_certificate_failure_exit_code(self, monkeypatch, capsys):
         # the batched candidate law without its x^k twist: the input is valid,
         # so the failed law check is the program's fault, not malformed input

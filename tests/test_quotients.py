@@ -30,7 +30,9 @@ from lamprigid.fppoly import FpPoly
 from lamprigid.quotients import cyclic_table, direct_product_table, semidirect_table
 
 from oracles import (
+    abelian_invariants_by_quotients,
     brute_normal_subgroups,
+    element_orders_by_powers,
     lattice_qu,
     small_group_catalog,
     two_sided_compare_qu,
@@ -225,6 +227,47 @@ class TestFingerprint:
         assert fp.order == 1 and fp.exponent == 1 and fp.abelian_invariants == ()
 
 
+def invariants_match_oracle(table):
+    """Per-element orders and class sizes, and the invariant factors of G/G',
+    against the power loop, explicit conjugates and quotient tables."""
+    orders = element_orders_by_powers(table)
+    assert table.element_orders.tolist() == orders
+    assert [table.element_order(g) for g in range(table.order)] == orders
+    for g in range(table.order):
+        conjugates = table.mul[table.mul[:, g], table.inverse]
+        assert table.class_sizes[g] == len(set(conjugates.tolist()))
+    assert fingerprint(table).abelian_invariants == abelian_invariants_by_quotients(table)
+
+
+class TestInvariantsAgainstQuotientOracle:
+    def test_small_group_catalog(self):
+        for _, table in small_group_catalog():
+            invariants_match_oracle(table)
+
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_extension_tables_at_bound_sixteen(self, name):
+        candidate = bundled(name)
+        lamp = LamplighterSpec(candidate.field, candidate.n, None)
+        for source in (candidate.presentation, lamp):
+            for key, field, action, twist in quotients._extensions(source, 16):
+                invariants_match_oracle(semidirect_table(field, action, key[1], twist=twist))
+
+    def test_direct_products_with_several_factors(self):
+        c = cyclic_table
+        catalog = dict(small_group_catalog())
+        cases = [
+            (direct_product_table(direct_product_table(c(2), c(4)), c(3)), (2, 12)),
+            (catalog["C2xC2xC2"], (2, 2, 2)),
+            (direct_product_table(catalog["C4xC2"], c(6)), (2, 2, 12)),
+            (direct_product_table(catalog["S3"], c(2)), (2, 2)),
+            (direct_product_table(catalog["Q8"], c(3)), (2, 6)),
+            (direct_product_table(catalog["D4"], c(2)), (2, 2, 2)),
+        ]
+        for table, factors in cases:
+            assert fingerprint(table).abelian_invariants == factors
+            invariants_match_oracle(table)
+
+
 class TestIsomorphic:
     def test_reflexive_on_pool(self):
         for _, table in small_group_catalog():
@@ -389,6 +432,30 @@ class TestCompareQu:
         second = compare_qu(left, right, 16)
         assert len(builds) == 2 * len(keys)
         assert first == second
+
+    def test_builds_no_quotient_table(self, monkeypatch):
+        # fingerprints read their invariants inside each extension table, so
+        # the only tables built are the extensions themselves
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quotient_table called")
+
+        calls = {"build": 0, "semidirect_table": 0}
+        original_build, original_semidirect = quotients.FiniteGroupTable.build, semidirect_table
+
+        def counting_build(cls, mul):
+            calls["build"] += 1
+            return original_build(mul)
+
+        def counting_semidirect(*args, **kwargs):
+            calls["semidirect_table"] += 1
+            return original_semidirect(*args, **kwargs)
+
+        monkeypatch.setattr(quotients, "quotient_table", forbidden)
+        monkeypatch.setattr(quotients.FiniteGroupTable, "build", classmethod(counting_build))
+        monkeypatch.setattr(quotients, "semidirect_table", counting_semidirect)
+        for left, right in [("free_rank1", "free_rank2_p3"), ("mixed_free_torsion", "torsion_only")]:
+            compare_qu(bundled(left).presentation, bundled(right).presentation, 16)
+        assert calls["build"] == calls["semidirect_table"] > 0
 
     def test_one_fingerprint_per_table(self, monkeypatch):
         calls = {"fingerprint": 0, "semidirect_table": 0}
