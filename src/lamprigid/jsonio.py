@@ -2,7 +2,9 @@
 
 Polynomial literal: a list of [exponent, coefficient] pairs, ascending order
 not required, e.g. [[0,1],[1,1],[2,1]] for x^2 + x + 1. Negative exponents are
-permitted only where a Laurent value is expected.
+permitted only where a Laurent value is expected. No exponent may exceed
+MAX_EXPONENT in absolute value: polynomials are stored densely, so a literal
+like [[400000000,1]] would otherwise allocate gigabytes before any check.
 
 Matrix: {"p": 2, "rows": R, "cols": C, "entries": [[lit, ...], ...]} with
 entries row-major.
@@ -33,6 +35,8 @@ from .pipeline import CandidateGroup, RigidityReport
 from .polymatrix import PolyMatrix
 from .quotients import QuComparison, QuotientFingerprint, QuSet
 from .wreath import LamplighterSpec, WreathElement, element
+
+MAX_EXPONENT = 4096
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -71,6 +75,7 @@ def parse_poly_literal(field: FieldSpec, data: Any, allow_negative: bool = False
         e, c = item
         _expect(allow_negative or e >= 0,
                 f"negative exponent {e} where a plain polynomial is expected")
+        _expect(abs(e) <= MAX_EXPONENT, f"exponent {e} exceeds the limit {MAX_EXPONENT}")
         pairs.append((e, c))
     if allow_negative:
         return laurent_canonicalize(field, pairs)

@@ -2,8 +2,9 @@
 isomorphism testing, and order-bounded quotient sets of module semidirect
 products.
 
-Tables are numpy int32 arrays. Group axioms are fully verified at construction
-up to order 512 (vectorized, one row of the associativity cube at a time) and
+Tables are numpy int32 arrays, built and inspected by whole-array operations.
+Group axioms are fully verified at construction up to order 512 (the
+associativity cube in blocks of rows, each block at most 512^2 entries) and
 spot-checked on seeded random triples above that.
 
 The bounded quotient sets of N x| Z are built without any subgroup search.
@@ -61,23 +62,23 @@ class FiniteGroupTable:
         require(mul.shape == (order, order), "table is not square")
         require(mul.min() >= 0 and mul.max() < order, "table entry out of range")
         idx = np.arange(order)
-        ids = [e for e in range(order) if np.array_equal(mul[e], idx)]
+        ids = np.flatnonzero((mul == idx).all(axis=1))
         require(len(ids) == 1, "table has no unique identity")
-        e = ids[0]
+        e = int(ids[0])
         require(np.array_equal(mul[:, e], idx), "identity fails on the right")
         inv_count = (mul == e).sum(axis=1)
         require((inv_count == 1).all(), "some element lacks a unique inverse")
         inverse = np.argmax(mul == e, axis=1).astype(np.int32)
         if order <= FULL_AXIOM_ORDER:
-            for a in range(order):
-                require(np.array_equal(mul[mul[a]], mul[a][mul]), "associativity fails")
+            for rows in _row_blocks(order, order * order):
+                block = mul[rows]  # at [i, b, c]: mul[block] is (a_i b) c, block[:, mul] a_i (b c)
+                require(np.array_equal(mul[block], block[:, mul]), "associativity fails")
         else:
-            rng = np.random.default_rng(0)
-            for a, b, c in rng.integers(0, order, size=(_SPOT_CHECK_TRIPLES, 3)):
-                require(mul[mul[a, b], c] == mul[a, mul[b, c]], "associativity fails")
+            a, b, c = np.random.default_rng(0).integers(0, order, size=(_SPOT_CHECK_TRIPLES, 3)).T
+            require(np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]), "associativity fails")
         mul.flags.writeable = False
         inverse.flags.writeable = False
-        return cls(order=order, mul=mul, identity=int(e), inverse=inverse)
+        return cls(order=order, mul=mul, identity=e, inverse=inverse)
 
     @cached_property
     def fingerprint(self) -> "QuotientFingerprint":
@@ -98,6 +99,13 @@ class FiniteGroupTable:
 
     def element_order(self, g: int) -> int:
         return int(self.element_orders[g])
+
+
+def _row_blocks(order: int, row_entries: int):
+    """Consecutive row slices covering 0..order-1. A row spans row_entries
+    entries; a slice holds at most FULL_AXIOM_ORDER^2 entries, or one row."""
+    step = max(1, FULL_AXIOM_ORDER ** 2 // row_entries)
+    return (slice(start, start + step) for start in range(0, order, step))
 
 
 def _orders_modulo(table: FiniteGroupTable, member: np.ndarray) -> np.ndarray:
@@ -176,13 +184,12 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
         for start in range(0, count, chunk):
             end = min(start + chunk, count)
             sum_idx[start:end] = ((vecs[start:end, None, :] + vecs[None, :, :]) % p) @ radix
-    cosets = np.arange(count) * m
+    cosets, residues = np.arange(count) * m, np.arange(m)
     for k in range(m):
-        block = sum_idx[:, act_idx[k]]  # block[i, j] = index(vec_i + A^k vec_j)
-        wrapped = wrap[block]           # the same plus the twist a
-        for l in range(m):
-            part = wrapped if k + l >= m else block
-            table[(cosets + k)[:, None], (cosets + l)[None, :]] = part * m + (k + l) % m
+        block = sum_idx[:, act_idx[k], None]  # block[i, j] = index(vec_i + A^k vec_j)
+        carry = k + residues >= m             # columns j*m + l that add the twist a
+        vec_part = np.where(carry, wrap[block], block)
+        table[cosets + k] = (vec_part * m + (k + residues) % m).reshape(count, order)
     return FiniteGroupTable.build(table)
 
 
@@ -313,13 +320,16 @@ class QuotientFingerprint:
 
 def fingerprint(table: FiniteGroupTable) -> QuotientFingerprint:
     """Element orders, exponent, class sizes and the invariant factors of G/G'.
-    Those are read on cosets of H = G': an element of largest order modulo H
-    spans a direct summand of G/H, so record its order, join it to H, repeat
-    until H = G and reverse (Holt, Eick and O'Brien 2005, ch. 8)."""
+    Those are read on cosets of H = G': an element g of largest order k modulo
+    H spans a direct summand of G/H, so record k, replace H by its join with g,
+    repeat until H = G and reverse (Holt, Eick and O'Brien 2005, ch. 8). H
+    contains G', so it is normal and the join is the union of the cosets g^i H
+    for i < k."""
     mul, inv = table.mul, table.inverse
     commutator = np.zeros(table.order, dtype=bool)
-    for a in range(table.order):  # one row of commutators [a, x] at a time: O(|G|) memory
-        commutator[mul[mul[mul[a], inv[a]], inv]] = True
+    for rows in _row_blocks(table.order, table.order):  # commutators [a, x], a in rows
+        conj = mul[mul[rows], inv[rows, None]]
+        commutator[mul[conj, inv]] = True
     member = np.zeros(table.order, dtype=bool)
     member[subgroup_closure(table, list(np.flatnonzero(commutator)))] = True
     factors = []
@@ -327,7 +337,10 @@ def fingerprint(table: FiniteGroupTable) -> QuotientFingerprint:
         orders = _orders_modulo(table, member)
         g = int(np.argmax(orders))
         factors.append(int(orders[g]))
-        member[subgroup_closure(table, list(np.flatnonzero(member)) + [g])] = True
+        powers = [table.identity]
+        for _ in range(factors[-1] - 1):
+            powers.append(int(mul[powers[-1], g]))
+        member[mul[np.ix_(powers, np.flatnonzero(member))]] = True
     sizes, counts = np.unique(table.class_sizes, return_counts=True)
     element_orders = tuple(int(k) for k in np.sort(table.element_orders))
     return QuotientFingerprint(
@@ -351,7 +364,8 @@ def _generating_sequence(table: FiniteGroupTable) -> list[int]:
 
 def _hom_from_images(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
                      gens: list[int], images: list[int]) -> dict[int, int] | None:
-    """Extend gen -> image to the generated subgroup; None on conflict."""
+    """Extend gen -> image to the generated subgroup; None on conflict or if
+    the extension breaks the group law."""
     mapping = {g_table.identity: h_table.identity}
     frontier = [g_table.identity]
     while frontier:
@@ -366,11 +380,19 @@ def _hom_from_images(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
             else:
                 mapping[ag] = bh
                 frontier.append(ag)
-    for a, fa in mapping.items():
-        for b, fb in mapping.items():
-            if mapping.get(int(g_table.mul[a, b])) != int(h_table.mul[fa, fb]):
-                return None
-    return mapping
+    return mapping if _respects_law(g_table, h_table, mapping) else None
+
+
+def _respects_law(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
+                  mapping: dict[int, int]) -> bool:
+    """f(ab) = f(a) f(b) for all a, b in the domain of f = mapping. A product
+    ab outside the domain fails: image is -1 there, and no table entry is."""
+    keys = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
+    vals = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
+    image = np.full(g_table.order, -1, dtype=np.int64)
+    image[keys] = vals
+    return bool(np.array_equal(image[g_table.mul[np.ix_(keys, keys)]],
+                               h_table.mul[np.ix_(vals, vals)]))
 
 
 def isomorphic(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
@@ -491,7 +513,7 @@ def _twist_classes(field: FieldSpec, action: list[list[int]], m: int) -> list[tu
         norm = (norm + power) % p
         power = power @ a_np % p
     fixed = np.flatnonzero((vecs @ a_np.T % p == vecs).all(axis=1))
-    norm_image = np.unique(vecs @ norm.T % p, axis=0)
+    norm_image = vecs[np.unique(vecs @ norm.T % p @ radix)]
     covered = np.zeros(len(vecs), dtype=bool)
     reps = []
     for k in fixed:

@@ -4,6 +4,8 @@ Everything here deliberately avoids the code paths it checks: divisor searches
 are exhaustive coefficient enumerations, invariant factors come from gcds of
 explicitly enumerated minors, residue counting walks the actual quotient
 module, and the small-group catalog is built from first-principles tables.
+Extension tables are filled one (row residue, column residue) block at a time
+and group laws are checked one pair at a time.
 The lattice route to bounded quotient sets reaches every quotient as G / K
 over normal subgroups K, not as a cyclic extension as the library does.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
+from typing import Sequence
 
 import numpy as np
 
@@ -28,11 +31,13 @@ from lamprigid import (
     poly_gcd,
     x_pow_minus_one,
 )
+from lamprigid.errors import OrderBoundExceeded
 from lamprigid.laurent_modules import block_companion
 from lamprigid.quotients import (
     QuComparison,
     QuSet,
     _dominated_chains,
+    _vector_grid,
     _small_divisors,
     _source_presentation,
     cyclic_table,
@@ -316,6 +321,71 @@ def brute_normal_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
         if conj_ok:
             out.append(sub)
     return out
+
+
+# --- group tables one block at a time, group laws one pair at a time -----------
+
+def semidirect_table_by_blocks(field: FieldSpec, action: list[list[int]], m: int,
+                               order_cap: int = 4096,
+                               twist: Sequence[int] | None = None) -> FiniteGroupTable:
+    """Table of the cyclic extension of Z/mZ by F_p^d with t acting by A = action
+    and t^m = a = twist:
+
+        (v, i)(w, j) = (v + A^i w + [i + j >= m] a, (i + j) mod m).
+
+    This is a group iff A^m = I and A a = a; both are checked. The zero twist
+    (the default) gives the split product F_p^d x| Z/mZ.
+
+    Elements are encoded in mixed radix as index = vector_index * m + residue,
+    with vector_index = sum_i v_i p^i.
+    """
+    p = field.p
+    d = len(action)
+    count = p ** d
+    order = count * m
+    if order > order_cap:
+        raise OrderBoundExceeded(f"order {order} exceeds cap {order_cap}")
+    a_np = np.array(action, dtype=np.int64).reshape(d, d)
+    twist_np = np.array([0] * d if twist is None else twist, dtype=np.int64) % p
+    if twist_np.shape != (d,):
+        raise ValueError(f"twist has length {twist_np.size}, expected {d}")
+    if not np.array_equal(a_np @ twist_np % p, twist_np):
+        raise ValueError("twist is not fixed by the action")
+    vecs, radix = _vector_grid(p, d)
+    act_idx = np.zeros((m, count), dtype=np.int64)
+    power = np.eye(d, dtype=np.int64)
+    for k in range(m):
+        act_idx[k] = (vecs @ power.T % p) @ radix
+        power = power @ a_np % p
+    if not np.array_equal(power, np.eye(d, dtype=np.int64)):
+        raise ValueError(f"action does not have order dividing {m}")
+    wrap = ((vecs + twist_np) % p) @ radix
+    table = np.zeros((order, order), dtype=np.int32)
+    sum_idx = np.zeros((count, count), dtype=np.int64)
+    if d:
+        chunk = max(1, (1 << 22) // (count * d))
+        for start in range(0, count, chunk):
+            end = min(start + chunk, count)
+            sum_idx[start:end] = ((vecs[start:end, None, :] + vecs[None, :, :]) % p) @ radix
+    cosets = np.arange(count) * m
+    for k in range(m):
+        block = sum_idx[:, act_idx[k]]  # block[i, j] = index(vec_i + A^k vec_j)
+        wrapped = wrap[block]           # the same plus the twist a
+        for l in range(m):
+            part = wrapped if k + l >= m else block
+            table[(cosets + k)[:, None], (cosets + l)[None, :]] = part * m + (k + l) % m
+    return FiniteGroupTable.build(table)
+
+
+def respects_law_by_dicts(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
+                          mapping: dict[int, int]) -> bool:
+    """f(ab) = f(a) f(b) for every pair a, b in the domain of f = mapping, one
+    pair at a time; a product outside the domain fails."""
+    for a, fa in mapping.items():
+        for b, fb in mapping.items():
+            if mapping.get(int(g_table.mul[a, b])) != int(h_table.mul[fa, fb]):
+                return False
+    return True
 
 
 # --- bounded quotient sets through normal-subgroup lattices -------------------

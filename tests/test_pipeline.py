@@ -309,6 +309,16 @@ class TestCli:
         assert res.returncode == 2
         assert "too large" in res.stderr
         assert run_cli("certify", "/nonexistent/file.json").returncode == 2
+        # exponents are checked before a dense polynomial is built
+        res = run_cli("snf", '{"p":2,"rows":1,"cols":1,"entries":[[[[400000000,1]]]]}')
+        assert res.returncode == 2
+        assert res.stderr.startswith("input error: exponent 400000000 exceeds the limit")
+        assert res.stderr.count("\n") == 1
+        res = run_cli("certify", '{"p":2,"n":1,"presentation":{"generators":1,'
+                      '"relations":[[[[-400000000,1],[0,1]]]]}}')
+        assert res.returncode == 2
+        assert res.stderr.startswith("input error: exponent -400000000 exceeds the limit")
+        assert res.stderr.count("\n") == 1
 
     def test_usage_error(self):
         assert run_cli("certify").returncode == 2

@@ -26,7 +26,8 @@ from lamprigid import (
 )
 from lamprigid import jsonio, quotients
 from lamprigid.errors import NotNormal, OrderBoundExceeded
-from lamprigid.fppoly import FpPoly
+from lamprigid.fppoly import FpPoly, x_pow_minus_one
+from lamprigid.laurent_modules import block_companion
 from lamprigid.quotients import cyclic_table, direct_product_table, semidirect_table
 
 from oracles import (
@@ -34,6 +35,8 @@ from oracles import (
     brute_normal_subgroups,
     element_orders_by_powers,
     lattice_qu,
+    respects_law_by_dicts,
+    semidirect_table_by_blocks,
     small_group_catalog,
     two_sided_compare_qu,
 )
@@ -135,6 +138,79 @@ class TestTwistedTable:
         for name in CANDIDATE_NAMES:
             truncated_qu(bundled(name).presentation, 16)
         assert orders and max(orders) <= 16
+
+
+@st.composite
+def extension_data(draw):
+    """(field, action, m, twist) for p in {2, 3, 5}, d in 0..3 and m in 1..12:
+    A is a block companion matrix of divisors of x^m - 1 with its basis
+    permuted, so A^m = I, and the twist is a random fixed point of A."""
+    field = FieldSpec(draw(st.sampled_from([2, 3, 5])))
+    d, m = draw(st.integers(0, 3)), draw(st.integers(1, 12))
+    divisors = quotients._small_divisors(x_pow_minus_one(field, m), 3)
+    chain, left = [], d
+    while left:  # x - 1 divides x^m - 1, so some divisor always fits
+        h = draw(st.sampled_from([h for h in divisors if h.degree <= left]))
+        chain.append(h)
+        left -= int(h.degree)
+    perm = draw(st.permutations(range(d)))
+    action = np.array(block_companion(chain), dtype=np.int64).reshape(d, d)
+    action = action[np.ix_(perm, perm)]
+    vecs, _ = quotients._vector_grid(field.p, d)
+    fixed = vecs[(vecs @ action.T % field.p == vecs).all(axis=1)]
+    twist = fixed[draw(st.integers(0, len(fixed) - 1))]
+    return field, action.tolist(), m, tuple(int(a) for a in twist)
+
+
+class TestTableBuilderAgainstBlockOracle:
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_extension_keys_at_bound_sixteen(self, name):
+        candidate = bundled(name)
+        lamp = LamplighterSpec(candidate.field, candidate.n, None)
+        for source in (candidate.presentation, lamp):
+            for key, field, action, twist in quotients._extensions(source, 16):
+                built = semidirect_table(field, action, key[1], twist=twist)
+                oracle = semidirect_table_by_blocks(field, action, key[1], twist=twist)
+                assert np.array_equal(built.mul, oracle.mul), key
+
+    @settings(max_examples=60, deadline=None)
+    @given(extension_data())
+    def test_random_extensions(self, data):
+        field, action, m, twist = data
+        built = semidirect_table(field, action, m, twist=twist)
+        oracle = semidirect_table_by_blocks(field, action, m, twist=twist)
+        assert np.array_equal(built.mul, oracle.mul)
+
+
+class TestLawCheckAgainstPairOracle:
+    def test_generator_images_over_catalog(self):
+        rng = random.Random(61)
+        catalog = [table for _, table in small_group_catalog()]
+        outcomes = set()
+        for _ in range(400):
+            g_table, h_table = rng.choice(catalog), rng.choice(catalog)
+            gens = rng.sample(range(g_table.order), rng.randint(1, min(3, g_table.order)))
+            images = [rng.randrange(h_table.order) for _ in gens]
+            mapping = quotients._hom_from_images(g_table, h_table, gens, images)
+            if mapping is not None:
+                assert respects_law_by_dicts(g_table, h_table, mapping)
+                # a partial mapping: the hom cut to a random subset with the identity
+                cut = {a: b for a, b in mapping.items()
+                       if a == g_table.identity or rng.random() < 0.5}
+                mapping_cases = [mapping, cut]
+                # the hom with one value moved
+                a = rng.choice(list(mapping))
+                moved = dict(mapping)
+                moved[a] = rng.randrange(h_table.order)
+                mapping_cases.append(moved)
+            else:
+                domain = rng.sample(range(g_table.order), rng.randint(1, g_table.order))
+                mapping_cases = [{a: rng.randrange(h_table.order) for a in domain}]
+            for case in mapping_cases:
+                verdict = quotients._respects_law(g_table, h_table, case)
+                assert verdict == respects_law_by_dicts(g_table, h_table, case)
+                outcomes.add((mapping is not None, verdict))
+        assert {(True, True), (True, False), (False, False)} <= outcomes
 
 
 class TestNormalSubgroups:
@@ -485,6 +561,15 @@ cases = {
     "non-associative loop": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
                              [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
 }
+# Tables spanning several blocks of rows in the associativity check, whose
+# first block (10 rows at order 160, the identity row alone at order 400)
+# associates: only a later block can reject them.
+loop, idx = np.array(cases["non-associative loop"]), np.arange(160)
+a, c = idx // 32, idx % 32
+cases["loop x C32"] = loop[np.ix_(a, a)] * 32 + (c[:, None] + c[None, :]) % 32
+cyclic = (np.arange(400)[:, None] + np.arange(400)[None, :]) % 400
+cyclic[399, [200, 201]] = cyclic[399, [201, 200]]
+cases["C400 with two entries swapped"] = cyclic
 outcome = {"debug": __debug__}
 for name, mul in cases.items():
     try:
@@ -508,4 +593,6 @@ def test_broken_tables_rejected_under_optimize():
         "left identity only": "identity fails on the right",
         "monoid": "some element lacks a unique inverse",
         "non-associative loop": "associativity fails",
+        "loop x C32": "associativity fails",
+        "C400 with two entries swapped": "associativity fails",
     }
