@@ -5,6 +5,8 @@ not required, e.g. [[0,1],[1,1],[2,1]] for x^2 + x + 1. Negative exponents are
 permitted only where a Laurent value is expected. No exponent may exceed
 MAX_EXPONENT in absolute value: polynomials are stored densely, so a literal
 like [[400000000,1]] would otherwise allocate gigabytes before any check.
+Presentations, candidates and matrices have at most MAX_GENERATORS generators
+(rows, or lamp rank n) and MAX_RELATORS relators (columns).
 
 Matrix: {"p": 2, "rows": R, "cols": C, "entries": [[lit, ...], ...]} with
 entries row-major.
@@ -37,6 +39,8 @@ from .quotients import QuComparison, QuotientFingerprint, QuSet
 from .wreath import LamplighterSpec, WreathElement, element
 
 MAX_EXPONENT = 4096
+MAX_GENERATORS = 128
+MAX_RELATORS = 128
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -46,6 +50,10 @@ def canonical_dumps(obj: Any) -> str:
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidInput(message)
+
+
+def _at_most(value: int, limit: int, what: str) -> None:
+    _expect(value <= limit, f"{what} {value} exceeds the limit {limit}")
 
 
 def _int_field(data: dict, key: str) -> int:
@@ -94,6 +102,8 @@ def parse_matrix(data: Any) -> PolyMatrix:
     rows = _int_field(data, "rows")
     cols = _int_field(data, "cols")
     _expect(rows >= 0 and cols >= 0, "negative dimensions")
+    _at_most(rows, MAX_GENERATORS, "'rows'")
+    _at_most(cols, MAX_RELATORS, "'cols'")
     entries = data.get("entries")
     _expect(isinstance(entries, list) and len(entries) == rows,
             f"'entries' must be a list of {rows} rows")
@@ -127,13 +137,16 @@ def parse_presentation(data: Any, field: FieldSpec | None = None) -> ModulePrese
     _expect(field is not None, "missing field 'p'")
     generators = _int_field(data, "generators")
     _expect(generators >= 1, "'generators' must be >= 1")
+    _at_most(generators, MAX_GENERATORS, "'generators'")
     relations = data.get("relations", [])
     _expect(isinstance(relations, list), "'relations' must be a list of rows")
     if not relations or all(isinstance(r, list) and not r for r in relations):
         return ModulePresentation.free(field, generators)
     _expect(len(relations) == generators,
             f"'relations' must have one row per generator ({generators})")
+    _expect(isinstance(relations[0], list), "all relation rows must be lists")
     width = len(relations[0])
+    _at_most(width, MAX_RELATORS, "the number of relators")
     rows = []
     for row in relations:
         _expect(isinstance(row, list) and len(row) == width,
@@ -157,6 +170,7 @@ def parse_candidate(data: Any) -> CandidateGroup:
     field = parse_field(data)
     n = _int_field(data, "n")
     _expect(n >= 1, "'n' must be >= 1")
+    _at_most(n, MAX_GENERATORS, "'n'")
     _expect("presentation" in data, "missing field 'presentation'")
     pres = parse_presentation(data["presentation"], field)
     return CandidateGroup(field, n, pres)

@@ -7,12 +7,20 @@ repair the divisibility chain with extended-gcd 2x2 block transforms on
 adjacent diagonal pairs. Every decomposition re-verifies U*M*V = D, the
 unimodularity of U and V, and the chain d_i | d_{i+1} at construction time, so
 a returned value is a certificate, not just an answer.
+
+Products and the elimination run on coefficient arrays C[i, j, e], the
+coefficient of x^e in entry (i, j): int64 while no intermediate sum can reach
+2^63, Python integers beyond. Elimination clears a pivot's column, then its
+row, in one batched update each, as one row or column at a time would.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import FieldMismatch, NotSquare, ShapeMismatch, require
 from .fppoly import FieldSpec, FpPoly, poly_divmod, poly_gcd_ext
@@ -55,14 +63,27 @@ class PolyMatrix:
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "PolyMatrix":
         return cls(field, rows, cols, (FpPoly.zero(field),) * (rows * cols))
 
+    @classmethod
+    def from_coeffs(cls, field: FieldSpec, coeffs: np.ndarray) -> "PolyMatrix":
+        """Unpack C[i, j, e], the coefficient of x^e in entry (i, j)."""
+        rows, cols, width = coeffs.shape
+        poly = functools.cache(lambda e: FpPoly(field, e))  # equal entries share one FpPoly
+        return cls(field, rows, cols, tuple(map(poly, map(tuple, coeffs.reshape(-1, width).tolist()))))
+
+    def to_coeffs(self, dtype=None) -> np.ndarray:
+        """Pack as C[i, j, e], the coefficient of x^e in entry (i, j), of width one more
+        than the largest degree; int64 by default where residue products fit, else object."""
+        width = max([1] + [len(e.coeffs) for e in self.entries])
+        out = np.zeros((self.rows * self.cols, width), dtype=dtype or _exact_dtype(self.field.p, 1))
+        for k, e in enumerate(self.entries):
+            out[k, :len(e.coeffs)] = e.coeffs
+        return out.reshape(self.rows, self.cols, width)
+
     def entry(self, i: int, j: int) -> FpPoly:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[FpPoly, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[FpPoly, ...]:
-        return tuple(self.entry(i, j) for i in range(self.rows))
 
     def to_lists(self) -> list[list[FpPoly]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -83,23 +104,31 @@ class PolyMatrix:
         return "\n".join("[" + ", ".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows))
 
 
+def _exact_dtype(p: int, terms: int):
+    """int64 while a residue plus `terms` products of residues stays below 2^63, else object."""
+    return np.int64 if terms * (p - 1) ** 2 + p < 2 ** 63 else object
+
+
+def _mul_sums(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Product of coefficient arrays a[i, k, e] and b[k, j, f], not yet reduced mod p:
+    one numpy matrix product per degree slice of a. An output coefficient sums at
+    most cols(a) * min(widths) products, which fixes the exact dtype."""
+    (rows, inner, wa), (_, cols, wb) = a.shape, b.shape
+    dtype = _exact_dtype(p, inner * min(wa, wb))
+    a, flat = a.astype(dtype, copy=False), b.astype(dtype, copy=False).reshape(inner, cols * wb)
+    out = np.zeros((rows, cols, wa + wb - 1), dtype=dtype)
+    for e in range(wa):
+        out[:, :, e:e + wb] += (a[:, :, e] @ flat).reshape(rows, cols, wb)
+    return out
+
+
 def matrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Exact matrix product."""
+    """Exact matrix product, computed on coefficient arrays."""
     if a.field != b.field:
         raise FieldMismatch("mixed fields in matrix product")
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    zero = FpPoly.zero(a.field)
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for j in range(b.cols):
-            acc = zero
-            for k in range(a.cols):
-                if arow[k] and b.entry(k, j):
-                    acc = acc + arow[k] * b.entry(k, j)
-            out.append(acc)
-    return PolyMatrix(a.field, a.rows, b.cols, tuple(out))
+    return PolyMatrix.from_coeffs(a.field, _mul_sums(a.to_coeffs(), b.to_coeffs(), a.field.p) % a.field.p)
 
 
 def determinant(m: PolyMatrix) -> FpPoly:
@@ -187,96 +216,87 @@ class SmithDecomposition:
                 require(di.divides(self.diag[i + 1]), "divisibility chain broken")
 
 
+def _sub_rows(grid: np.ndarray, targets, q: np.ndarray, sources, p: int) -> np.ndarray:
+    """grid, widened as needed, with rows targets minus q * rows sources (read first)."""
+    delta = _mul_sums(q, grid[sources], p)
+    extra = delta.shape[2] - grid.shape[2]
+    grid = grid.astype(delta.dtype, copy=False)
+    if extra > 0:
+        grid = np.concatenate([grid, np.zeros(grid.shape[:2] + (extra,), grid.dtype)], axis=2)
+    grid[targets, :, :delta.shape[2]] -= delta
+    grid[targets] %= p
+    return grid
+
+
 class _Worker:
-    """Mutable elimination state accumulating the transforms eagerly."""
+    """Elimination on the coefficient array g of [[M, I], [I, 0]]. Row operations
+    on the first R rows multiply [M | I] on the left, column operations on the
+    first C columns multiply [M ; I] on the right, so g stays [[U M V, U], [V, 0]].
+    A column operation is a row operation on the transpose of g."""
 
     def __init__(self, m: PolyMatrix):
-        self.field = m.field
-        self.R, self.C = m.rows, m.cols
-        self.a = m.to_lists()
-        self.u = PolyMatrix.identity(m.field, m.rows).to_lists()
-        self.v = PolyMatrix.identity(m.field, m.cols).to_lists()
+        self.field, self.R, self.C = m.field, m.rows, m.cols
+        a = m.to_coeffs()
+        self.g = np.zeros((m.rows + m.cols, m.cols + m.rows, a.shape[2]), dtype=a.dtype)
+        self.g[:m.rows, :m.cols] = a
+        self.g[:m.rows, m.cols:, 0] = np.eye(m.rows, dtype=a.dtype)
+        self.g[m.rows:, :m.cols, 0] = np.eye(m.cols, dtype=a.dtype)
 
-    def row_swap(self, i: int, j: int) -> None:
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-        self.u[i], self.u[j] = self.u[j], self.u[i]
+    def poly(self, coeffs: np.ndarray) -> FpPoly:
+        return FpPoly(self.field, tuple(coeffs.tolist()))
 
-    def col_swap(self, i: int, j: int) -> None:
-        for row in self.a:
-            row[i], row[j] = row[j], row[i]
-        for row in self.v:
-            row[i], row[j] = row[j], row[i]
+    def view(self, cols: bool) -> np.ndarray:
+        return self.g.transpose(1, 0, 2) if cols else self.g
 
-    def row_sub(self, i: int, j: int, q: FpPoly) -> None:
-        """row_i -= q * row_j, leaving the entries opposite a zero of row_j as they are"""
-        if q.is_zero:
-            return
-        self.a[i] = [e - q * f if f else e for e, f in zip(self.a[i], self.a[j])]
-        self.u[i] = [e - q * f if f else e for e, f in zip(self.u[i], self.u[j])]
+    def swap(self, cols: bool, i: int, j: int) -> None:
+        view = self.view(cols)
+        view[[i, j]] = view[[j, i]]
 
-    def col_sub(self, i: int, j: int, q: FpPoly) -> None:
-        """col_i -= q * col_j, leaving the entries opposite a zero of col_j as they are"""
-        if q.is_zero:
-            return
-        for grid in (self.a, self.v):
-            for row in grid:
-                if row[j]:
-                    row[i] = row[i] - q * row[j]
+    def sub(self, cols: bool, targets, q: Sequence[Sequence[FpPoly]], sources) -> None:
+        """Rows (or columns) targets -= q * rows (or columns) sources."""
+        qc = PolyMatrix.from_rows(self.field, q).to_coeffs()
+        g = _sub_rows(self.view(cols), targets, qc, sources, self.field.p)
+        self.g = g.transpose(1, 0, 2) if cols else g
 
-    def col_add(self, i: int, j: int, q: FpPoly) -> None:
-        self.col_sub(i, j, -q)
-
-    def row_scale(self, i: int, c: int) -> None:
-        self.a[i] = [e * c for e in self.a[i]]
-        self.u[i] = [e * c for e in self.u[i]]
-
-    def row_pair_transform(self, i: int, j: int, a11: FpPoly, a12: FpPoly,
-                           a21: FpPoly, a22: FpPoly) -> None:
-        """(row_i, row_j) <- (a11*row_i + a12*row_j, a21*row_i + a22*row_j)"""
-        for grid in (self.a, self.u):
-            ri, rj = grid[i], grid[j]
-            grid[i] = [a11 * e + a12 * f for e, f in zip(ri, rj)]
-            grid[j] = [a21 * e + a22 * f for e, f in zip(ri, rj)]
+    def clear(self, cols: bool, t: int, piv: FpPoly) -> bool:
+        """Reduce the entries after the pivot in its column (or row) of M mod piv in
+        one batched update; True if a remainder is nonzero."""
+        zero, end = FpPoly.zero(self.field), self.C if cols else self.R
+        line = self.view(cols)[t + 1:end, t]
+        qr = [poly_divmod(self.poly(e), piv) if nonzero else (zero, zero)
+              for e, nonzero in zip(line, line.any(axis=1))]
+        if any(q for q, _ in qr):
+            self.sub(cols, slice(t + 1, end), [[q] for q, _ in qr], [t])
+        return any(r for _, r in qr)
 
     def pivot(self, t: int) -> tuple[int, int] | None:
         """Nonzero entry of minimal degree in the trailing submatrix, lowest (row, col) on ties."""
-        best = None
-        best_deg = None
-        for i in range(t, self.R):
-            for j in range(t, self.C):
-                e = self.a[i][j]
-                if e:
-                    if best_deg is None or e.degree < best_deg:
-                        best, best_deg = (i, j), e.degree
-        return best
+        block = self.g[t:self.R, t:self.C]
+        top = ((block != 0) * np.arange(1, block.shape[2] + 1)).max(axis=2, initial=0)  # degree + 1
+        if not top.any():
+            return None
+        i, j = np.unravel_index(np.argmin(np.where(top > 0, top, top.max() + 1)), top.shape)
+        return t + int(i), t + int(j)
 
     def diagonalize(self) -> None:
+        """Euclidean elimination. Clearing the pivot's column subtracts multiples
+        of the pivot row from the rows below it and never writes the pivot row, so
+        every quotient can be read before the first update and the whole column is
+        cleared in one batched update, with the same result as one row at a time.
+        The pivot column is then fixed in the same way while the row is cleared."""
         t = 0
         while t < min(self.R, self.C):
             pos = self.pivot(t)
             if pos is None:
                 break
             while True:
-                i, j = pos
-                if i != t:
-                    self.row_swap(t, i)
-                if j != t:
-                    self.col_swap(t, j)
-                dirty = False
-                piv = self.a[t][t]
-                for i in range(t + 1, self.R):
-                    if self.a[i][t]:
-                        q, r = poly_divmod(self.a[i][t], piv)
-                        self.row_sub(i, t, q)
-                        if r:
-                            dirty = True
-                for j in range(t + 1, self.C):
-                    if self.a[t][j]:
-                        q, r = poly_divmod(self.a[t][j], piv)
-                        self.col_sub(j, t, q)
-                        if r:
-                            dirty = True
-                if not dirty:
+                self.swap(False, t, pos[0])
+                self.swap(True, t, pos[1])
+                piv = self.poly(self.g[t, t])
+                dirty = [self.clear(cols, t, piv) for cols in (False, True)]  # column, then row
+                # drop the all-zero top degree slices
+                self.g = self.g[..., :1 + max(np.flatnonzero(self.g.any(axis=(0, 1))), default=0)]
+                if not any(dirty):
                     break
                 pos = self.pivot(t)  # a remainder has strictly smaller degree
             t += 1
@@ -288,28 +308,27 @@ class _Worker:
         while changed:
             changed = False
             for i in range(k - 1):
-                a, b = self.a[i][i], self.a[i + 1][i + 1]
+                a, b = self.poly(self.g[i, i]), self.poly(self.g[i + 1, i + 1])
                 if a.is_zero and not b.is_zero:
-                    self.row_swap(i, i + 1)
-                    self.col_swap(i, i + 1)
+                    self.swap(False, i, i + 1)
+                    self.swap(True, i, i + 1)
                     changed = True
                     continue
-                if a.is_zero or b.is_zero:
-                    continue
-                if poly_divmod(b, a)[1].is_zero:
+                if a.is_zero or b.is_zero or a.divides(b):
                     continue
                 g, u, v = poly_gcd_ext(a, b)
-                # [[a,0],[0,b]] -> [[g,0],[0,ab/g]] by unimodular block moves
-                self.col_add(i, i + 1, one)
-                self.row_pair_transform(i, i + 1, u, v, -(b // g), a // g)
-                self.col_sub(i + 1, i, (v * b) // g)
+                # [[a,0],[0,b]] -> [[g,0],[0,ab/g]]: col_i += col_(i+1), then rows i, i+1
+                # times [[u, v], [-b/g, a/g]], then col_(i+1) -= (vb/g) col_i
+                self.sub(True, [i], [[-one]], [i + 1])
+                self.sub(False, [i, i + 1], [[one - u, -v], [b // g, one - a // g]], [i, i + 1])
+                self.sub(True, [i + 1], [[(v * b) // g]], [i])
                 changed = True
 
     def normalize_monic(self) -> None:
         for i in range(min(self.R, self.C)):
-            e = self.a[i][i]
-            if e and not e.is_monic:
-                self.row_scale(i, self.field.inv(e.leading_coefficient))
+            lead = self.poly(self.g[i, i]).leading_coefficient  # 0 for a zero entry
+            if lead > 1:  # row i of [M | I] times 1/lead; residue products fit the dtype
+                self.g[i] = self.g[i] * self.field.inv(lead) % self.field.p
 
 
 def smith_normal_form(m: PolyMatrix) -> SmithDecomposition:
@@ -321,11 +340,10 @@ def smith_normal_form(m: PolyMatrix) -> SmithDecomposition:
     w.diagonalize()
     w.repair_chain()
     w.normalize_monic()
-    field = m.field
-    d = PolyMatrix.from_rows(field, w.a) if m.rows else PolyMatrix.zeros(field, 0, m.cols)
-    u = PolyMatrix.from_rows(field, w.u) if m.rows else PolyMatrix.identity(field, 0)
-    v = PolyMatrix.from_rows(field, w.v) if m.cols else PolyMatrix.identity(field, 0)
-    diag = tuple(w.a[i][i] for i in range(min(m.rows, m.cols)))
+    R, C = m.rows, m.cols
+    d, u, v = (PolyMatrix.from_coeffs(m.field, c)
+               for c in (w.g[:R, :C], w.g[:R, C:], w.g[R:, :C]))
+    diag = tuple(d.entry(i, i) for i in range(min(m.rows, m.cols)))
     return SmithDecomposition(source=m, u=u, d=d, v=v, diag=diag)
 
 
@@ -335,11 +353,5 @@ def stack_columns(field: FieldSpec, blocks: Iterable[PolyMatrix]) -> PolyMatrix:
     rows = blocks[0].rows
     if any(b.rows != rows for b in blocks):
         raise ShapeMismatch("row counts differ")
-    out_rows = []
-    for i in range(rows):
-        row: list[FpPoly] = []
-        for b in blocks:
-            row.extend(b.row(i))
-        out_rows.append(row)
-    return PolyMatrix.from_rows(field, out_rows) if rows else PolyMatrix.zeros(
-        field, 0, sum(b.cols for b in blocks))
+    return PolyMatrix(field, rows, sum(b.cols for b in blocks),
+                      tuple(e for i in range(rows) for b in blocks for e in b.row(i)))

@@ -3,9 +3,9 @@ isomorphism testing, and order-bounded quotient sets of module semidirect
 products.
 
 Tables are numpy int32 arrays, built and inspected by whole-array operations.
-Group axioms are fully verified at construction up to order 512 (the
-associativity cube in blocks of rows, each block at most 512^2 entries) and
-spot-checked on seeded random triples above that.
+Group axioms are fully verified at construction at every order, associativity
+by Light's test on a generating set (blocks of rows, each block at most 512^2
+entries).
 
 The bounded quotient sets of N x| Z are built without any subgroup search.
 Every finite quotient is a cyclic extension E(M, d, a): M a quotient module of
@@ -41,9 +41,8 @@ from .laurent_modules import (
 )
 from .wreath import LamplighterSpec
 
-FULL_AXIOM_ORDER = 512
 BOUND_CAP = 16
-_SPOT_CHECK_TRIPLES = 4096
+_BLOCK_ENTRIES = 512 ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,13 +68,7 @@ class FiniteGroupTable:
         inv_count = (mul == e).sum(axis=1)
         require((inv_count == 1).all(), "some element lacks a unique inverse")
         inverse = np.argmax(mul == e, axis=1).astype(np.int32)
-        if order <= FULL_AXIOM_ORDER:
-            for rows in _row_blocks(order, order * order):
-                block = mul[rows]  # at [i, b, c]: mul[block] is (a_i b) c, block[:, mul] a_i (b c)
-                require(np.array_equal(mul[block], block[:, mul]), "associativity fails")
-        else:
-            a, b, c = np.random.default_rng(0).integers(0, order, size=(_SPOT_CHECK_TRIPLES, 3)).T
-            require(np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]), "associativity fails")
+        _check_associative(mul, e)
         mul.flags.writeable = False
         inverse.flags.writeable = False
         return cls(order=order, mul=mul, identity=e, inverse=inverse)
@@ -101,10 +94,33 @@ class FiniteGroupTable:
         return int(self.element_orders[g])
 
 
+def _check_associative(mul: np.ndarray, e: int) -> None:
+    """Light's test. The g with (x g) y = x (g y) for all x, y include e and are
+    closed under products: (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y))
+    = x ((a b) y) for two such a, b. So it suffices to check a set S whose
+    products reach every element: each least element not reached from e by right
+    multiplication by S joins S (at most log2(order) times in a group)."""
+    order = len(mul)
+    gens, reached = [], [x == e for x in range(order)]
+    for g in range(order):
+        if not reached[g]:
+            gens.append(g)
+            products = mul[:, gens].tolist()  # products[x][i] = x g_i
+            stack = [x for x in range(order) if reached[x]]
+            while stack:
+                for y in products[stack.pop()]:
+                    if not reached[y]:
+                        reached[y] = True
+                        stack.append(y)
+    for rows in _row_blocks(order, max(1, order * len(gens))):  # [x, i, y]: (x g_i) y, x (g_i y)
+        require(np.array_equal(mul[mul[rows][:, gens]], mul[rows][:, mul[gens]]),
+                "associativity fails")
+
+
 def _row_blocks(order: int, row_entries: int):
     """Consecutive row slices covering 0..order-1. A row spans row_entries
-    entries; a slice holds at most FULL_AXIOM_ORDER^2 entries, or one row."""
-    step = max(1, FULL_AXIOM_ORDER ** 2 // row_entries)
+    entries; a slice holds at most _BLOCK_ENTRIES entries, or one row."""
+    step = max(1, _BLOCK_ENTRIES // row_entries)
     return (slice(start, start + step) for start in range(0, order, step))
 
 
@@ -523,7 +539,8 @@ def _twist_classes(field: FieldSpec, action: list[list[int]], m: int) -> list[tu
     return reps
 
 
-def _extensions(source: ModulePresentation | LamplighterSpec, bound: int):
+def _extensions(source: ModulePresentation | LamplighterSpec, bound: int,
+                twists: dict[tuple, list[tuple[int, ...]]]):
     """Yield (key, field, action, twist) for each E(M, d, a) that truncated_qu
     needs; the key (p, d, chain coefficients, twist) determines the table."""
     pres = _source_presentation(source)
@@ -541,8 +558,11 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int):
         divisors = _small_divisors(xd1, c)
         for chain in _dominated_chains(base_chain, divisors, c):
             action = block_companion(chain)
-            for twist in _twist_classes(field, action, d):
-                yield (p, d, tuple(h.coeffs for h in chain), twist), field, action, twist
+            module = (p, d, tuple(h.coeffs for h in chain))
+            if module not in twists:
+                twists[module] = _twist_classes(field, action, d)
+            for twist in twists[module]:
+                yield module + (twist,), field, action, twist
 
 
 def _classify(sources: Sequence[ModulePresentation | LamplighterSpec], bound: int,
@@ -554,10 +574,11 @@ def _classify(sources: Sequence[ModulePresentation | LamplighterSpec], bound: in
         raise OrderBoundExceeded(f"bound {bound} outside 1..{BOUND_CAP}")
     rep_of: dict[tuple, FiniteGroupTable] = {}
     by_fingerprint: dict[tuple, list[FiniteGroupTable]] = {}
+    twists: dict[tuple, list[tuple[int, ...]]] = {}
     qu_sets = []
     for source in sources:
         reps = []
-        for key, field, action, twist in _extensions(source, bound):
+        for key, field, action, twist in _extensions(source, bound, twists):
             if key not in rep_of:
                 table = semidirect_table(field, action, key[1], order_cap, twist)
                 bucket = by_fingerprint.setdefault(table.fingerprint.key(), [])

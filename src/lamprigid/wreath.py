@@ -532,16 +532,9 @@ class VerifiedGroupEpi:
         The dtype is int64 when that bound stays below 2^63 and Python integers
         (object) otherwise, so the arithmetic is exact for every prime.
         """
-        p = self.source.field.p
-        width = 1 + max((int(e.degree) for e in self.phi.entries if e), default=0)
-        exact = self.phi.cols * width * (p - 1) ** 2 < 2 ** 63
-        out = np.zeros((self.phi.rows, self.phi.cols, width),
-                       dtype=np.int64 if exact else object)
-        for i in range(self.phi.rows):
-            for j in range(self.phi.cols):
-                coeffs = self.phi.entry(i, j).coeffs
-                out[i, j, :len(coeffs)] = coeffs
-        return out
+        coeffs = self.phi.to_coeffs(object)
+        exact = self.phi.cols * coeffs.shape[2] * (self.source.field.p - 1) ** 2 < 2 ** 63
+        return coeffs.astype(np.int64) if exact else coeffs
 
     def _image(self, batch: Batch) -> Batch:
         """(phi(a), k) for every element of a candidate batch."""

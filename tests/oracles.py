@@ -29,9 +29,10 @@ from lamprigid import (
     laurent_canonicalize,
     poly_divmod,
     poly_gcd,
+    poly_gcd_ext,
     x_pow_minus_one,
 )
-from lamprigid.errors import OrderBoundExceeded
+from lamprigid.errors import FieldMismatch, OrderBoundExceeded, ShapeMismatch
 from lamprigid.laurent_modules import block_companion
 from lamprigid.quotients import (
     QuComparison,
@@ -138,6 +139,167 @@ def determinantal_divisor_diag(m: PolyMatrix) -> list[FpPoly]:
         out.append(q.monic())
         prev = gcd_k
     return out
+
+
+# --- Smith normal form on FpPoly entries ------------------------------------
+# The list-of-FpPoly elimination and matrix product that the coefficient-array
+# code of lamprigid.polymatrix replaced, one polynomial operation at a time.
+
+def list_matrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Exact matrix product, one FpPoly entry at a time."""
+    if a.field != b.field:
+        raise FieldMismatch("mixed fields in matrix product")
+    if a.cols != b.rows:
+        raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    zero = FpPoly.zero(a.field)
+    out = []
+    for i in range(a.rows):
+        arow = a.row(i)
+        for j in range(b.cols):
+            acc = zero
+            for k in range(a.cols):
+                if arow[k] and b.entry(k, j):
+                    acc = acc + arow[k] * b.entry(k, j)
+            out.append(acc)
+    return PolyMatrix(a.field, a.rows, b.cols, tuple(out))
+
+
+class FpPolyWorker:
+    """Mutable elimination state accumulating the transforms eagerly, on FpPoly entries."""
+
+    def __init__(self, m: PolyMatrix):
+        self.field = m.field
+        self.R, self.C = m.rows, m.cols
+        self.a = m.to_lists()
+        self.u = PolyMatrix.identity(m.field, m.rows).to_lists()
+        self.v = PolyMatrix.identity(m.field, m.cols).to_lists()
+
+    def row_swap(self, i: int, j: int) -> None:
+        self.a[i], self.a[j] = self.a[j], self.a[i]
+        self.u[i], self.u[j] = self.u[j], self.u[i]
+
+    def col_swap(self, i: int, j: int) -> None:
+        for row in self.a:
+            row[i], row[j] = row[j], row[i]
+        for row in self.v:
+            row[i], row[j] = row[j], row[i]
+
+    def row_sub(self, i: int, j: int, q: FpPoly) -> None:
+        """row_i -= q * row_j, leaving the entries opposite a zero of row_j as they are"""
+        if q.is_zero:
+            return
+        self.a[i] = [e - q * f if f else e for e, f in zip(self.a[i], self.a[j])]
+        self.u[i] = [e - q * f if f else e for e, f in zip(self.u[i], self.u[j])]
+
+    def col_sub(self, i: int, j: int, q: FpPoly) -> None:
+        """col_i -= q * col_j, leaving the entries opposite a zero of col_j as they are"""
+        if q.is_zero:
+            return
+        for grid in (self.a, self.v):
+            for row in grid:
+                if row[j]:
+                    row[i] = row[i] - q * row[j]
+
+    def col_add(self, i: int, j: int, q: FpPoly) -> None:
+        self.col_sub(i, j, -q)
+
+    def row_scale(self, i: int, c: int) -> None:
+        self.a[i] = [e * c for e in self.a[i]]
+        self.u[i] = [e * c for e in self.u[i]]
+
+    def row_pair_transform(self, i: int, j: int, a11: FpPoly, a12: FpPoly,
+                           a21: FpPoly, a22: FpPoly) -> None:
+        """(row_i, row_j) <- (a11*row_i + a12*row_j, a21*row_i + a22*row_j)"""
+        for grid in (self.a, self.u):
+            ri, rj = grid[i], grid[j]
+            grid[i] = [a11 * e + a12 * f for e, f in zip(ri, rj)]
+            grid[j] = [a21 * e + a22 * f for e, f in zip(ri, rj)]
+
+    def pivot(self, t: int) -> tuple[int, int] | None:
+        """Nonzero entry of minimal degree in the trailing submatrix, lowest (row, col) on ties."""
+        best = None
+        best_deg = None
+        for i in range(t, self.R):
+            for j in range(t, self.C):
+                e = self.a[i][j]
+                if e:
+                    if best_deg is None or e.degree < best_deg:
+                        best, best_deg = (i, j), e.degree
+        return best
+
+    def diagonalize(self) -> None:
+        t = 0
+        while t < min(self.R, self.C):
+            pos = self.pivot(t)
+            if pos is None:
+                break
+            while True:
+                i, j = pos
+                if i != t:
+                    self.row_swap(t, i)
+                if j != t:
+                    self.col_swap(t, j)
+                dirty = False
+                piv = self.a[t][t]
+                for i in range(t + 1, self.R):
+                    if self.a[i][t]:
+                        q, r = poly_divmod(self.a[i][t], piv)
+                        self.row_sub(i, t, q)
+                        if r:
+                            dirty = True
+                for j in range(t + 1, self.C):
+                    if self.a[t][j]:
+                        q, r = poly_divmod(self.a[t][j], piv)
+                        self.col_sub(j, t, q)
+                        if r:
+                            dirty = True
+                if not dirty:
+                    break
+                pos = self.pivot(t)  # a remainder has strictly smaller degree
+            t += 1
+
+    def repair_chain(self) -> None:
+        k = min(self.R, self.C)
+        one = FpPoly.one(self.field)
+        changed = True
+        while changed:
+            changed = False
+            for i in range(k - 1):
+                a, b = self.a[i][i], self.a[i + 1][i + 1]
+                if a.is_zero and not b.is_zero:
+                    self.row_swap(i, i + 1)
+                    self.col_swap(i, i + 1)
+                    changed = True
+                    continue
+                if a.is_zero or b.is_zero:
+                    continue
+                if poly_divmod(b, a)[1].is_zero:
+                    continue
+                g, u, v = poly_gcd_ext(a, b)
+                # [[a,0],[0,b]] -> [[g,0],[0,ab/g]] by unimodular block moves
+                self.col_add(i, i + 1, one)
+                self.row_pair_transform(i, i + 1, u, v, -(b // g), a // g)
+                self.col_sub(i + 1, i, (v * b) // g)
+                changed = True
+
+    def normalize_monic(self) -> None:
+        for i in range(min(self.R, self.C)):
+            e = self.a[i][i]
+            if e and not e.is_monic:
+                self.row_scale(i, self.field.inv(e.leading_coefficient))
+
+
+def fppoly_smith(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
+    """(U, D, V) of the FpPoly elimination, without the certificate."""
+    w = FpPolyWorker(m)
+    w.diagonalize()
+    w.repair_chain()
+    w.normalize_monic()
+    field = m.field
+    d = PolyMatrix.from_rows(field, w.a) if m.rows else PolyMatrix.zeros(field, 0, m.cols)
+    u = PolyMatrix.from_rows(field, w.u) if m.rows else PolyMatrix.identity(field, 0)
+    v = PolyMatrix.from_rows(field, w.v) if m.cols else PolyMatrix.identity(field, 0)
+    return u, d, v
 
 
 _RESIDUE_GRIDS: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -249,6 +411,12 @@ def small_group_catalog() -> list[tuple[str, FiniteGroupTable]]:
         ("D4", _d4_table()),
         ("Q8", _q8_table()),
     ]
+
+
+def associative_by_cube(mul: np.ndarray) -> bool:
+    """(a b) c == a (b c) for every triple, one row a at a time."""
+    mul = np.asarray(mul)
+    return all(np.array_equal(mul[mul[a]], mul[a][mul]) for a in range(len(mul)))
 
 
 def element_orders_by_powers(table: FiniteGroupTable) -> list[int]:

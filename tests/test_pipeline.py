@@ -320,6 +320,33 @@ class TestCli:
         assert res.stderr.startswith("input error: exponent -400000000 exceeds the limit")
         assert res.stderr.count("\n") == 1
 
+    def test_dimension_limits_are_input_errors(self, capsys):
+        # checked before any matrix is built: limit + 1 empty relation rows allocate nothing
+        g, r = jsonio.MAX_GENERATORS + 1, jsonio.MAX_RELATORS + 1
+        cases = [
+            (["certify", json.dumps({"p": 2, "n": 1, "presentation": {
+                "generators": g, "relations": [[]] * g}})], f"'generators' {g}"),
+            (["certify", json.dumps({"p": 2, "n": 1, "presentation": {
+                "generators": 1, "relations": [[[]] * r]}})], f"the number of relators {r}"),
+            (["certify", json.dumps({"p": 2, "n": g, "presentation": {"generators": 1}})],
+             f"'n' {g}"),
+            (["snf", json.dumps({"p": 2, "rows": g, "cols": 0, "entries": [[]] * g})],
+             f"'rows' {g}"),
+            (["snf", json.dumps({"p": 2, "rows": 1, "cols": r, "entries": [[[]] * r]})],
+             f"'cols' {r}"),
+        ]
+        # a relation row that is not a list is malformed input, not a crash
+        assert cli.main(["certify", '{"p":2,"n":1,"presentation":{"generators":1,"relations":[5]}}']) == 2
+        assert capsys.readouterr().err == "input error: all relation rows must be lists\n"
+        for argv, what in cases:
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {what} exceeds the limit") and err.count("\n") == 1
+        # at the limit the dimensions are accepted
+        text = json.dumps({"p": 2, "n": 1, "presentation": {
+            "generators": g - 1, "relations": [[]] * (g - 1)}})
+        assert jsonio.parse_candidate(json.loads(text)).presentation.generators == g - 1
+
     def test_usage_error(self):
         assert run_cli("certify").returncode == 2
 

@@ -1,14 +1,25 @@
 import json
+import pathlib
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamprigid import FieldSpec, FpPoly, PolyMatrix, determinant, is_unimodular, matrix_mul, smith_normal_form
 from lamprigid.errors import FieldMismatch, NotSquare, ShapeMismatch
+from lamprigid.jsonio import parse_candidate
 
-from oracles import determinantal_divisor_diag, leibniz_determinant, random_matrix, random_poly
+from oracles import (
+    determinantal_divisor_diag,
+    fppoly_smith,
+    leibniz_determinant,
+    list_matrix_mul,
+    random_matrix,
+    random_poly,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -208,6 +219,50 @@ class TestSmithNormalForm:
         assert d1.divides(d2)
 
 
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+LARGE_P = FieldSpec(10 ** 18 + 3)
+
+
+def matches_fppoly_oracle(m):
+    """The array elimination gives the FpPoly elimination's U, D and V entry for
+    entry, and matrix_mul the list product, on U * m and m * V."""
+    dec = smith_normal_form(m)
+    u, d, v = fppoly_smith(m)
+    assert (dec.u.entries, dec.d.entries, dec.v.entries) == (u.entries, d.entries, v.entries)
+    assert matrix_mul(u, m).entries == list_matrix_mul(u, m).entries
+    assert matrix_mul(m, v).entries == list_matrix_mul(m, v).entries
+
+
+@st.composite
+def poly_matrices(draw):
+    field = draw(st.sampled_from([F2, F3, F5, LARGE_P]))
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    coeffs = st.lists(st.integers(0, field.p - 1), max_size=4)
+    entries = draw(st.lists(coeffs, min_size=rows * cols, max_size=rows * cols))
+    return PolyMatrix(field, rows, cols, tuple(FpPoly(field, tuple(c)) for c in entries))
+
+
+class TestAgainstFpPolyOracle:
+    @pytest.mark.parametrize("name", ["free_rank2_p3", "torsion_only"])
+    def test_disguised_relation_matrices(self, name):
+        text = (DATA / f"disguised16_{name}.json").read_text()
+        matches_fppoly_oracle(parse_candidate(json.loads(text)).presentation.relations)
+
+    def test_random_14x14_over_f2(self):
+        # transform entries reach degree 123
+        matches_fppoly_oracle(random_matrix(random.Random(14), F2, 14, 14, 3))
+
+    @settings(max_examples=80, deadline=None)
+    @given(poly_matrices())
+    def test_random_matrices(self, m):
+        matches_fppoly_oracle(m)
+
+    def test_empty_shapes(self):
+        for field in (F2, LARGE_P):
+            for rows, cols in [(0, 0), (0, 4), (4, 0)]:
+                matches_fppoly_oracle(PolyMatrix.zeros(field, rows, cols))
+
+
 # Each case builds a SmithDecomposition that must fail its certificate; the
 # script runs under python -O, where a bare assert would let all of them pass.
 _CORRUPTED_SNF_SCRIPT = """
@@ -254,7 +309,24 @@ cases = {
     "non-monic diagonal": claimed(mat(F3, [[(2,)]])),
     **{f"x in V at {i}": x_in_v(i) for i in range(3)},
 }
-outcome = {"debug": __debug__}
+
+# p = 10^18 + 3: products of residues overflow int64, so the arrays hold
+# Python integers (object); each corruption adds p - 1 times a power of x
+PL = FieldSpec(10 ** 18 + 3)
+large = mat(PL, [[(3, 1), (PL.p - 2,), ()], [(), (0, 1), (7, PL.p - 1)], [(1, 1), (), (5,)]])
+large_snf = smith_normal_form(large)
+minus_x = FpPoly(PL, (0, PL.p - 1))
+
+def bumped(m, k, poly):
+    return PolyMatrix(PL, m.rows, m.cols, m.entries[:k] + (m.entries[k] + poly,) + m.entries[k + 1:])
+
+large_fields = dict(source=large, u=large_snf.u, d=large_snf.d, v=large_snf.v, diag=large_snf.diag)
+cases.update({
+    "large p: corrupted U": {**large_fields, "u": bumped(large_snf.u, 1, minus_x)},
+    "large p: corrupted V": {**large_fields, "v": bumped(large_snf.v, 5, FpPoly(PL, (PL.p - 1,)))},
+    "large p: corrupted D": {**large_fields, "d": bumped(large_snf.d, 3, minus_x)},
+})
+outcome = {"debug": __debug__, "large p dtype": str(large.to_coeffs().dtype)}
 for name, fields in cases.items():
     try:
         SmithDecomposition(**fields)
@@ -281,4 +353,8 @@ def test_corrupted_snf_rejected_under_optimize():
         "x in V at 0": "V is not unimodular",
         "x in V at 1": "V is not unimodular",
         "x in V at 2": "V is not unimodular",
+        "large p dtype": "object",
+        "large p: corrupted U": "U*M*V != D",
+        "large p: corrupted V": "U*M*V != D",
+        "large p: corrupted D": "U*M*V != D",
     }

@@ -25,13 +25,19 @@ from lamprigid import (
     truncated_qu,
 )
 from lamprigid import jsonio, quotients
-from lamprigid.errors import NotNormal, OrderBoundExceeded
+from lamprigid.errors import CertificateError, NotNormal, OrderBoundExceeded
 from lamprigid.fppoly import FpPoly, x_pow_minus_one
 from lamprigid.laurent_modules import block_companion
-from lamprigid.quotients import cyclic_table, direct_product_table, semidirect_table
+from lamprigid.quotients import (
+    FiniteGroupTable,
+    cyclic_table,
+    direct_product_table,
+    semidirect_table,
+)
 
 from oracles import (
     abelian_invariants_by_quotients,
+    associative_by_cube,
     brute_normal_subgroups,
     element_orders_by_powers,
     lattice_qu,
@@ -168,7 +174,7 @@ class TestTableBuilderAgainstBlockOracle:
         candidate = bundled(name)
         lamp = LamplighterSpec(candidate.field, candidate.n, None)
         for source in (candidate.presentation, lamp):
-            for key, field, action, twist in quotients._extensions(source, 16):
+            for key, field, action, twist in quotients._extensions(source, 16, {}):
                 built = semidirect_table(field, action, key[1], twist=twist)
                 oracle = semidirect_table_by_blocks(field, action, key[1], twist=twist)
                 assert np.array_equal(built.mul, oracle.mul), key
@@ -315,6 +321,49 @@ def invariants_match_oracle(table):
     assert fingerprint(table).abelian_invariants == abelian_invariants_by_quotients(table)
 
 
+def build_agrees_with_cube(mul) -> bool:
+    """build accepts mul iff every triple associates; returns that verdict."""
+    associative = associative_by_cube(mul)
+    try:
+        FiniteGroupTable.build(mul)
+    except CertificateError as exc:
+        assert str(exc) == "associativity fails" and not associative
+        return False
+    assert associative
+    return True
+
+
+def corrupted(table, rng):
+    """The table with two entries of one row swapped, outside the identity's
+    row and column: the identity and inverse checks still pass."""
+    bad = np.array(table.mul)
+    x, y1, y2 = rng.sample([g for g in range(table.order) if g != table.identity], 3)
+    bad[x, [y1, y2]] = bad[x, [y2, y1]]
+    return bad
+
+
+class TestAssociativityAgainstCubeOracle:
+    def test_small_group_catalog_and_corruptions(self):
+        rng = random.Random(5)
+        for _, table in small_group_catalog():
+            assert build_agrees_with_cube(table.mul.copy())
+            if table.order > 3:
+                verdicts = [build_agrees_with_cube(corrupted(table, rng)) for _ in range(20)]
+                assert not all(verdicts)
+
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_extension_tables_at_bound_sixteen(self, name):
+        rng = random.Random(7)
+        candidate = bundled(name)
+        lamp = LamplighterSpec(candidate.field, candidate.n, None)
+        for source in (candidate.presentation, lamp):
+            for key, field, action, twist in quotients._extensions(source, 16, {}):
+                table = semidirect_table(field, action, key[1], twist=twist)
+                assert build_agrees_with_cube(table.mul.copy())
+                if table.order > 3:
+                    build_agrees_with_cube(corrupted(table, rng))
+
+
 class TestInvariantsAgainstQuotientOracle:
     def test_small_group_catalog(self):
         for _, table in small_group_catalog():
@@ -325,7 +374,7 @@ class TestInvariantsAgainstQuotientOracle:
         candidate = bundled(name)
         lamp = LamplighterSpec(candidate.field, candidate.n, None)
         for source in (candidate.presentation, lamp):
-            for key, field, action, twist in quotients._extensions(source, 16):
+            for key, field, action, twist in quotients._extensions(source, 16, {}):
                 invariants_match_oracle(semidirect_table(field, action, key[1], twist=twist))
 
     def test_direct_products_with_several_factors(self):
@@ -491,7 +540,7 @@ class TestCompareQu:
     def test_one_table_per_distinct_key_and_no_state_across_calls(self, monkeypatch):
         left = bundled("mixed_free_torsion").presentation
         right = LamplighterSpec(F2, 1, None)
-        per_side = [[key for key, *_ in quotients._extensions(side, 16)]
+        per_side = [[key for key, *_ in quotients._extensions(side, 16, {})]
                     for side in (left, right)]
         keys = set(per_side[0]) | set(per_side[1])
         assert len(keys) < len(per_side[0]) + len(per_side[1])  # the sides share keys
@@ -533,6 +582,23 @@ class TestCompareQu:
             compare_qu(bundled(left).presentation, bundled(right).presentation, 16)
         assert calls["build"] == calls["semidirect_table"] > 0
 
+    @pytest.mark.parametrize("left, right", [("free_rank1", "free_rank2_p3"),
+                                             ("mixed_free_torsion", "torsion_only")])
+    def test_one_twist_enumeration_per_module(self, monkeypatch, left, right):
+        # the compare-qu golden pairs; the second pair's sides share modules (p, d, chain)
+        sides = (bundled(left).presentation, bundled(right).presentation)
+        modules = {key[:3] for side in sides for key, *_ in quotients._extensions(side, 16, {})}
+        calls = []
+        original = quotients._twist_classes
+
+        def counting(field, action, m):
+            calls.append((field.p, m, tuple(map(tuple, action))))
+            return original(field, action, m)
+
+        monkeypatch.setattr(quotients, "_twist_classes", counting)
+        compare_qu(*sides, 16)
+        assert len(calls) == len(set(calls)) == len(modules)
+
     def test_one_fingerprint_per_table(self, monkeypatch):
         calls = {"fingerprint": 0, "semidirect_table": 0}
         for name in calls:
@@ -570,6 +636,9 @@ cases["loop x C32"] = loop[np.ix_(a, a)] * 32 + (c[:, None] + c[None, :]) % 32
 cyclic = (np.arange(400)[:, None] + np.arange(400)[None, :]) % 400
 cyclic[399, [200, 201]] = cyclic[399, [201, 200]]
 cases["C400 with two entries swapped"] = cyclic
+cyclic = (np.arange(600)[:, None] + np.arange(600)[None, :]) % 600
+cyclic[599, [300, 301]] = cyclic[599, [301, 300]]
+cases["C600 with two entries swapped"] = cyclic
 outcome = {"debug": __debug__}
 for name, mul in cases.items():
     try:
@@ -595,4 +664,5 @@ def test_broken_tables_rejected_under_optimize():
         "non-associative loop": "associativity fails",
         "loop x C32": "associativity fails",
         "C400 with two entries swapped": "associativity fails",
+        "C600 with two entries swapped": "associativity fails",
     }
