@@ -17,8 +17,10 @@ dominated by the truncation's own invariant chain, so enumerating those chains
 and one a per cohomology class gives one table of order p^dim(M) * d <= B per
 candidate quotient. One comparison classifies each extension once: each
 distinct key (p, d, chain, a) of either side gives one table, sorted into
-isomorphism classes by fingerprint (read inside the table, with no quotient
-table) and isomorphism test. The lattice search remains for tests and tools.
+isomorphism classes by fingerprint and isomorphism test. The fingerprint is
+read from the table's power table (row k holds g^k) with no quotient table:
+element orders, class sizes, and the invariant factors of A = G/G' counted as
+|A[k]| = #{g : g^k in G'} / |G'|. The lattice search remains for tests and tools.
 """
 
 from __future__ import annotations
@@ -79,6 +81,21 @@ class FiniteGroupTable:
         return fingerprint(self)
 
     @cached_property
+    def powers(self) -> np.ndarray:
+        """Row k holds g^k for every g, k = 0..exponent; int32 like mul. Rows
+        h+1..h+k are g^h g^i for i = 1..k, doubling up to the order."""
+        e, order = self.identity, self.order
+        rows = np.empty((order + 1, order), dtype=np.int32)
+        rows[0], rows[1], h = e, np.arange(order), 1
+        while h < order:
+            k = min(h, order - h)
+            rows[h + 1:h + k + 1] = self.mul[rows[h], rows[1:k + 1]]
+            h += k
+        rows = rows[:int(np.argmax((rows[1:] == e).all(axis=1))) + 2].copy()
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
     def element_orders(self) -> np.ndarray:
         """Order of every element, computed once."""
         return _orders_modulo(self, np.arange(self.order) == self.identity)
@@ -126,12 +143,7 @@ def _row_blocks(order: int, row_entries: int):
 
 def _orders_modulo(table: FiniteGroupTable, member: np.ndarray) -> np.ndarray:
     """Least k >= 1 with g^k in the subgroup with mask member, for every g."""
-    everyone = np.arange(table.order)
-    orders = np.zeros(table.order, dtype=np.int64)
-    power, k = everyone, 1
-    while not orders.all():
-        orders[(orders == 0) & member[power]] = k
-        power, k = table.mul[power, everyone], k + 1
+    orders = np.argmax(member[table.powers[1:]], axis=0) + 1
     orders.flags.writeable = False
     return orders
 
@@ -151,11 +163,20 @@ def direct_product_table(a: FiniteGroupTable, b: FiniteGroupTable) -> FiniteGrou
 
 def _vector_grid(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """All p^d vectors of F_p^d, row k having index k = sum_i v_i p^i, and the radix."""
-    count = p ** d
-    vecs = np.zeros((count, d), dtype=np.int64)
-    for j in range(d):
-        vecs[:, j] = (np.arange(count) // (p ** j)) % p
-    return vecs, p ** np.arange(d, dtype=np.int64)
+    return (np.indices((p,) * d).reshape(d, p ** d)[::-1].T.astype(np.int64),
+            p ** np.arange(d, dtype=np.int64))
+
+
+def _action_rows(p: int, action: list[list[int]], m: int) -> tuple[np.ndarray, ...]:
+    """The vector grid and radix of F_p^d, and rows k = 0..m holding the index
+    of A^k v for every vector v, A = action."""
+    d = len(action)
+    vecs, radix = _vector_grid(p, d)
+    a_np = np.array(action, dtype=np.int64).reshape(d, d)
+    rows = [np.arange(p ** d), vecs @ a_np.T % p @ radix]
+    while len(rows) <= m:
+        rows.append(rows[1][rows[-1]])
+    return vecs, radix, np.stack(rows[:m + 1])
 
 
 def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
@@ -184,29 +205,24 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
         raise ValueError(f"twist has length {twist_np.size}, expected {d}")
     if not np.array_equal(a_np @ twist_np % p, twist_np):
         raise ValueError("twist is not fixed by the action")
-    vecs, radix = _vector_grid(p, d)
-    act_idx = np.zeros((m, count), dtype=np.int64)
-    power = np.eye(d, dtype=np.int64)
-    for k in range(m):
-        act_idx[k] = (vecs @ power.T % p) @ radix
-        power = power @ a_np % p
-    if not np.array_equal(power, np.eye(d, dtype=np.int64)):
+    vecs, radix, act_idx = _action_rows(p, action, m)  # act_idx[k, j]: A^k vec_j
+    if not np.array_equal(act_idx[m], act_idx[0]):  # A^m fixes every vector: A^m = I
         raise ValueError(f"action does not have order dividing {m}")
-    wrap = ((vecs + twist_np) % p) @ radix
-    table = np.zeros((order, order), dtype=np.int32)
-    sum_idx = np.zeros((count, count), dtype=np.int64)
+    wrap = (((vecs + twist_np) % p) @ radix).astype(np.int32)
+    sum_idx = np.zeros((count, count), dtype=np.int32)
     if d:
         chunk = max(1, (1 << 22) // (count * d))
         for start in range(0, count, chunk):
             end = min(start + chunk, count)
             sum_idx[start:end] = ((vecs[start:end, None, :] + vecs[None, :, :]) % p) @ radix
-    cosets, residues = np.arange(count) * m, np.arange(m)
-    for k in range(m):
-        block = sum_idx[:, act_idx[k], None]  # block[i, j] = index(vec_i + A^k vec_j)
-        carry = k + residues >= m             # columns j*m + l that add the twist a
-        vec_part = np.where(carry, wrap[block], block)
-        table[cosets + k] = (vec_part * m + (k + residues) % m).reshape(count, order)
-    return FiniteGroupTable.build(table)
+    # table[(i, k), (j, l)]: block[i, k, j] = index(vec_i + A^k vec_j), plus the
+    # twist a where k + l >= m; a C-ordered block gives a C-ordered table
+    block = np.ascontiguousarray(sum_idx[:, act_idx[:m], None])
+    residues = np.arange(m, dtype=np.int32)
+    table = np.where(residues[:, None, None] + residues >= m, wrap[block], block)
+    table *= m
+    table += (residues[:, None, None] + residues) % m
+    return FiniteGroupTable.build(table.reshape(order, order))
 
 
 def build_group_table(trunc: FiniteTruncation, m: int,
@@ -219,18 +235,16 @@ def build_group_table(trunc: FiniteTruncation, m: int,
 # --- subgroup machinery -------------------------------------------------------
 
 def subgroup_closure(table: FiniteGroupTable, gens: list[int]) -> np.ndarray:
-    """Sorted element array of the subgroup generated by gens."""
-    member = np.zeros(table.order, dtype=bool)
-    member[table.identity] = True
-    gens = sorted(set(gens) | {table.identity})
-    garr = np.array(gens, dtype=np.int64)
-    frontier = np.array([table.identity], dtype=np.int64)
-    while frontier.size:
-        prods = np.unique(table.mul[np.ix_(frontier, garr)])
-        fresh = prods[~member[prods]]
-        member[fresh] = True
-        frontier = fresh
-    return np.flatnonzero(member)
+    """Sorted element array of the subgroup generated by gens: the closure of
+    {e} and gens under products, each round squaring the set (a finite group's
+    inverses are powers)."""
+    member = np.arange(table.order) == table.identity
+    member[np.asarray(gens, dtype=np.int64)] = True
+    while True:
+        idx = member.nonzero()[0]
+        member[table.mul[idx[:, None], idx]] = True
+        if member.sum() == idx.size:
+            return idx
 
 
 def _is_subgroup(table: FiniteGroupTable, members: np.ndarray) -> bool:
@@ -271,8 +285,7 @@ def enumerate_normal_subgroups(table: FiniteGroupTable,
     lattice: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     trivial = np.array([table.identity], dtype=np.int64)
     lattice[trivial.tobytes()] = (trivial, [])
-    queue = list(atoms.values())
-    for members, gens in queue:
+    for members, gens in atoms.values():
         lattice.setdefault(members.tobytes(), (members, gens))
     pending = list(lattice.values())
     while pending:
@@ -300,13 +313,7 @@ def quotient_table(table: FiniteGroupTable, normal: frozenset[int] | set[int]) -
         raise NotNormal("subset is not a normal subgroup")
     rep_of = table.mul[members].min(axis=0)  # rep_of[g] = min of the coset N g
     reps = np.unique(rep_of)
-    index_of = {int(r): i for i, r in enumerate(reps)}
-    q = len(reps)
-    mul = np.zeros((q, q), dtype=np.int32)
-    for i, a in enumerate(reps):
-        prods = rep_of[table.mul[a, reps]]
-        mul[i] = [index_of[int(x)] for x in prods]
-    return FiniteGroupTable.build(mul)
+    return FiniteGroupTable.build(np.searchsorted(reps, rep_of[table.mul[np.ix_(reps, reps)]]))
 
 
 # --- isomorphism invariants and testing ---------------------------------------
@@ -335,46 +342,45 @@ class QuotientFingerprint:
 
 
 def fingerprint(table: FiniteGroupTable) -> QuotientFingerprint:
-    """Element orders, exponent, class sizes and the invariant factors of G/G'.
-    Those are read on cosets of H = G': an element g of largest order k modulo
-    H spans a direct summand of G/H, so record k, replace H by its join with g,
-    repeat until H = G and reverse (Holt, Eick and O'Brien 2005, ch. 8). H
-    contains G', so it is normal and the join is the union of the cosets g^i H
-    for i < k."""
-    mul, inv = table.mul, table.inverse
+    """Element orders, exponent, class sizes and the invariant factors of
+    A = G/G', all read from the power table. |A[k]| = #{g : g^k in G'} / |G'|,
+    and for each prime q, log_q(|A[q^j]| / |A[q^(j-1)]|) cyclic factors of A
+    have order at least q^j (Holt, Eick and O'Brien 2005, ch. 8)."""
+    mul, inv, powers = table.mul, table.inverse, table.powers
     commutator = np.zeros(table.order, dtype=bool)
     for rows in _row_blocks(table.order, table.order):  # commutators [a, x], a in rows
         conj = mul[mul[rows], inv[rows, None]]
         commutator[mul[conj, inv]] = True
     member = np.zeros(table.order, dtype=bool)
     member[subgroup_closure(table, list(np.flatnonzero(commutator)))] = True
-    factors = []
-    while not member.all():
-        orders = _orders_modulo(table, member)
-        g = int(np.argmax(orders))
-        factors.append(int(orders[g]))
-        powers = [table.identity]
-        for _ in range(factors[-1] - 1):
-            powers.append(int(mul[powers[-1], g]))
-        member[mul[np.ix_(powers, np.flatnonzero(member))]] = True
-    sizes, counts = np.unique(table.class_sizes, return_counts=True)
-    element_orders = tuple(int(k) for k in np.sort(table.element_orders))
+    torsion = member[powers].sum(axis=1) // member.sum()  # |A[k]|, k = 0..exponent
+    exponent, index = len(powers) - 1, int(torsion[-1])
+    factors: list[int] = []  # largest first
+    primes = [q for q in range(2, index + 1) if index % q == 0 and all(q % r for r in range(2, q))]
+    for q in primes:
+        ranks, k = [], q  # ranks[j - 1]: factors of order >= q^j
+        while exponent % k == 0 and torsion[k] > torsion[k // q]:
+            ranks.append(round(math.log(torsion[k] // torsion[k // q], q)))
+            k *= q
+        factors += [1] * (ranks[0] - len(factors))
+        for i in range(ranks[0]):
+            factors[i] *= q ** sum(r > i for r in ranks)
+    counts = np.bincount(table.class_sizes).tolist()
     return QuotientFingerprint(
         order=table.order,
         abelian_invariants=tuple(reversed(factors)),
-        exponent=math.lcm(*element_orders),
-        element_orders=element_orders,
-        class_sizes=tuple(int(s) for s, c in zip(sizes, counts) for _ in range(c // s)),
+        exponent=exponent,
+        element_orders=tuple(np.sort(table.element_orders).tolist()),
+        class_sizes=tuple(s for s, c in enumerate(counts) if c for _ in range(c // s)),
     )
 
 
 def _generating_sequence(table: FiniteGroupTable) -> list[int]:
     gens: list[int] = []
-    span = {table.identity}
-    while len(span) < table.order:
-        g = min(x for x in range(table.order) if x not in span)
-        gens.append(g)
-        span = set(int(x) for x in subgroup_closure(table, gens))
+    span = np.arange(table.order) == table.identity
+    while not span.all():
+        gens.append(int(np.argmin(span)))
+        span[subgroup_closure(table, gens)] = True
     return gens
 
 
@@ -517,32 +523,23 @@ def _twist_classes(field: FieldSpec, action: list[list[int]], m: int) -> list[tu
     M = F_p^d with x acting by A, A^m = I. The modules truncated_qu passes have
     at most bound elements, so the fixed space and the norm image are
     enumerated outright. Each class is represented by its element of least
-    index.
+    index; N_m M is fixed by x, so that element is the least of v + N_m M for
+    each fixed v.
     """
     p = field.p
-    d = len(action)
-    vecs, radix = _vector_grid(p, d)
-    a_np = np.array(action, dtype=np.int64).reshape(d, d)
-    norm = np.zeros((d, d), dtype=np.int64)
-    power = np.eye(d, dtype=np.int64)
-    for _ in range(m):
-        norm = (norm + power) % p
-        power = power @ a_np % p
-    fixed = np.flatnonzero((vecs @ a_np.T % p == vecs).all(axis=1))
-    norm_image = vecs[np.unique(vecs @ norm.T % p @ radix)]
-    covered = np.zeros(len(vecs), dtype=bool)
-    reps = []
-    for k in fixed:
-        if not covered[k]:
-            reps.append(tuple(int(a) for a in vecs[k]))
-            covered[((vecs[k] + norm_image) % p) @ radix] = True
-    return reps
+    vecs, radix, rows = _action_rows(p, action, m)
+    fixed = np.flatnonzero(rows[1] == rows[0])
+    in_image = np.zeros(len(vecs), dtype=bool)
+    in_image[vecs[rows[:m]].sum(axis=0) % p @ radix] = True  # N_m v for every v
+    least = ((vecs[fixed, None] + vecs[in_image]) % p @ radix).min(axis=1)  # of v + N_m M
+    return [tuple(v) for v in vecs[fixed[least == fixed]].tolist()]
 
 
-def _extensions(source: ModulePresentation | LamplighterSpec, bound: int,
-                twists: dict[tuple, list[tuple[int, ...]]]):
+def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: dict):
     """Yield (key, field, action, twist) for each E(M, d, a) that truncated_qu
-    needs; the key (p, d, chain coefficients, twist) determines the table."""
+    needs; the key (p, d, chain coefficients, twist) determines the table. The
+    pool keeps the divisors of x^d - 1 by (p, d, c) and the twist classes by
+    module (p, d, chain coefficients)."""
     pres = _source_presentation(source)
     field = pres.field
     p = field.p
@@ -552,16 +549,18 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int,
         while p ** (c + 1) * d <= bound:
             c += 1
         xd1 = x_pow_minus_one(field, d)
-        base_chain = [g for g in (poly_gcd(f, xd1) for f in dec.invariant_factors)
+        # with c = 0 only the zero module fits, whatever the chain
+        base_chain = [g for g in (poly_gcd(f, xd1) for f in dec.invariant_factors if c)
                       if g.degree >= 1]
         base_chain.extend([xd1] * dec.free_rank)
-        divisors = _small_divisors(xd1, c)
-        for chain in _dominated_chains(base_chain, divisors, c):
+        if (p, d, c) not in pool:
+            pool[p, d, c] = _small_divisors(xd1, c)
+        for chain in _dominated_chains(base_chain, pool[p, d, c], c):
             action = block_companion(chain)
             module = (p, d, tuple(h.coeffs for h in chain))
-            if module not in twists:
-                twists[module] = _twist_classes(field, action, d)
-            for twist in twists[module]:
+            if module not in pool:
+                pool[module] = _twist_classes(field, action, d)
+            for twist in pool[module]:
                 yield module + (twist,), field, action, twist
 
 
@@ -574,11 +573,11 @@ def _classify(sources: Sequence[ModulePresentation | LamplighterSpec], bound: in
         raise OrderBoundExceeded(f"bound {bound} outside 1..{BOUND_CAP}")
     rep_of: dict[tuple, FiniteGroupTable] = {}
     by_fingerprint: dict[tuple, list[FiniteGroupTable]] = {}
-    twists: dict[tuple, list[tuple[int, ...]]] = {}
+    pool: dict[tuple, list] = {}
     qu_sets = []
     for source in sources:
         reps = []
-        for key, field, action, twist in _extensions(source, bound, twists):
+        for key, field, action, twist in _extensions(source, bound, pool):
             if key not in rep_of:
                 table = semidirect_table(field, action, key[1], order_cap, twist)
                 bucket = by_fingerprint.setdefault(table.fingerprint.key(), [])

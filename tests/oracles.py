@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths it checks: divisor searches
 are exhaustive coefficient enumerations, invariant factors come from gcds of
 explicitly enumerated minors, residue counting walks the actual quotient
 module, and the small-group catalog is built from first-principles tables.
-Extension tables are filled one (row residue, column residue) block at a time
-and group laws are checked one pair at a time.
+Extension tables are filled one (row residue, column residue) block at a time,
+group laws are checked one pair at a time, element orders modulo a subgroup
+advance one power at a time and twist classes are covered one coset at a time.
 The lattice route to bounded quotient sets reaches every quotient as G / K
 over normal subgroups K, not as a cyclic extension as the library does.
 """
@@ -309,7 +310,7 @@ def _residue_grid(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     got = _RESIDUE_GRIDS.get((p, d))
     if got is None:
         count = p ** d
-        vecs = np.zeros((count, d), dtype=np.int64)
+        vecs = np.zeros((count, d), dtype=np.min_scalar_type(p * p))  # holds (p-1)^2 + p-1
         for j in range(d):
             vecs[:, j] = (np.arange(count) // (p ** j)) % p
         radix = p ** np.arange(d, dtype=np.int64)
@@ -338,7 +339,12 @@ def verified_residue_count(f: FpPoly) -> int:
         comp[i, d - 1] = (-f.coefficient(i)) % p
     count = p ** d
     vecs, radix = _residue_grid(p, d)
-    images = (vecs @ comp.T % p) @ radix
+    # comp moves coordinate i to i + 1 and adds the last coordinate times its
+    # last column: every residue's image without an int64 matrix product
+    image_vecs = vecs[:, -1:] * comp[:, -1].astype(vecs.dtype)
+    image_vecs[:, 1:] += vecs[:, :-1]
+    image_vecs %= p
+    images = image_vecs @ radix
     # count images in 0..count-1: every residue is hit iff the action is a bijection
     assert np.bincount(images, minlength=count).all(), "x-action is not a bijection on residues"
     vec = np.zeros(d, dtype=np.int64)
@@ -543,6 +549,53 @@ def semidirect_table_by_blocks(field: FieldSpec, action: list[list[int]], m: int
             part = wrapped if k + l >= m else block
             table[(cosets + k)[:, None], (cosets + l)[None, :]] = part * m + (k + l) % m
     return FiniteGroupTable.build(table)
+
+
+def orders_modulo_by_iteration(table: FiniteGroupTable, member: np.ndarray) -> np.ndarray:
+    """Least k >= 1 with g^k in the subgroup with mask member, for every g:
+    all powers advance by one multiplication per k."""
+    everyone = np.arange(table.order)
+    orders = np.zeros(table.order, dtype=np.int64)
+    power, k = everyone, 1
+    while not orders.all():
+        orders[(orders == 0) & member[power]] = k
+        power, k = table.mul[power, everyone], k + 1
+    orders.flags.writeable = False
+    return orders
+
+
+def derived_subgroup_mask(table: FiniteGroupTable) -> np.ndarray:
+    """Mask of G', closed from the commutators a b a^-1 b^-1 of all pairs."""
+    mul, inv = table.mul, table.inverse
+    commutators = mul[mul[mul, inv[:, None]], inv[None, :]]
+    member = np.zeros(table.order, dtype=bool)
+    member[subgroup_closure(table, sorted(set(commutators.ravel().tolist())))] = True
+    return member
+
+
+def twist_classes_by_cover(field: FieldSpec, action: list[list[int]], m: int
+                           ) -> list[tuple[int, ...]]:
+    """One twist from each class of H^2(C_m, M) = M^x / N_m M, N_m = 1 + A + ... + A^(m-1):
+    the fixed vectors in index order, each one not yet covered starting a class
+    and covering its coset of the norm image."""
+    p = field.p
+    d = len(action)
+    vecs, radix = _vector_grid(p, d)
+    a_np = np.array(action, dtype=np.int64).reshape(d, d)
+    norm = np.zeros((d, d), dtype=np.int64)
+    power = np.eye(d, dtype=np.int64)
+    for _ in range(m):
+        norm = (norm + power) % p
+        power = power @ a_np % p
+    fixed = np.flatnonzero((vecs @ a_np.T % p == vecs).all(axis=1))
+    norm_image = vecs[np.unique(vecs @ norm.T % p @ radix)]
+    covered = np.zeros(len(vecs), dtype=bool)
+    reps = []
+    for k in fixed:
+        if not covered[k]:
+            reps.append(tuple(int(a) for a in vecs[k]))
+            covered[((vecs[k] + norm_image) % p) @ radix] = True
+    return reps
 
 
 def respects_law_by_dicts(g_table: FiniteGroupTable, h_table: FiniteGroupTable,

@@ -39,11 +39,14 @@ from oracles import (
     abelian_invariants_by_quotients,
     associative_by_cube,
     brute_normal_subgroups,
+    derived_subgroup_mask,
     element_orders_by_powers,
     lattice_qu,
+    orders_modulo_by_iteration,
     respects_law_by_dicts,
     semidirect_table_by_blocks,
     small_group_catalog,
+    twist_classes_by_cover,
     two_sided_compare_qu,
 )
 
@@ -387,10 +390,46 @@ class TestInvariantsAgainstQuotientOracle:
             (direct_product_table(catalog["S3"], c(2)), (2, 2)),
             (direct_product_table(catalog["Q8"], c(3)), (2, 6)),
             (direct_product_table(catalog["D4"], c(2)), (2, 2, 2)),
+            # odd primes, and several primes in one factor
+            (direct_product_table(c(3), c(9)), (3, 9)),
+            (direct_product_table(direct_product_table(c(2), c(8)),
+                                  direct_product_table(c(3), c(9))), (6, 72)),
+            (direct_product_table(direct_product_table(catalog["S3"], c(3)), c(3)), (3, 6)),
         ]
         for table, factors in cases:
             assert fingerprint(table).abelian_invariants == factors
             invariants_match_oracle(table)
+
+
+def orders_match_oracle(table):
+    """Orders modulo {e} and modulo G' against the one-power-at-a-time loop."""
+    for member in (np.arange(table.order) == table.identity, derived_subgroup_mask(table)):
+        assert np.array_equal(quotients._orders_modulo(table, member),
+                              orders_modulo_by_iteration(table, member))
+
+
+class TestReplacedLoopsAgainstOracles:
+    def test_small_group_catalog(self):
+        for _, table in small_group_catalog():
+            orders_match_oracle(table)
+
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_extension_modules_and_tables_at_bound_sixteen(self, name):
+        candidate = bundled(name)
+        lamp = LamplighterSpec(candidate.field, candidate.n, None)
+        for source in (candidate.presentation, lamp):
+            pool = {}
+            for key, field, action, twist in quotients._extensions(source, 16, pool):
+                assert pool[key[:3]] == twist_classes_by_cover(field, action, key[1]), key
+                orders_match_oracle(semidirect_table(field, action, key[1], twist=twist))
+
+    @settings(max_examples=40, deadline=None)
+    @given(extension_data())
+    def test_random_block_companion_actions(self, data):
+        field, action, m, twist = data
+        assert quotients._twist_classes(field, action, m) == \
+            twist_classes_by_cover(field, action, m)
+        orders_match_oracle(semidirect_table(field, action, m, twist=twist))
 
 
 class TestIsomorphic:
