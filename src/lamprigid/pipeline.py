@@ -155,7 +155,7 @@ def rank_check(dec: ModuleDecomposition, n: int, m: int) -> RankCheck:
 
 
 def certify(candidate: CandidateGroup, qu_bound: int = 8, seed: int = 0,
-            order_cap: int = 4096, law_samples: int = 1000) -> RigidityReport:
+            order_cap: int = 4096) -> RigidityReport:
     """Run the full pipeline and assemble the report."""
     dec = decompose(candidate.presentation)
     ab = abelianization_check(candidate)
@@ -174,7 +174,7 @@ def certify(candidate: CandidateGroup, qu_bound: int = 8, seed: int = 0,
         else:
             phi = epimorphism_to_free(candidate.presentation, candidate.n)
             epi = build_lamplighter_epimorphism(candidate.presentation, phi)
-            law = epi.law_check(samples=law_samples, seed=seed)
+            law = epi.law_check(seed=seed)
             epi_record = EpimorphismRecord(phi=phi, law_check=law, epi=epi)
 
     lamp = LamplighterSpec(candidate.field, candidate.n, None)

@@ -193,8 +193,8 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
     Elements are encoded in mixed radix as index = vector_index * m + residue,
     with vector_index = sum_i v_i p^i.
     """
-    p = field.p
     d = len(action)
+    p = field.p if d else 1  # F_p^0 is the zero space; 1 keeps the modulus inside int64
     count = p ** d
     order = count * m
     if order > order_cap:
@@ -526,7 +526,7 @@ def _twist_classes(field: FieldSpec, action: list[list[int]], m: int) -> list[tu
     index; N_m M is fixed by x, so that element is the least of v + N_m M for
     each fixed v.
     """
-    p = field.p
+    p = field.p if action else 1  # as in semidirect_table
     vecs, radix, rows = _action_rows(p, action, m)
     fixed = np.flatnonzero(rows[1] == rows[0])
     in_image = np.zeros(len(vecs), dtype=bool)

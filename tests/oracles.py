@@ -52,6 +52,7 @@ from lamprigid.quotients import (
     truncated_qu,
 )
 from lamprigid.wreath import (
+    LAW_CHUNK,
     CandidateElement,
     GeneratorImages,
     VerifiedGroupEpi,
@@ -704,22 +705,41 @@ def trial_division_is_prime(n: int) -> bool:
 
 def law_pairs(field: FieldSpec, generators: int, samples: int, seed: int
               ) -> list[tuple[CandidateElement, CandidateElement]]:
-    """The seeded pairs (a, b) the law check draws, as LaurentPoly coefficients."""
+    """The seeded pairs (a, b) the law check draws, as LaurentPoly coefficients.
+
+    A scalar reading of the documented layout: for each batch of LAW_CHUNK
+    pairs, drawn a_1, b_1, a_2, ..., one randbytes call holds a 64-bit
+    little-endian word per coefficient of exponent -2..3 (two, high word first,
+    when p >= 2^64), then a byte per coefficient whose low bit keeps it, then a
+    byte per element giving k = byte mod 7 - 3.
+    """
     rng = random.Random(seed)
-
-    def random_element() -> CandidateElement:
-        coeffs = []
-        for _ in range(generators):
-            terms = [(rng.randint(-2, 3), rng.randrange(field.p))
-                     for _ in range(rng.randint(0, 3))]
-            coeffs.append(laurent_canonicalize(field, terms))
-        return tuple(coeffs), rng.randint(-3, 3)
-
-    pairs = []
-    for _ in range(samples):
-        a = random_element()
-        pairs.append((a, random_element()))
-    return pairs
+    p = field.p
+    width = 1 if p < 2 ** 64 else 2
+    elements: list[CandidateElement] = []
+    for start in range(0, samples, LAW_CHUNK):
+        count = 2 * min(LAW_CHUNK, samples - start)
+        size = count * generators * 6
+        data = rng.randbytes(size * (8 * width + 1) + count)
+        words = []
+        for w in range(size * width):
+            words.append(int.from_bytes(data[8 * w:8 * w + 8], "little"))
+        keep = data[8 * width * size:8 * width * size + size]
+        shift_bytes = data[8 * width * size + size:]
+        for e in range(count):
+            coeffs = []
+            for j in range(generators):
+                terms = []
+                for col in range(6):
+                    i = (e * generators + j) * 6 + col
+                    value = 0
+                    for word in words[width * i:width * (i + 1)]:
+                        value = (value << 64) + word
+                    if keep[i] & 1:
+                        terms.append((col - 2, value % p))
+                coeffs.append(laurent_canonicalize(field, terms))
+            elements.append((tuple(coeffs), shift_bytes[e] % 7 - 3))
+    return list(zip(elements[0::2], elements[1::2]))
 
 
 def laurent_candidate_mul(a: CandidateElement, b: CandidateElement) -> CandidateElement:

@@ -24,8 +24,8 @@ MATRIX = {"p": 3, "rows": 2, "cols": 2,
 ELEMENT = {"lamps": [[0, [1]], [2, [1]]], "shift": 1}
 
 # negative, zero, small, just past a limit (MAX_GENERATORS = 128,
-# MAX_EXPONENT = 4096) and past 64 bits
-INTEGERS = [-(2 ** 63), -1, 0, 1, 2, 3, 4, 129, 4097, 2 ** 63]
+# MAX_EXPONENT = 4096), and past 63 and 64 bits, the last two prime
+INTEGERS = [-(2 ** 63), -1, 0, 1, 2, 3, 4, 129, 4097, 2 ** 63, 2 ** 63 + 29, 2 ** 64 + 13]
 REPLACEMENTS = st.one_of(
     st.sampled_from(INTEGERS),
     st.sampled_from(["x", "", None, True, 1.5, [], [[]], {}, [[0, 1]], [[-1, 1]]]))

@@ -177,6 +177,24 @@ class TestCertify:
         assert cli.main(["certify", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["certified"] is True
 
+    @pytest.mark.parametrize("bound", ["8", "16"])
+    @pytest.mark.parametrize("p", [2 ** 63 + 29, 2 ** 64 + 13])
+    def test_prime_past_int64_certified(self, p, bound, capsys):
+        # p > bound leaves only the zero module, whose arrays are empty; p must
+        # still never be converted to int64 there
+        def free_rank1(q):
+            return json.dumps({"p": q, "n": 1, "presentation": {"generators": 1, "relations": []}})
+
+        def output(*argv):
+            assert cli.main(list(argv)) == 0
+            return json.loads(capsys.readouterr().out)
+
+        assert output("certify", free_rank1(p), "--qu-bound", bound, "--json")["certified"] is True
+        assert output("compare-qu", free_rank1(p), free_rank1(10 ** 18 + 3), "--bound", bound,
+                      "--json")["equal"] is True
+        assert output("quotients", free_rank1(p), "--bound", bound, "--json") \
+            == output("quotients", free_rank1(10 ** 18 + 3), "--bound", bound, "--json")
+
 
 _INCONSISTENT_REPORT_SCRIPT = """
 import dataclasses

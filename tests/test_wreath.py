@@ -366,14 +366,15 @@ def chain_presentation(field, generators):
 
 
 # torsion_only has free rank 0, so no epimorphism and no law check.
-LAW_CASES = ("free_rank1", "free_rank2_p3", "mixed_free_torsion", "disguised16", "large_p")
+LAW_CASES = ("free_rank1", "free_rank2_p3", "mixed_free_torsion", "disguised16", "large_p",
+             "wide_p")
 
 
 def law_case_epi(name):
     if name == "disguised16":
         pres, n = chain_presentation(F3, 16), 1
     else:
-        path = (ROOT / "tests" / "data" / "large_p.json" if name == "large_p"
+        path = (ROOT / "tests" / "data" / f"{name}.json" if name in ("large_p", "wide_p")
                 else ROOT / "candidates" / f"{name}.json")
         candidate = jsonio.parse_candidate(json.loads(path.read_text()))
         pres, n = candidate.presentation, candidate.n
@@ -383,11 +384,12 @@ def law_case_epi(name):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("name", LAW_CASES)
 def test_batched_law_matches_laurent_oracle(name, seed, monkeypatch):
-    """The law check draws the pairs of the per-pair oracle, and both of its
-    sides, and evaluate, agree with LaurentPoly arithmetic pair by pair."""
+    """Every batch the law check draws holds the pairs of the scalar decoder,
+    and both of its sides, and evaluate, agree with LaurentPoly arithmetic pair
+    by pair."""
     epi = law_case_epi(name)
     field, p = epi.source.field, epi.source.field.p
-    assert (epi.phi_coeffs.dtype == object) == (name == "large_p")
+    assert (epi.phi_coeffs.dtype == object) == (name in ("large_p", "wide_p"))
     draw = wreath._draw_elements
     drawn = []
 
