@@ -10,6 +10,7 @@ produced report that fails certification, 2 malformed input or usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -111,7 +112,7 @@ def _cmd_wreath(args: argparse.Namespace) -> int:
 
 def _cmd_quotients(args: argparse.Namespace) -> int:
     candidate = jsonio.parse_candidate(_load_json(args.candidate))
-    qs = truncated_qu(candidate.presentation, args.bound, order_cap=args.order_cap)
+    qs = truncated_qu(candidate.presentation, args.bound)
     payload = jsonio.quset_to_json(qs)
     text = "\n".join(f"order {fp.order}: {fp.describe()}" for fp in qs.fingerprints)
     _emit(payload, args.json, text or "(no quotients)")
@@ -121,8 +122,7 @@ def _cmd_quotients(args: argparse.Namespace) -> int:
 def _cmd_compare_qu(args: argparse.Namespace) -> int:
     left = jsonio.parse_candidate(_load_json(args.left))
     right = jsonio.parse_candidate(_load_json(args.right))
-    cmp = compare_qu(left.presentation, right.presentation, args.bound,
-                     order_cap=args.order_cap)
+    cmp = compare_qu(left.presentation, right.presentation, args.bound)
     payload = jsonio.comparison_to_json(cmp)
     if cmp.equal:
         text = f"equal up to order {cmp.bound}"
@@ -135,8 +135,7 @@ def _cmd_compare_qu(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     candidate = jsonio.parse_candidate(_load_json(args.candidate))
-    report = certify(candidate, qu_bound=args.qu_bound, seed=args.seed,
-                     order_cap=args.order_cap)
+    report = certify(candidate, qu_bound=args.qu_bound, seed=args.seed)
     payload = jsonio.report_to_json(report)
     if args.json:
         _emit(payload, True)
@@ -171,6 +170,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0 if report.certified else 1
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lamprigid",
@@ -200,7 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_qu = sub.add_parser("quotients", help="bounded finite-quotient classes of a candidate")
     p_qu.add_argument("candidate", help="candidate JSON (path, inline, or -)")
     p_qu.add_argument("--bound", type=int, default=8)
-    p_qu.add_argument("--order-cap", type=int, default=4096)
     p_qu.add_argument("--json", action="store_true")
     p_qu.set_defaults(fn=_cmd_quotients)
 
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("left", help="candidate JSON")
     p_cmp.add_argument("right", help="candidate JSON")
     p_cmp.add_argument("--bound", type=int, default=8)
-    p_cmp.add_argument("--order-cap", type=int, default=4096)
     p_cmp.add_argument("--json", action="store_true")
     p_cmp.set_defaults(fn=_cmd_compare_qu)
 
@@ -216,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("candidate", help="candidate JSON (path, inline, or -)")
     p_cert.add_argument("--qu-bound", type=int, default=8)
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--order-cap", type=int, default=4096)
     p_cert.add_argument("--json", action="store_true")
     p_cert.set_defaults(fn=_cmd_certify)
 

@@ -72,7 +72,7 @@ def require(cond: bool, message: str) -> None:
 
 
 class OrderBoundExceeded(AlgebraError):
-    """Requested computation exceeds the configured order cap."""
+    """Requested computation exceeds the fixed order cap."""
 
 
 class NotNormal(AlgebraError):

@@ -35,7 +35,7 @@ from .fppoly import FieldSpec, FpPoly, LaurentPoly, laurent_canonicalize
 from .laurent_modules import ModuleDecomposition, ModulePresentation
 from .pipeline import CandidateGroup, RigidityReport
 from .polymatrix import PolyMatrix
-from .quotients import QuComparison, QuotientFingerprint, QuSet
+from .quotients import ORDER_CAP, QuComparison, QuotientFingerprint, QuSet
 from .wreath import LamplighterSpec, WreathElement, element
 
 MAX_EXPONENT = 4096
@@ -251,7 +251,7 @@ def report_to_json(report: RigidityReport) -> dict:
         "input": candidate_to_json(report.candidate),
         "seed": report.seed,
         "qu_bound": report.qu_bound,
-        "order_cap": report.order_cap,
+        "order_cap": ORDER_CAP,
         "ab_check": {
             "passed": report.ab_check.passed,
             "coinvariant_dimension": report.ab_check.coinvariant_dimension,

@@ -37,7 +37,7 @@ from .laurent_modules import (
 )
 from .polymatrix import PolyMatrix
 from .quotients import QuComparison, compare_qu
-from .wreath import LamplighterSpec, LawCheckReport, VerifiedGroupEpi, build_lamplighter_epimorphism
+from .wreath import LamplighterSpec, LawCheckReport, build_lamplighter_epimorphism
 
 EXTERNAL_STEP = (
     "epimorphism Gamma_0 -> L_{{n,p}} constructed and verified; "
@@ -88,7 +88,6 @@ class RankCheck:
 class EpimorphismRecord:
     phi: PolyMatrix
     law_check: LawCheckReport
-    epi: VerifiedGroupEpi
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,6 @@ class RigidityReport:
     candidate: CandidateGroup
     seed: int
     qu_bound: int
-    order_cap: int
     ab_check: AbelianizationCheck
     decomposition: ModuleDecomposition
     torsion_orders: tuple[int, ...]
@@ -154,8 +152,7 @@ def rank_check(dec: ModuleDecomposition, n: int, m: int) -> RankCheck:
     )
 
 
-def certify(candidate: CandidateGroup, qu_bound: int = 8, seed: int = 0,
-            order_cap: int = 4096) -> RigidityReport:
+def certify(candidate: CandidateGroup, qu_bound: int = 8, seed: int = 0) -> RigidityReport:
     """Run the full pipeline and assemble the report."""
     dec = decompose(candidate.presentation)
     ab = abelianization_check(candidate)
@@ -174,11 +171,10 @@ def certify(candidate: CandidateGroup, qu_bound: int = 8, seed: int = 0,
         else:
             phi = epimorphism_to_free(candidate.presentation, candidate.n)
             epi = build_lamplighter_epimorphism(candidate.presentation, phi)
-            law = epi.law_check(seed=seed)
-            epi_record = EpimorphismRecord(phi=phi, law_check=law, epi=epi)
+            epi_record = EpimorphismRecord(phi=phi, law_check=epi.law_check(seed=seed))
 
     lamp = LamplighterSpec(candidate.field, candidate.n, None)
-    qu = compare_qu(candidate.presentation, lamp, qu_bound, order_cap=order_cap)
+    qu = compare_qu(candidate.presentation, lamp, qu_bound)
     if failed is None and not qu.equal:
         failed = "qu_comparison"
 
@@ -192,7 +188,6 @@ def certify(candidate: CandidateGroup, qu_bound: int = 8, seed: int = 0,
         candidate=candidate,
         seed=seed,
         qu_bound=qu_bound,
-        order_cap=order_cap,
         ab_check=ab,
         decomposition=dec,
         torsion_orders=torsion_orders,

@@ -44,6 +44,7 @@ from .laurent_modules import (
 from .wreath import LamplighterSpec
 
 BOUND_CAP = 16
+ORDER_CAP = 4096  # size guard on tables; quotient sets need order <= BOUND_CAP only
 _BLOCK_ENTRIES = 512 ** 2
 
 
@@ -55,6 +56,7 @@ class FiniteGroupTable:
     mul: np.ndarray
     identity: int
     inverse: np.ndarray
+    generators: tuple[int, ...]  # each the least element outside what the earlier ones generate
 
     @classmethod
     def build(cls, mul: np.ndarray) -> "FiniteGroupTable":
@@ -70,10 +72,10 @@ class FiniteGroupTable:
         inv_count = (mul == e).sum(axis=1)
         require((inv_count == 1).all(), "some element lacks a unique inverse")
         inverse = np.argmax(mul == e, axis=1).astype(np.int32)
-        _check_associative(mul, e)
+        gens = _check_associative(mul, e)
         mul.flags.writeable = False
         inverse.flags.writeable = False
-        return cls(order=order, mul=mul, identity=e, inverse=inverse)
+        return cls(order=order, mul=mul, identity=e, inverse=inverse, generators=gens)
 
     @cached_property
     def fingerprint(self) -> "QuotientFingerprint":
@@ -111,12 +113,13 @@ class FiniteGroupTable:
         return int(self.element_orders[g])
 
 
-def _check_associative(mul: np.ndarray, e: int) -> None:
-    """Light's test. The g with (x g) y = x (g y) for all x, y include e and are
-    closed under products: (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y))
-    = x ((a b) y) for two such a, b. So it suffices to check a set S whose
-    products reach every element: each least element not reached from e by right
-    multiplication by S joins S (at most log2(order) times in a group)."""
+def _check_associative(mul: np.ndarray, e: int) -> tuple[int, ...]:
+    """Light's test; returns the generating set S it checks. The g with
+    (x g) y = x (g y) for all x, y include e and are closed under products:
+    (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y) for two
+    such a, b. So it suffices to check a set S whose products reach every
+    element: each least element not reached from e by right multiplication by S
+    joins S (at most log2(order) times in a group)."""
     order = len(mul)
     gens, reached = [], [x == e for x in range(order)]
     for g in range(order):
@@ -132,6 +135,7 @@ def _check_associative(mul: np.ndarray, e: int) -> None:
     for rows in _row_blocks(order, max(1, order * len(gens))):  # [x, i, y]: (x g_i) y, x (g_i y)
         require(np.array_equal(mul[mul[rows][:, gens]], mul[rows][:, mul[gens]]),
                 "associativity fails")
+    return tuple(gens)
 
 
 def _row_blocks(order: int, row_entries: int):
@@ -180,7 +184,6 @@ def _action_rows(p: int, action: list[list[int]], m: int) -> tuple[np.ndarray, .
 
 
 def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
-                     order_cap: int = 4096,
                      twist: Sequence[int] | None = None) -> FiniteGroupTable:
     """Table of the cyclic extension of Z/mZ by F_p^d with t acting by A = action
     and t^m = a = twist:
@@ -197,8 +200,8 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
     p = field.p if d else 1  # F_p^0 is the zero space; 1 keeps the modulus inside int64
     count = p ** d
     order = count * m
-    if order > order_cap:
-        raise OrderBoundExceeded(f"order {order} exceeds cap {order_cap}")
+    if order > ORDER_CAP:
+        raise OrderBoundExceeded(f"order {order} exceeds cap {ORDER_CAP}")
     a_np = np.array(action, dtype=np.int64).reshape(d, d)
     twist_np = np.array([0] * d if twist is None else twist, dtype=np.int64) % p
     if twist_np.shape != (d,):
@@ -225,11 +228,10 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
     return FiniteGroupTable.build(table.reshape(order, order))
 
 
-def build_group_table(trunc: FiniteTruncation, m: int,
-                      order_cap: int = 4096) -> FiniteGroupTable:
+def build_group_table(trunc: FiniteTruncation, m: int) -> FiniteGroupTable:
     """Explicit table of (N / (x^m - 1) N) x| Z/mZ from a finite truncation."""
     require(trunc.m == m, "truncation was taken at a different m")
-    return semidirect_table(trunc.field, [list(r) for r in trunc.x_action], m, order_cap)
+    return semidirect_table(trunc.field, [list(r) for r in trunc.x_action], m)
 
 
 # --- subgroup machinery -------------------------------------------------------
@@ -263,8 +265,7 @@ def _is_normal(table: FiniteGroupTable, members: np.ndarray) -> bool:
     return bool(mask[conj].all())
 
 
-def enumerate_normal_subgroups(table: FiniteGroupTable,
-                               order_cap: int = 4096) -> list[frozenset[int]]:
+def enumerate_normal_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
     """The full normal-subgroup lattice, via joins of one-element normal closures.
 
     Every normal subgroup is the join of the normal closures of its elements,
@@ -272,8 +273,8 @@ def enumerate_normal_subgroups(table: FiniteGroupTable,
     the atom set under pairwise joins reaches a fixpoint at the full lattice.
     Each returned subset is re-verified to be subgroup- and conjugation-closed.
     """
-    if table.order > order_cap:
-        raise OrderBoundExceeded(f"order {table.order} exceeds cap {order_cap}")
+    if table.order > ORDER_CAP:
+        raise OrderBoundExceeded(f"order {table.order} exceeds cap {ORDER_CAP}")
     atoms: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     seen = np.zeros(table.order, dtype=bool)
     for g in range(table.order):
@@ -375,17 +376,8 @@ def fingerprint(table: FiniteGroupTable) -> QuotientFingerprint:
     )
 
 
-def _generating_sequence(table: FiniteGroupTable) -> list[int]:
-    gens: list[int] = []
-    span = np.arange(table.order) == table.identity
-    while not span.all():
-        gens.append(int(np.argmin(span)))
-        span[subgroup_closure(table, gens)] = True
-    return gens
-
-
 def _hom_from_images(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
-                     gens: list[int], images: list[int]) -> dict[int, int] | None:
+                     gens: Sequence[int], images: list[int]) -> dict[int, int] | None:
     """Extend gen -> image to the generated subgroup; None on conflict or if
     the extension breaks the group law."""
     mapping = {g_table.identity: h_table.identity}
@@ -417,18 +409,17 @@ def _respects_law(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
                                h_table.mul[np.ix_(vals, vals)]))
 
 
-def isomorphic(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
-               order_cap: int = 4096) -> bool:
+def isomorphic(g_table: FiniteGroupTable, h_table: FiniteGroupTable) -> bool:
     """Fingerprint pre-filter, then backtracking over generator images."""
-    if g_table.order > order_cap or h_table.order > order_cap:
-        raise OrderBoundExceeded("isomorphism test above the configured cap")
+    if g_table.order > ORDER_CAP or h_table.order > ORDER_CAP:
+        raise OrderBoundExceeded(f"isomorphism test above the cap {ORDER_CAP}")
     if g_table.order != h_table.order:
         return False
     if g_table.fingerprint != h_table.fingerprint:
         return False
     if g_table.order == 1:
         return True
-    gens = _generating_sequence(g_table)
+    gens = g_table.generators
     g_keys = list(zip(g_table.element_orders.tolist(), g_table.class_sizes.tolist()))
     h_candidates: dict[tuple[int, int], list[int]] = {}
     for h, key in enumerate(zip(h_table.element_orders.tolist(), h_table.class_sizes.tolist())):
@@ -564,8 +555,8 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: 
                 yield module + (twist,), field, action, twist
 
 
-def _classify(sources: Sequence[ModulePresentation | LamplighterSpec], bound: int,
-              order_cap: int) -> list[QuSet]:
+def _classify(sources: Sequence[ModulePresentation | LamplighterSpec],
+              bound: int) -> list[QuSet]:
     """The quotient set of each source, drawn from one pool of class
     representatives that lives for this call: each distinct key's table is
     built once and joins an isomorphic kept table of equal fingerprint, or is kept."""
@@ -579,7 +570,7 @@ def _classify(sources: Sequence[ModulePresentation | LamplighterSpec], bound: in
         reps = []
         for key, field, action, twist in _extensions(source, bound, pool):
             if key not in rep_of:
-                table = semidirect_table(field, action, key[1], order_cap, twist)
+                table = semidirect_table(field, action, key[1], twist)
                 bucket = by_fingerprint.setdefault(table.fingerprint.key(), [])
                 rep_of[key] = next((kept for kept in bucket if isomorphic(table, kept)), table)
                 if rep_of[key] is table:
@@ -590,8 +581,7 @@ def _classify(sources: Sequence[ModulePresentation | LamplighterSpec], bound: in
     return qu_sets
 
 
-def truncated_qu(source: ModulePresentation | LamplighterSpec, bound: int,
-                 order_cap: int = 4096) -> QuSet:
+def truncated_qu(source: ModulePresentation | LamplighterSpec, bound: int) -> QuSet:
     """Every isomorphism class of quotients of order <= bound of N x| Z.
 
     In a finite quotient Q the image M of N is an abelian normal subgroup and
@@ -609,7 +599,7 @@ def truncated_qu(source: ModulePresentation | LamplighterSpec, bound: int,
     Groups, IV.3). Every table has order <= bound; the fingerprint and
     isomorphism dedupe merges the extensions that coincide.
     """
-    return _classify((source,), bound, order_cap)[0]
+    return _classify((source,), bound)[0]
 
 
 @dataclass(frozen=True)
@@ -627,11 +617,11 @@ class QuComparison:
 
 def compare_qu(left: ModulePresentation | LamplighterSpec,
                right: ModulePresentation | LamplighterSpec,
-               bound: int, order_cap: int = 4096) -> QuComparison:
+               bound: int) -> QuComparison:
     """Equality of bounded quotient sets, or the smallest-order witness class.
     Both sides draw from one pool of class representatives, so a class is on
     one side only iff its representative is; no isomorphism test crosses sides."""
-    lset, rset = _classify((left, right), bound, order_cap)
+    lset, rset = _classify((left, right), bound)
     left_only = tuple(t.fingerprint for t in lset.classes if t not in rset.classes)
     right_only = tuple(t.fingerprint for t in rset.classes if t not in lset.classes)
     candidates = [("left", fp) for fp in left_only] + [("right", fp) for fp in right_only]

@@ -33,7 +33,7 @@ from lamprigid import (
     poly_gcd_ext,
     x_pow_minus_one,
 )
-from lamprigid.errors import FieldMismatch, OrderBoundExceeded, ShapeMismatch
+from lamprigid.errors import FieldMismatch, ShapeMismatch
 from lamprigid.laurent_modules import block_companion
 from lamprigid.quotients import (
     QuComparison,
@@ -501,7 +501,6 @@ def brute_normal_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
 # --- group tables one block at a time, group laws one pair at a time -----------
 
 def semidirect_table_by_blocks(field: FieldSpec, action: list[list[int]], m: int,
-                               order_cap: int = 4096,
                                twist: Sequence[int] | None = None) -> FiniteGroupTable:
     """Table of the cyclic extension of Z/mZ by F_p^d with t acting by A = action
     and t^m = a = twist:
@@ -518,8 +517,6 @@ def semidirect_table_by_blocks(field: FieldSpec, action: list[list[int]], m: int
     d = len(action)
     count = p ** d
     order = count * m
-    if order > order_cap:
-        raise OrderBoundExceeded(f"order {order} exceeds cap {order_cap}")
     a_np = np.array(action, dtype=np.int64).reshape(d, d)
     twist_np = np.array([0] * d if twist is None else twist, dtype=np.int64) % p
     if twist_np.shape != (d,):

@@ -1,10 +1,10 @@
 """The command line's exit-code contract under mutated input.
 
-Each example takes a small valid input for certify, snf or wreath, changes
-field types, drops fields, and puts negative, zero or out-of-range integers
-and empty rows in its place. Whatever the input, the command exits 0, 1 or 2,
-prints no traceback, and an exit 2 prints exactly one line that starts with
-'input error:' or 'error:'.
+Each example takes a small valid input for certify, quotients, compare-qu, snf
+or wreath, changes field types, drops fields, and puts negative, zero or
+out-of-range integers and empty rows in its place. Whatever the input, the
+command exits 0, 1 or 2, prints no traceback, and an exit 2 prints exactly one
+line that starts with 'input error:' or 'error:'.
 """
 
 import contextlib
@@ -77,11 +77,30 @@ def check_contract(argv):
 
 
 @settings(max_examples=60, deadline=None)
-@given(mutated(CANDIDATE), st.sampled_from(["-1", "0", "1", "2", "8", "17"]),
-       st.sampled_from(["0", "1", "4096"]))
-def test_certify(candidate, bound, cap):
-    check_contract(["certify", json.dumps(candidate), "--qu-bound", bound,
-                    "--order-cap", cap, "--json"])
+@given(mutated(CANDIDATE), st.sampled_from(["-1", "0", "1", "2", "8", "17"]))
+def test_certify(candidate, bound):
+    check_contract(["certify", json.dumps(candidate), "--qu-bound", bound, "--json"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutated(CANDIDATE), st.sampled_from(["-1", "0", "1", "8", "17"]))
+def test_quotients(candidate, bound):
+    check_contract(["quotients", json.dumps(candidate), "--bound", bound, "--json"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(mutated(CANDIDATE), st.booleans(), st.sampled_from(["-1", "0", "1", "8", "17"]))
+def test_compare_qu(candidate, mutated_left, bound):
+    pair = [candidate, CANDIDATE] if mutated_left else [CANDIDATE, candidate]
+    check_contract(["compare-qu", *map(json.dumps, pair), "--bound", bound, "--json"])
+
+
+def test_order_cap_is_not_an_option():
+    for argv in (["quotients", json.dumps(CANDIDATE)],
+                 ["compare-qu", json.dumps(CANDIDATE), json.dumps(CANDIDATE)],
+                 ["certify", json.dumps(CANDIDATE)]):
+        code, _, err = run(argv + ["--order-cap", "4096"])
+        assert code == 2 and "unrecognized arguments: --order-cap" in err
 
 
 @settings(max_examples=60, deadline=None)

@@ -54,9 +54,9 @@ F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 
 
-def lamp_table(p, n, m, cap=4096):
+def lamp_table(p, n, m):
     pres = ModulePresentation.free(FieldSpec(p), n)
-    return build_group_table(finite_truncation(pres, m), m, cap)
+    return build_group_table(finite_truncation(pres, m), m)
 
 
 CANDIDATE_NAMES = ("free_rank1", "free_rank2_p3", "mixed_free_torsion", "torsion_only")
@@ -109,9 +109,12 @@ class TestBuildGroupTable:
         assert table.order == 5
         assert isomorphic(table, cyclic_table(5))
 
-    def test_order_cap(self):
-        with pytest.raises(OrderBoundExceeded):
-            lamp_table(2, 1, 4, cap=32)
+    def test_order_cap(self, monkeypatch):
+        # 2^12 * 2 = 8192 > ORDER_CAP: the guard raises before any numpy call
+        monkeypatch.setattr(quotients, "np", None)
+        identity = [[int(i == j) for j in range(12)] for i in range(12)]
+        with pytest.raises(OrderBoundExceeded, match="8192 exceeds cap 4096"):
+            semidirect_table(F2, identity, 2)
 
 
 class TestTwistedTable:
