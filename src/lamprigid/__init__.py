@@ -13,7 +13,6 @@ from .fppoly import (
     FpPoly,
     LaurentPoly,
     laurent_canonicalize,
-    laurent_is_unit,
     poly_divmod,
     poly_gcd,
     poly_gcd_ext,

@@ -4,7 +4,8 @@ Subcommands: snf, decompose, wreath (mul|inv|abelianize), quotients,
 compare-qu, certify. Inputs are file paths, inline JSON (anything starting
 with '{'), or '-' for stdin. Exit codes: 0 success or certified pass, 1 a
 produced report that fails certification, 2 malformed input or usage error,
-3 an internal error: one of the program's own certificates failed.
+3 an internal error: one of the program's own certificates failed, 4 any other
+unexpected exception, printed as one line 'internal error: <Type>: <message>'.
 """
 
 from __future__ import annotations
@@ -238,6 +239,9 @@ def main(argv: list[str] | None = None) -> int:
     except AlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, never a verdict on the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -158,14 +158,6 @@ class FpPoly:
             return self
         return self * self.field.inv(self.leading_coefficient)
 
-    def shifted(self, k: int) -> "FpPoly":
-        """Multiply by x^k, k >= 0."""
-        if k < 0:
-            raise ValueError("negative shift on a plain polynomial")
-        if self.is_zero:
-            return self
-        return FpPoly(self.field, (0,) * k + self.coeffs)
-
     def strip_x(self) -> "FpPoly":
         """Drop the maximal x^k factor (a unit in the Laurent ring)."""
         if self.is_zero:
@@ -398,8 +390,3 @@ def laurent_canonicalize(field: FieldSpec, raw: Iterable[tuple[int, int]]) -> La
     top = max(acc)
     body = FpPoly(field, tuple(acc.get(low + i, 0) for i in range(top - low + 1)))
     return LaurentPoly(field, low, body)
-
-
-def laurent_is_unit(f: LaurentPoly) -> bool:
-    """Units of the Laurent ring are exactly c * x^k with c != 0."""
-    return f.is_unit

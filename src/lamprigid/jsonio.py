@@ -31,7 +31,7 @@ import json
 from typing import Any
 
 from .errors import InvalidInput
-from .fppoly import FieldSpec, FpPoly, LaurentPoly, laurent_canonicalize
+from .fppoly import FieldSpec, FpPoly, LaurentPoly
 from .laurent_modules import ModuleDecomposition, ModulePresentation
 from .pipeline import CandidateGroup, RigidityReport
 from .polymatrix import PolyMatrix
@@ -72,8 +72,8 @@ def parse_field(data: dict) -> FieldSpec:
         raise InvalidInput(str(exc)) from exc
 
 
-def parse_poly_literal(field: FieldSpec, data: Any, allow_negative: bool = False
-                       ) -> FpPoly | LaurentPoly:
+def _literal_pairs(data: Any, allow_negative: bool = False) -> list[tuple[int, int]]:
+    """The validated [exponent, coefficient] pairs of a polynomial literal."""
     _expect(isinstance(data, list), "polynomial literal must be a list of [exp, coeff] pairs")
     pairs = []
     for item in data:
@@ -85,15 +85,18 @@ def parse_poly_literal(field: FieldSpec, data: Any, allow_negative: bool = False
                 f"negative exponent {e} where a plain polynomial is expected")
         _expect(abs(e) <= MAX_EXPONENT, f"exponent {e} exceeds the limit {MAX_EXPONENT}")
         pairs.append((e, c))
-    if allow_negative:
-        return laurent_canonicalize(field, pairs)
-    return FpPoly.from_pairs(field, pairs)
+    return pairs
 
 
 def poly_to_literal(f: FpPoly | LaurentPoly) -> list[list[int]]:
     if isinstance(f, LaurentPoly):
         return [[e, c] for e, c in f.terms()]
     return [[e, c] for e, c in enumerate(f.coeffs) if c]
+
+
+def _entries_to_json(m: PolyMatrix) -> list[list[list[list[int]]]]:
+    return [[[[e, c] for e, c in enumerate(entry) if c] for entry in row]
+            for row in m.coeffs.tolist()]
 
 
 def parse_matrix(data: Any) -> PolyMatrix:
@@ -107,14 +110,12 @@ def parse_matrix(data: Any) -> PolyMatrix:
     entries = data.get("entries")
     _expect(isinstance(entries, list) and len(entries) == rows,
             f"'entries' must be a list of {rows} rows")
-    grid = []
-    for row in entries:
+    terms = []
+    for i, row in enumerate(entries):
         _expect(isinstance(row, list) and len(row) == cols,
                 f"each row must have {cols} entries")
-        grid.append([parse_poly_literal(field, e) for e in row])
-    if rows == 0 or cols == 0:
-        return PolyMatrix.zeros(field, rows, cols)
-    return PolyMatrix.from_rows(field, grid)
+        terms += [(i, j, e, c) for j, lit in enumerate(row) for e, c in _literal_pairs(lit)]
+    return PolyMatrix.from_terms(field, rows, cols, terms)
 
 
 def matrix_to_json(m: PolyMatrix) -> dict:
@@ -122,8 +123,7 @@ def matrix_to_json(m: PolyMatrix) -> dict:
         "p": m.field.p,
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[poly_to_literal(m.entry(i, j)) for j in range(m.cols)]
-                    for i in range(m.rows)],
+        "entries": _entries_to_json(m),
     }
 
 
@@ -147,21 +147,19 @@ def parse_presentation(data: Any, field: FieldSpec | None = None) -> ModulePrese
     _expect(isinstance(relations[0], list), "all relation rows must be lists")
     width = len(relations[0])
     _at_most(width, MAX_RELATORS, "the number of relators")
-    rows = []
-    for row in relations:
+    terms = []
+    for i, row in enumerate(relations):
         _expect(isinstance(row, list) and len(row) == width,
                 "all relation rows must have the same number of relators")
-        rows.append([parse_poly_literal(field, e, allow_negative=True) for e in row])
-    return ModulePresentation.make(field, generators, rows)
+        terms += [(i, j, e, c) for j, lit in enumerate(row) for e, c in _literal_pairs(lit, True)]
+    return ModulePresentation.from_terms(field, generators, width, terms)
 
 
 def presentation_to_json(pres: ModulePresentation) -> dict:
     return {
         "p": pres.field.p,
         "generators": pres.generators,
-        "relations": [[poly_to_literal(pres.relations.entry(i, j))
-                       for j in range(pres.relations.cols)]
-                      for i in range(pres.generators)] if pres.relations.cols else [],
+        "relations": _entries_to_json(pres.relations) if pres.relations.cols else [],
     }
 
 

@@ -21,11 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from . import linalg_fp as la
 from .errors import (
     InvalidM, NotNormalized, NotSurjective, RankDeficient, RelationNotKilled, ZeroDivisor, require)
 from .fppoly import FieldSpec, FpPoly, LaurentPoly, poly_gcd, x_pow_minus_one
-from .polymatrix import PolyMatrix, SmithDecomposition, matrix_mul, smith_normal_form, stack_columns
+from .polymatrix import PolyMatrix, SmithDecomposition, matrix_mul, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -48,19 +50,27 @@ class ModulePresentation:
     def make(cls, field: FieldSpec, generators: int,
              rows: list[list[FpPoly | LaurentPoly]] | None) -> "ModulePresentation":
         """Build from possibly-Laurent rows, clearing denominators by unit row scaling."""
-        if not rows or not rows[0]:
-            return cls(field, generators, PolyMatrix.zeros(field, generators, 0))
-        cleared: list[list[FpPoly]] = []
-        for row in rows:
-            laurents = [e if isinstance(e, LaurentPoly) else LaurentPoly.from_poly(e)
-                        for e in row]
-            lift = -min((e.shift for e in laurents if not e.is_zero), default=0)
-            lift = max(lift, 0)
-            cleared.append([
-                FpPoly.from_pairs(field, [(e + lift, c) for e, c in lp.terms()])
-                for lp in laurents
-            ])
-        return cls(field, generators, PolyMatrix.from_rows(field, cleared))
+        if rows and ((rows[0] and len(rows) != generators)
+                     or any(len(row) != len(rows[0]) for row in rows)):
+            raise ValueError("relation rows must be one per generator, all of one length")
+        return cls.from_terms(field, generators, len(rows[0]) if rows else 0, [
+            (i, j, e, c) for i, row in enumerate(rows or ()) for j, f in enumerate(row)
+            for e, c in (f.terms() if isinstance(f, LaurentPoly) else enumerate(f.coeffs))])
+
+    @classmethod
+    def from_terms(cls, field: FieldSpec, generators: int, relators: int,
+                   terms: list[tuple[int, int, int, int]]) -> "ModulePresentation":
+        """Relations summing c x^e over the terms (generator i, relator j, e, c), e of
+        any sign. Row i is scaled by x^lift, lift the least k >= 0 with no negative
+        exponent left once equal (i, j, e) are summed mod p: a unit row scaling."""
+        acc: dict[tuple[int, int, int], int] = {}
+        for i, j, e, c in terms:
+            acc[i, j, e] = (acc.get((i, j, e), 0) + c) % field.p
+        lift = [0] * generators
+        for (i, _, e), c in acc.items():
+            lift[i] = max(lift[i], -e if c else 0)
+        lifted = [(i, j, e + lift[i], c) for (i, j, e), c in acc.items() if c]
+        return cls(field, generators, PolyMatrix.from_terms(field, generators, relators, lifted))
 
     @classmethod
     def free(cls, field: FieldSpec, rank: int) -> "ModulePresentation":
@@ -163,7 +173,7 @@ def epimorphism_to_free(pres: ModulePresentation, n: int) -> PolyMatrix:
             f"free rank {len(free_coords)} < target rank {n}: no surjection onto R^{n}")
     # No check_epimorphism here: U*R*V = D has zero rows at the free coordinates
     # and V is invertible, so phi kills the relations; U is unimodular, so phi is onto.
-    return PolyMatrix.from_rows(pres.field, [list(snf.u.row(i)) for i in free_coords[:n]])
+    return PolyMatrix(pres.field, snf.u.coeffs[free_coords[:n]])
 
 
 @dataclass(frozen=True)
@@ -228,26 +238,19 @@ def finite_truncation(pres: ModulePresentation, m: int) -> FiniteTruncation:
     """
     if m < 1:
         raise InvalidM(f"m = {m}")
-    field = pres.field
-    g = pres.generators
-    xm1 = x_pow_minus_one(field, m)
-    scaled_identity = PolyMatrix(
-        field, g, g,
-        tuple(xm1 if i == j else FpPoly.zero(field) for i in range(g) for j in range(g)),
-    )
-    bordered = stack_columns(field, [pres.relations, scaled_identity])
-    snf = smith_normal_form(bordered)
+    field, g, rel = pres.field, pres.generators, pres.relations.coeffs
+    cols = rel.shape[1]
+    bordered = np.zeros((g, cols + g, max(rel.shape[2], m + 1)), dtype=object)
+    bordered[:, :cols, :rel.shape[2]] = rel
+    bordered[range(g), range(cols, cols + g), :m + 1] = x_pow_minus_one(field, m).coeffs
+    snf = smith_normal_form(PolyMatrix(field, bordered))
     annihilators = []
     for d in snf.diag[:g]:
         require(not d.is_zero, "truncation is not finite")
         annihilators.append(d.strip_x().monic())
     degs = [int(f.degree) for f in annihilators]
     dim = sum(degs)
-    offsets = []
-    pos = 0
-    for e in degs:
-        offsets.append(pos)
-        pos += e
+    offsets = [sum(degs[:i]) for i in range(g)]
 
     action = block_companion(annihilators)
 
@@ -262,13 +265,8 @@ def finite_truncation(pres: ModulePresentation, m: int) -> FiniteTruncation:
                 vec[offsets[i] + k] = rem.coefficient(k)
         images.append(tuple(vec))
 
-    trunc = FiniteTruncation(
-        field=field,
-        m=m,
-        dim=dim,
-        x_action=tuple(tuple(r) for r in action),
-        generator_images=tuple(images),
-    )
+    trunc = FiniteTruncation(field=field, m=m, dim=dim, x_action=tuple(tuple(r) for r in action),
+                             generator_images=tuple(images))
     require(dim == quotient_dim(decompose(pres), m),
             "truncation dimension disagrees with the rank formula")
     return trunc

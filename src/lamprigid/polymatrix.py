@@ -1,24 +1,26 @@
 """Matrices over F_p[x] and Smith normal form with unimodular transform certificates.
 
+A PolyMatrix is its coefficient array C[i, j, e], the coefficient of x^e in
+entry (i, j), kept canonical: residues mod p, no zero top degree slice, int64
+while residue products fit and Python integers beyond. Products and the
+elimination work on these arrays; FpPoly entries are built only on request.
+
 The normal form routine follows the classical Euclidean strategy: pick a
 nonzero entry of minimal degree as pivot, clear its row and column by division
 steps (remainders strictly drop the minimal degree, so this terminates), then
 repair the divisibility chain with extended-gcd 2x2 block transforms on
-adjacent diagonal pairs. Every decomposition re-verifies U*M*V = D, the
-unimodularity of U and V, and the chain d_i | d_{i+1} at construction time, so
-a returned value is a certificate, not just an answer.
-
-Products and the elimination run on coefficient arrays C[i, j, e], the
-coefficient of x^e in entry (i, j): int64 while no intermediate sum can reach
-2^63, Python integers beyond. Elimination clears a pivot's column, then its
-row, in one batched update each, as one row or column at a time would.
+adjacent diagonal pairs. A pivot's column, then its row, is cleared in one
+batched update each, whose quotients come from one long division of the whole
+line by the pivot, as poly_divmod gives them entry by entry. Every
+decomposition re-verifies U*M*V = D, the unimodularity of U and V, and the
+chain d_i | d_{i+1} at construction, so a returned value is a certificate.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,61 +28,63 @@ from .errors import FieldMismatch, NotSquare, ShapeMismatch, require
 from .fppoly import FieldSpec, FpPoly, poly_divmod, poly_gcd_ext
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyMatrix:
-    """Row-major dense matrix with FpPoly entries."""
+    """Matrix over F_p[x] held as its canonical, read-only coefficient array
+    coeffs[i, j, e] (see the module docstring); equality and hash are by value."""
 
     field: FieldSpec
-    rows: int
-    cols: int
-    entries: tuple[FpPoly, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ShapeMismatch("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ShapeMismatch(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
-            if e.field != self.field:
-                raise FieldMismatch("matrix entry over a different field")
+        p, dtype = self.field.p, _exact_dtype(self.field.p, 1)
+        c = np.asarray(self.coeffs)
+        if c.ndim != 3:
+            raise ShapeMismatch(f"expected a coefficient array C[i, j, e], got {c.ndim} axes")
+        c = (c.astype(object) if object in (dtype, c.dtype) else c) % p
+        top = c.any(axis=(0, 1)).nonzero()[0]
+        c = c[..., :top[-1] + 1].astype(dtype) if top.size else np.zeros(c.shape[:2] + (1,), dtype)
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
     @classmethod
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence[FpPoly]]) -> "PolyMatrix":
-        r = len(rows)
         c = len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
             raise ShapeMismatch("ragged rows")
-        return cls(field, r, c, tuple(e for row in rows for e in row))
+        if any(e.field != field for row in rows for e in row):
+            raise FieldMismatch("matrix entry over a different field")
+        return cls.from_terms(field, len(rows), c, [
+            (i, j, e, v) for i, row in enumerate(rows) for j, f in enumerate(row)
+            for e, v in enumerate(f.coeffs)])
+
+    @classmethod
+    def from_terms(cls, field: FieldSpec, rows: int, cols: int,
+                   terms: list[tuple[int, int, int, int]]) -> "PolyMatrix":
+        """The matrix whose entry (i, j) sums c x^e over the terms (i, j, e, c), e >= 0."""
+        coeffs = np.zeros((rows, cols, 1 + max([0] + [e for _, _, e, _ in terms])), dtype=object)
+        for i, j, e, c in terms:
+            coeffs[i, j, e] += c
+        return cls(field, coeffs)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "PolyMatrix":
-        one, zero = FpPoly.one(field), FpPoly.zero(field)
-        return cls(field, n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
+        return cls(field, np.eye(n, dtype=np.int64)[:, :, None])
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "PolyMatrix":
-        return cls(field, rows, cols, (FpPoly.zero(field),) * (rows * cols))
+        return cls(field, np.zeros((rows, cols, 1), dtype=np.int64))
 
-    @classmethod
-    def from_coeffs(cls, field: FieldSpec, coeffs: np.ndarray) -> "PolyMatrix":
-        """Unpack C[i, j, e], the coefficient of x^e in entry (i, j)."""
-        rows, cols, width = coeffs.shape
-        poly = functools.cache(lambda e: FpPoly(field, e))  # equal entries share one FpPoly
-        return cls(field, rows, cols, tuple(map(poly, map(tuple, coeffs.reshape(-1, width).tolist()))))
+    rows = property(lambda self: self.coeffs.shape[0])
+    cols = property(lambda self: self.coeffs.shape[1])
 
-    def to_coeffs(self, dtype=None) -> np.ndarray:
-        """Pack as C[i, j, e], the coefficient of x^e in entry (i, j), of width one more
-        than the largest degree; int64 by default where residue products fit, else object."""
-        width = max([1] + [len(e.coeffs) for e in self.entries])
-        out = np.zeros((self.rows * self.cols, width), dtype=dtype or _exact_dtype(self.field.p, 1))
-        for k, e in enumerate(self.entries):
-            out[k, :len(e.coeffs)] = e.coeffs
-        return out.reshape(self.rows, self.cols, width)
+    @functools.cached_property
+    def entries(self) -> tuple[FpPoly, ...]:  # row-major, built on first use
+        poly = functools.cache(lambda e: FpPoly(self.field, e))  # equal entries share one FpPoly
+        return tuple(map(poly, map(tuple, self.coeffs.reshape(-1, self.coeffs.shape[2]).tolist())))
 
     def entry(self, i: int, j: int) -> FpPoly:
-        return self.entries[i * self.cols + j]
+        return FpPoly(self.field, tuple(self.coeffs[i, j].tolist()))
 
     def row(self, i: int) -> tuple[FpPoly, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
@@ -90,15 +94,18 @@ class PolyMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.entries)
+        return not self.coeffs.any()
 
     def is_diagonal(self) -> bool:
-        return all(
-            self.entry(i, j).is_zero
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
+        return not self.coeffs[~np.eye(self.rows, self.cols, dtype=bool)].any()
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, PolyMatrix) and self.field == other.field
+                and np.array_equal(self.coeffs, other.coeffs))
+
+    def __hash__(self) -> int:
+        # tolist() gives Python integers for both dtypes; an object array's bytes are pointers
+        return hash((self.field, self.coeffs.shape, tuple(self.coeffs.ravel().tolist())))
 
     def __str__(self) -> str:
         return "\n".join("[" + ", ".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows))
@@ -128,7 +135,7 @@ def matrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
         raise FieldMismatch("mixed fields in matrix product")
     if a.cols != b.rows:
         raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return PolyMatrix.from_coeffs(a.field, _mul_sums(a.to_coeffs(), b.to_coeffs(), a.field.p) % a.field.p)
+    return PolyMatrix(a.field, _mul_sums(a.coeffs, b.coeffs, a.field.p))
 
 
 def determinant(m: PolyMatrix) -> FpPoly:
@@ -197,8 +204,7 @@ class SmithDecomposition:
         require(self.u.rows == self.u.cols == m.rows, "U has the wrong shape")
         require(self.v.rows == self.v.cols == m.cols, "V has the wrong shape")
         require(self.d.rows == m.rows and self.d.cols == m.cols, "D has the wrong shape")
-        require(matrix_mul(matrix_mul(self.u, m), self.v).entries == self.d.entries,
-                "U*M*V != D")
+        require(matrix_mul(matrix_mul(self.u, m), self.v) == self.d, "U*M*V != D")
         require(is_unimodular(self.u), "U is not unimodular")
         require(is_unimodular(self.v), "V is not unimodular")
         require(self.d.is_diagonal(), "D has off-diagonal entries")
@@ -236,7 +242,7 @@ class _Worker:
 
     def __init__(self, m: PolyMatrix):
         self.field, self.R, self.C = m.field, m.rows, m.cols
-        a = m.to_coeffs()
+        a = m.coeffs
         self.g = np.zeros((m.rows + m.cols, m.cols + m.rows, a.shape[2]), dtype=a.dtype)
         self.g[:m.rows, :m.cols] = a
         self.g[:m.rows, m.cols:, 0] = np.eye(m.rows, dtype=a.dtype)
@@ -252,22 +258,26 @@ class _Worker:
         view = self.view(cols)
         view[[i, j]] = view[[j, i]]
 
-    def sub(self, cols: bool, targets, q: Sequence[Sequence[FpPoly]], sources) -> None:
-        """Rows (or columns) targets -= q * rows (or columns) sources."""
-        qc = PolyMatrix.from_rows(self.field, q).to_coeffs()
-        g = _sub_rows(self.view(cols), targets, qc, sources, self.field.p)
+    def sub(self, cols: bool, targets, q: np.ndarray, sources) -> None:
+        """Rows (or columns) targets -= q * rows (or columns) sources, q[i, k, e]."""
+        g = _sub_rows(self.view(cols), targets, q, sources, self.field.p)
         self.g = g.transpose(1, 0, 2) if cols else g
 
-    def clear(self, cols: bool, t: int, piv: FpPoly) -> bool:
-        """Reduce the entries after the pivot in its column (or row) of M mod piv in
-        one batched update; True if a remainder is nonzero."""
-        zero, end = FpPoly.zero(self.field), self.C if cols else self.R
-        line = self.view(cols)[t + 1:end, t]
-        qr = [poly_divmod(self.poly(e), piv) if nonzero else (zero, zero)
-              for e, nonzero in zip(line, line.any(axis=1))]
-        if any(q for q, _ in qr):
-            self.sub(cols, slice(t + 1, end), [[q] for q, _ in qr], [t])
-        return any(r for _, r in qr)
+    def clear(self, cols: bool, t: int) -> bool:
+        """Reduce the entries after the pivot in its column (or row) of M mod the pivot
+        in one batched update; True if a remainder is nonzero. The quotients come from
+        one long division of the line, trimmed to its own top degree, by the pivot."""
+        p, end = self.field.p, self.C if cols else self.R
+        piv = self.g[t, t, :self.g[t, t].nonzero()[0][-1] + 1]
+        deg, inv, line = len(piv) - 1, self.field.inv(int(piv[-1])), self.view(cols)[t + 1:end, t]
+        rem = line[:, :line.any(axis=0).nonzero()[0].max(initial=-1) + 1] % p  # a copy
+        if rem.shape[1] > deg:
+            q = np.zeros((len(rem), 1, rem.shape[1] - deg), dtype=rem.dtype)
+            for k in range(rem.shape[1] - 1, deg - 1, -1):
+                q[:, 0, k - deg] = rem[:, k] * inv % p
+                rem[:, k - deg:k + 1] = (rem[:, k - deg:k + 1] - q[:, :, k - deg] * piv) % p
+            self.sub(cols, slice(t + 1, end), q, [t])
+        return bool(rem.any())
 
     def pivot(self, t: int) -> tuple[int, int] | None:
         """Nonzero entry of minimal degree in the trailing submatrix, lowest (row, col) on ties."""
@@ -292,8 +302,7 @@ class _Worker:
             while True:
                 self.swap(False, t, pos[0])
                 self.swap(True, t, pos[1])
-                piv = self.poly(self.g[t, t])
-                dirty = [self.clear(cols, t, piv) for cols in (False, True)]  # column, then row
+                dirty = [self.clear(cols, t) for cols in (False, True)]  # column, then row
                 # drop the all-zero top degree slices
                 self.g = self.g[..., :1 + max(np.flatnonzero(self.g.any(axis=(0, 1))), default=0)]
                 if not any(dirty):
@@ -304,6 +313,7 @@ class _Worker:
     def repair_chain(self) -> None:
         k = min(self.R, self.C)
         one = FpPoly.one(self.field)
+        q = lambda rows: PolyMatrix.from_rows(self.field, rows).coeffs
         changed = True
         while changed:
             changed = False
@@ -319,9 +329,9 @@ class _Worker:
                 g, u, v = poly_gcd_ext(a, b)
                 # [[a,0],[0,b]] -> [[g,0],[0,ab/g]]: col_i += col_(i+1), then rows i, i+1
                 # times [[u, v], [-b/g, a/g]], then col_(i+1) -= (vb/g) col_i
-                self.sub(True, [i], [[-one]], [i + 1])
-                self.sub(False, [i, i + 1], [[one - u, -v], [b // g, one - a // g]], [i, i + 1])
-                self.sub(True, [i + 1], [[(v * b) // g]], [i])
+                self.sub(True, [i], q([[-one]]), [i + 1])
+                self.sub(False, [i, i + 1], q([[one - u, -v], [b // g, one - a // g]]), [i, i + 1])
+                self.sub(True, [i + 1], q([[(v * b) // g]]), [i])
                 changed = True
 
     def normalize_monic(self) -> None:
@@ -341,17 +351,6 @@ def smith_normal_form(m: PolyMatrix) -> SmithDecomposition:
     w.repair_chain()
     w.normalize_monic()
     R, C = m.rows, m.cols
-    d, u, v = (PolyMatrix.from_coeffs(m.field, c)
-               for c in (w.g[:R, :C], w.g[:R, C:], w.g[R:, :C]))
+    d, u, v = (PolyMatrix(m.field, c) for c in (w.g[:R, :C], w.g[:R, C:], w.g[R:, :C]))
     diag = tuple(d.entry(i, i) for i in range(min(m.rows, m.cols)))
     return SmithDecomposition(source=m, u=u, d=d, v=v, diag=diag)
-
-
-def stack_columns(field: FieldSpec, blocks: Iterable[PolyMatrix]) -> PolyMatrix:
-    """Horizontal concatenation [B1 | B2 | ...]; all blocks share the row count."""
-    blocks = list(blocks)
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise ShapeMismatch("row counts differ")
-    return PolyMatrix(field, rows, sum(b.cols for b in blocks),
-                      tuple(e for i in range(rows) for b in blocks for e in b.row(i)))

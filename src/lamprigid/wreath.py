@@ -503,9 +503,8 @@ class VerifiedGroupEpi:
         The dtype is int64 when that bound stays below 2^63 and Python integers
         (object) otherwise, so the arithmetic is exact for every prime.
         """
-        coeffs = self.phi.to_coeffs(object)
-        exact = self.phi.cols * coeffs.shape[2] * (self.source.field.p - 1) ** 2 < 2 ** 63
-        return coeffs.astype(np.int64) if exact else coeffs
+        exact = self.phi.cols * self.phi.coeffs.shape[2] * (self.source.field.p - 1) ** 2 < 2 ** 63
+        return self.phi.coeffs.astype(np.int64 if exact else object)
 
     def _image(self, batch: Batch) -> Batch:
         """(phi(a), k) for every element of a candidate batch."""

@@ -92,12 +92,16 @@ def random_poly(rng: random.Random, field: FieldSpec, max_deg: int) -> FpPoly:
     return FpPoly(field, tuple(coeffs))
 
 
+def entries_matrix(field: FieldSpec, rows: int, cols: int, entries) -> PolyMatrix:
+    """The PolyMatrix of row-major FpPoly entries, of any shape, 0 x k and k x 0 too."""
+    return PolyMatrix.from_terms(field, rows, cols, [
+        (k // cols, k % cols, e, c) for k, f in enumerate(entries) for e, c in enumerate(f.coeffs)])
+
+
 def random_matrix(rng: random.Random, field: FieldSpec, rows: int, cols: int,
                   max_deg: int) -> PolyMatrix:
-    return PolyMatrix(
-        field, rows, cols,
-        tuple(random_poly(rng, field, max_deg) for _ in range(rows * cols)),
-    )
+    return entries_matrix(field, rows, cols,
+                          [random_poly(rng, field, max_deg) for _ in range(rows * cols)])
 
 
 def leibniz_determinant(m: PolyMatrix) -> FpPoly:
@@ -163,7 +167,7 @@ def list_matrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
                 if arow[k] and b.entry(k, j):
                     acc = acc + arow[k] * b.entry(k, j)
             out.append(acc)
-    return PolyMatrix(a.field, a.rows, b.cols, tuple(out))
+    return entries_matrix(a.field, a.rows, b.cols, out)
 
 
 class FpPolyWorker:

@@ -9,7 +9,6 @@ from lamprigid import (
     FpPoly,
     LaurentPoly,
     laurent_canonicalize,
-    laurent_is_unit,
     poly_divmod,
     poly_gcd_ext,
 )
@@ -199,10 +198,10 @@ class TestLaurent:
         assert f.shift == 3 and f.body == poly(F3, 2)
 
     def test_units(self):
-        assert laurent_is_unit(laurent_canonicalize(F2, [(5, 1)]))
-        assert not laurent_is_unit(laurent_canonicalize(F2, [(0, 1), (1, 1)]))
-        assert laurent_is_unit(laurent_canonicalize(F5, [(-3, 2)]))
-        assert not laurent_is_unit(LaurentPoly.zero(F2))
+        assert laurent_canonicalize(F2, [(5, 1)]).is_unit
+        assert not laurent_canonicalize(F2, [(0, 1), (1, 1)]).is_unit
+        assert laurent_canonicalize(F5, [(-3, 2)]).is_unit
+        assert not LaurentPoly.zero(F2).is_unit
 
     @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-10, 10)), max_size=12),
            st.randoms(use_true_random=False))

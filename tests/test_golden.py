@@ -1,6 +1,7 @@
 """Pinned report bytes: `certify --json` on every bundled candidate at bounds 8 and 16,
-on two of them re-presented with 16 generators at bound 8, and `compare-qu --json
---bound 16` on two pairs of candidates whose sides differ.
+on two of them re-presented with 16 generators at bound 8, `compare-qu --json
+--bound 16` on two pairs of candidates whose sides differ, and `snf --json` on a
+16-generator relation matrix.
 
 The files in tests/golden/ are the canonical reports. Any change to them is a
 change of behaviour and must be argued, never regenerated to get a pass.
@@ -49,4 +50,15 @@ def test_compare_qu_report_matches_golden(left, right, capsys):
                      str(ROOT / "candidates" / f"{right}.json"), "--bound", "16", "--json"])
     assert code == 0
     expected = (ROOT / "tests" / "golden" / f"compare_{left}_{right}_b16.json").read_text()
+    assert capsys.readouterr().out == expected
+
+
+# The relation matrix of tests/data/disguised16_free_rank2_p3.json as a matrix
+# JSON. The certify reports print only the rows of U that form phi; this pins
+# all of U, D and V.
+def test_snf_matches_golden(capsys):
+    matrix = ROOT / "tests" / "data" / "disguised16_free_rank2_p3_relations.json"
+    code = cli.main(["snf", str(matrix), "--json"])
+    assert code == 0
+    expected = (ROOT / "tests" / "golden" / "snf_disguised16_free_rank2_p3.json").read_text()
     assert capsys.readouterr().out == expected

@@ -88,6 +88,12 @@ class TestDecompose:
         # x^-1 + x = x^-1 (1 + x^2) = unit * (x+1)^2
         assert dec.invariant_factors == (poly(F2, 1, 0, 1),)
 
+    def test_rows_must_match_generators(self):
+        x = poly(F2, 0, 1)
+        for rows in ([[x]], [[x], [x, x]], [[], [x]]):
+            with pytest.raises(ValueError):
+                ModulePresentation.make(F2, 2, rows)
+
     def test_unimodular_presentation_invariance(self):
         rng = random.Random(21)
         for _ in range(40):

@@ -246,6 +246,17 @@ class TestJsonSchemas:
         dec = decompose(candidate.presentation)
         assert dec.invariant_factors == (poly(F2, 1, 0, 1),)
 
+    def test_cancelled_laurent_terms_do_not_scale_a_row(self):
+        # row 0 is x^-1 + x^-1 + x = x over F_2, so it keeps its exponents; row 1
+        # is x^-2 + 2x^-3 + x over F_3, whose zero x^-3 term does not count either
+        rows = {2: [[[[-1, 1], [-1, 1], [1, 1]]], [[[-2, 1], [1, 1]]]],
+                3: [[[[1, 1]]], [[[-2, 1], [-3, 3], [1, 1]]]]}
+        expected = {2: [[[[1, 1]]], [[[0, 1], [3, 1]]]], 3: [[[[1, 1]]], [[[0, 1], [3, 1]]]]}
+        for p in (2, 3):
+            data = {"p": p, "generators": 2, "relations": rows[p]}
+            pres = jsonio.parse_presentation(data)
+            assert jsonio.presentation_to_json(pres)["relations"] == expected[p]
+
     def test_malformed_inputs_rejected(self):
         bad_inputs = [
             {"p": 4, "n": 1, "presentation": {"generators": 1, "relations": []}},
@@ -390,6 +401,20 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err == (
             "internal error: certificate failed: homomorphism law failed on a sampled pair\n")
+
+    def test_unexpected_exception_exit_code(self, monkeypatch, capsys):
+        # an exception outside AlgebraError is the program's fault: exit 4, one
+        # line, never exit 1, which would read as "not certified"
+        def broken(*args, **kwargs):
+            raise RuntimeError("stage exploded")
+
+        monkeypatch.setattr(cli, "certify", broken)
+        path = pathlib.Path(__file__).resolve().parents[1] / "candidates" / "free_rank1.json"
+        code = cli.main(["certify", str(path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.splitlines() == ["internal error: RuntimeError: stage exploded"]
+        assert "Traceback" not in err
 
     def test_certify_json_deterministic(self):
         args = ("certify", "candidates/mixed_free_torsion.json", "--qu-bound", "4",

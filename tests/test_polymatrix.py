@@ -4,13 +4,14 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamprigid import FieldSpec, FpPoly, PolyMatrix, determinant, is_unimodular, matrix_mul, smith_normal_form
 from lamprigid.errors import FieldMismatch, NotSquare, ShapeMismatch
-from lamprigid.jsonio import parse_candidate
+from lamprigid.jsonio import parse_candidate, parse_matrix
 
 from oracles import (
     determinantal_divisor_diag,
@@ -221,6 +222,48 @@ class TestSmithNormalForm:
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 LARGE_P = FieldSpec(10 ** 18 + 3)
+WIDE_P = FieldSpec(2 ** 64 + 13)
+
+
+class TestValueSemantics:
+    """A PolyMatrix is equal to, and hashes like, every other PolyMatrix of the
+    same field, shape and entries, however its coefficient array was made."""
+
+    @pytest.mark.parametrize("field,dtype", [(F2, "int64"), (LARGE_P, "object"),
+                                             (WIDE_P, "object")])
+    def test_equal_however_built(self, field, dtype):
+        p = field.p
+        # diag(1, x + p - 1) plus an entry p - 1: already in Smith normal form but
+        # for that entry, which the pivot 1 clears
+        built = mat(field, [[(1,), ()], [(p - 1,), (p - 1, 1)]])
+        literal = [[[[0, 1 + p]], [[3, p], [0, 0]]],
+                   [[[0, -1]], [[0, p - 1], [1, 1], [4, 2 * p]]]]
+        parsed = parse_matrix({"p": p, "rows": 2, "cols": 2, "entries": literal})
+        wide = np.zeros((2, 2, 7), dtype=object)
+        wide[:, :, :built.coeffs.shape[2]] = built.coeffs
+        padded = PolyMatrix(field, wide + 3 * p)  # extra zero slices, residues unreduced
+        dec = smith_normal_form(built)
+        diagonal = mat(field, [[(1,), ()], [(), (p - 1, 1)]])
+        assert str(built.coeffs.dtype) == dtype
+        for m in (parsed, padded):
+            assert m == built and hash(m) == hash(built)
+            assert m.coeffs.shape == built.coeffs.shape == (2, 2, 2)
+        assert dec.d == diagonal and hash(dec.d) == hash(diagonal)
+        assert dec.v == PolyMatrix.identity(field, 2)
+        assert hash(dec.v) == hash(PolyMatrix.identity(field, 2))
+        assert dec.u == mat(field, [[(1,), ()], [(1,), (1,)]])
+        assert len({built, parsed, padded}) == 1
+        assert built != diagonal and hash(built) != hash(diagonal)
+
+    def test_field_and_shape_are_part_of_the_value(self):
+        assert mat(F2, [[(1,)]]) != mat(F3, [[(1,)]])
+        assert PolyMatrix.zeros(F2, 0, 3) != PolyMatrix.zeros(F2, 3, 0)
+        assert PolyMatrix.zeros(F2, 1, 2) != PolyMatrix.zeros(F2, 2, 1)
+
+    def test_array_is_read_only(self):
+        m = mat(F3, [[(1, 2)]])
+        with pytest.raises(ValueError):
+            m.coeffs[0, 0, 0] = 0
 
 
 def matches_fppoly_oracle(m):
@@ -239,7 +282,10 @@ def poly_matrices(draw):
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     coeffs = st.lists(st.integers(0, field.p - 1), max_size=4)
     entries = draw(st.lists(coeffs, min_size=rows * cols, max_size=rows * cols))
-    return PolyMatrix(field, rows, cols, tuple(FpPoly(field, tuple(c)) for c in entries))
+    array = np.zeros((rows * cols, 4), dtype=object)
+    for k, c in enumerate(entries):
+        array[k, :len(c)] = c
+    return PolyMatrix(field, array.reshape(rows, cols, 4))
 
 
 class TestAgainstFpPolyOracle:
@@ -285,8 +331,15 @@ def claimed(m, u=None, v=None):
 source = mat(F2, [[(0, 1), (1,)], [(), (1, 1)]])
 snf = smith_normal_form(source)
 x = FpPoly(F2, (0, 1))
-bad_u = PolyMatrix(F2, 2, 2, (snf.u.entries[0] + x,) + snf.u.entries[1:])
-bad_v = PolyMatrix(F2, 2, 2, snf.v.entries[:3] + (snf.v.entries[3] + x,))
+
+def bumped(m, k, poly):
+    # m with poly added to its k-th entry in row-major order
+    rows = m.to_lists()
+    rows[k // m.cols][k % m.cols] += poly
+    return PolyMatrix.from_rows(m.field, rows)
+
+bad_u = bumped(snf.u, 0, x)
+bad_v = bumped(snf.v, 3, x)
 singular = mat(F2, [[(0, 1), ()], [(), (1,)]])
 three = mat(F3, [[(1, 1), (2,), ()], [(), (0, 1), (1,)], [(2,), (), (1, 0, 1)]])
 
@@ -317,16 +370,13 @@ large = mat(PL, [[(3, 1), (PL.p - 2,), ()], [(), (0, 1), (7, PL.p - 1)], [(1, 1)
 large_snf = smith_normal_form(large)
 minus_x = FpPoly(PL, (0, PL.p - 1))
 
-def bumped(m, k, poly):
-    return PolyMatrix(PL, m.rows, m.cols, m.entries[:k] + (m.entries[k] + poly,) + m.entries[k + 1:])
-
 large_fields = dict(source=large, u=large_snf.u, d=large_snf.d, v=large_snf.v, diag=large_snf.diag)
 cases.update({
     "large p: corrupted U": {**large_fields, "u": bumped(large_snf.u, 1, minus_x)},
     "large p: corrupted V": {**large_fields, "v": bumped(large_snf.v, 5, FpPoly(PL, (PL.p - 1,)))},
     "large p: corrupted D": {**large_fields, "d": bumped(large_snf.d, 3, minus_x)},
 })
-outcome = {"debug": __debug__, "large p dtype": str(large.to_coeffs().dtype)}
+outcome = {"debug": __debug__, "large p dtype": str(large.coeffs.dtype)}
 for name, fields in cases.items():
     try:
         SmithDecomposition(**fields)
