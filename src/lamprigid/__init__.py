@@ -72,8 +72,6 @@ from .wreath import (
     element,
     hom_from_generator_images,
     identity,
-    lamps_to_module,
-    module_to_lamps,
     wreath_inv,
     wreath_mul,
     wreath_pow,

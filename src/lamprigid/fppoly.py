@@ -101,25 +101,6 @@ class FpPoly:
     def one(cls, field: FieldSpec) -> "FpPoly":
         return cls(field, (1,))
 
-    @classmethod
-    def x_power(cls, field: FieldSpec, k: int, coeff: int = 1) -> "FpPoly":
-        if k < 0:
-            raise ValueError("x_power needs k >= 0; use LaurentPoly for negative exponents")
-        return cls(field, (0,) * k + (coeff,))
-
-    @classmethod
-    def from_pairs(cls, field: FieldSpec, pairs: Iterable[tuple[int, int]]) -> "FpPoly":
-        """Build from (exponent, coefficient) pairs; duplicates are summed mod p."""
-        acc: dict[int, int] = {}
-        for e, c in pairs:
-            if e < 0:
-                raise ValueError("negative exponent in a plain polynomial")
-            acc[e] = (acc.get(e, 0) + c) % field.p
-        if not acc:
-            return cls.zero(field)
-        top = max(acc)
-        return cls(field, tuple(acc.get(i, 0) for i in range(top + 1)))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -322,18 +303,6 @@ class LaurentPoly:
     @classmethod
     def zero(cls, field: FieldSpec) -> "LaurentPoly":
         return cls(field, 0, FpPoly.zero(field))
-
-    @classmethod
-    def one(cls, field: FieldSpec) -> "LaurentPoly":
-        return cls(field, 0, FpPoly.one(field))
-
-    @classmethod
-    def monomial(cls, field: FieldSpec, exponent: int, coeff: int = 1) -> "LaurentPoly":
-        return cls(field, exponent, FpPoly(field, (coeff,)))
-
-    @classmethod
-    def from_poly(cls, f: FpPoly) -> "LaurentPoly":
-        return cls(f.field, 0, f)
 
     @property
     def is_zero(self) -> bool:

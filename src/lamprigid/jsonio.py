@@ -31,7 +31,7 @@ import json
 from typing import Any
 
 from .errors import InvalidInput
-from .fppoly import FieldSpec, FpPoly, LaurentPoly
+from .fppoly import FieldSpec, FpPoly
 from .laurent_modules import ModuleDecomposition, ModulePresentation
 from .pipeline import CandidateGroup, RigidityReport
 from .polymatrix import PolyMatrix
@@ -88,9 +88,7 @@ def _literal_pairs(data: Any, allow_negative: bool = False) -> list[tuple[int, i
     return pairs
 
 
-def poly_to_literal(f: FpPoly | LaurentPoly) -> list[list[int]]:
-    if isinstance(f, LaurentPoly):
-        return [[e, c] for e, c in f.terms()]
+def poly_to_literal(f: FpPoly) -> list[list[int]]:
     return [[e, c] for e, c in enumerate(f.coeffs) if c]
 
 

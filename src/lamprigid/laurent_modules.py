@@ -200,17 +200,14 @@ class FiniteTruncation:
         if d:
             power = la.mat_pow([list(r) for r in self.x_action], self.m, p)
             require(power == la.identity(d), "x-action does not have order dividing m")
-        span: list[list[int]] = []
-        pivots: list[int] = []
-        frontier = [list(v) for v in self.generator_images]
-        while frontier:
-            vec = frontier.pop()
-            red = la.reduce_vector(span, pivots, vec, p)
-            if any(red):
-                span.append(red)
-                span, pivots = la.rref(span, p)
-                frontier.append(la.mat_vec(self.x_action, vec, p))
-        require(len(span) == d, "generator images fail to span the truncation")
+        # By Cayley-Hamilton, g, Ag, ..., A^(d-1) g span the x-stable subspace g generates.
+        rows: list[list[int]] = []
+        for g in self.generator_images:
+            vec = list(g)
+            for _ in range(d):
+                rows.append(vec)
+                vec = la.mat_vec(self.x_action, vec, p)
+        require(len(la.rref(rows, p)[0]) == d, "generator images fail to span the truncation")
 
 
 def block_companion(chain: list[FpPoly]) -> list[list[int]]:

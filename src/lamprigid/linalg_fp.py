@@ -70,13 +70,3 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> tuple[Matrix, list[int]]:
             break
     return work[:r], pivots
 
-
-def reduce_vector(basis: Sequence[Sequence[int]], pivots: Sequence[int],
-                  v: Sequence[int], p: int) -> Vector:
-    """Reduce v against an rref basis; the result is zero iff v is in the span."""
-    out = [e % p for e in v]
-    for row, c in zip(basis, pivots):
-        f = out[c]
-        if f:
-            out = [(e - f * g) % p for e, g in zip(out, row)]
-    return out

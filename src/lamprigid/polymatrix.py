@@ -118,13 +118,13 @@ def _exact_dtype(p: int, terms: int):
 
 def _mul_sums(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Product of coefficient arrays a[i, k, e] and b[k, j, f], not yet reduced mod p:
-    one numpy matrix product per degree slice of a. An output coefficient sums at
-    most cols(a) * min(widths) products, which fixes the exact dtype."""
+    one numpy matrix product per nonzero degree slice of a. An output coefficient
+    sums at most cols(a) * min(widths) products, which fixes the exact dtype."""
     (rows, inner, wa), (_, cols, wb) = a.shape, b.shape
     dtype = _exact_dtype(p, inner * min(wa, wb))
     a, flat = a.astype(dtype, copy=False), b.astype(dtype, copy=False).reshape(inner, cols * wb)
     out = np.zeros((rows, cols, wa + wb - 1), dtype=dtype)
-    for e in range(wa):
+    for e in np.flatnonzero(a.any(axis=(0, 1))):
         out[:, :, e:e + wb] += (a[:, :, e] @ flat).reshape(rows, cols, wb)
     return out
 

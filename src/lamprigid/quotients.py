@@ -426,16 +426,16 @@ def isomorphic(g_table: FiniteGroupTable, h_table: FiniteGroupTable) -> bool:
         h_candidates.setdefault(key, []).append(h)
 
     def backtrack(i: int, images: list[int]) -> bool:
-        if i == len(gens):
-            mapping = _hom_from_images(g_table, h_table, gens, images)
-            return (mapping is not None
-                    and len(mapping) == g_table.order
-                    and len(set(mapping.values())) == g_table.order)
         for h in h_candidates.get(g_keys[gens[i]], []):
             trial = images + [h]
-            if _hom_from_images(g_table, h_table, gens[:i + 1], trial) is not None:
+            mapping = _hom_from_images(g_table, h_table, gens[:i + 1], trial)
+            if mapping is None:
+                continue
+            if i + 1 < len(gens):
                 if backtrack(i + 1, trial):
                     return True
+            elif len(mapping) == g_table.order and len(set(mapping.values())) == g_table.order:
+                return True
         return False
 
     return backtrack(0, [])

@@ -201,45 +201,6 @@ def relabel_lamps(a: WreathElement, unit: int) -> WreathElement:
     )
 
 
-# --- coefficient dictionary -------------------------------------------------
-
-def module_to_lamps(spec: LamplighterSpec, vec: Sequence[FpPoly]) -> WreathElement:
-    """Vector over F_p[x]/(x^m - 1) to a lamp configuration over the cyclic base.
-
-    Coefficient of x^i in coordinate j becomes the lamp value at index i,
-    coordinate j; exponents fold mod m. Multiplication by x on the module side
-    matches index translation by 1 on the lamp side.
-    """
-    m = spec.base_order
-    if m is None:
-        raise SpecMismatch("cyclic base required")
-    if len(vec) != spec.n:
-        raise ValueError("coordinate count differs from the lamp rank")
-    lamps: dict[int, list[int]] = {}
-    for j, f in enumerate(vec):
-        for e, c in enumerate(f.coeffs):
-            if c:
-                lamps.setdefault(e % m, [0] * spec.n)[j] += c
-    return element(spec, lamps.items(), 0)
-
-
-def lamps_to_module(a: WreathElement) -> tuple[FpPoly, ...]:
-    """Inverse dictionary; defined on base elements of a cyclic-base group."""
-    m = a.spec.base_order
-    if m is None:
-        raise SpecMismatch("cyclic base required")
-    if not a.in_base:
-        raise ValueError("dictionary applies to base elements only")
-    field = a.spec.field
-    coords = []
-    for j in range(a.spec.n):
-        coeffs = [0] * m
-        for i, v in a.lamps:
-            coeffs[i] = v[j]
-        coords.append(FpPoly(field, tuple(coeffs)))
-    return tuple(coords)
-
-
 def _apply_poly(poly: FpPoly | LaurentPoly, w: WreathElement, step: int) -> WreathElement:
     """Module action of poly on a base element, x acting as index shift by step."""
     terms = poly.terms() if isinstance(poly, LaurentPoly) else list(enumerate(poly.coeffs))

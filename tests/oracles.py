@@ -356,7 +356,7 @@ def verified_residue_count(f: FpPoly) -> int:
     vec[0] = 1
     for i in range(1, 2 * d + 1):
         vec = comp @ vec % p
-        direct = poly_divmod(FpPoly.x_power(f.field, i), f)[1]
+        direct = poly_divmod(FpPoly(f.field, (0,) * i + (1,)), f)[1]
         assert list(vec) == [direct.coefficient(j) for j in range(d)], \
             "iterated x-action disagrees with direct reduction"
     return count
@@ -747,7 +747,8 @@ def laurent_candidate_mul(a: CandidateElement, b: CandidateElement) -> Candidate
     """(a, k)(a', k') = (a + x^k a', k + k') in the module semidirect product."""
     coeffs, k = a
     coeffs2, k2 = b
-    xk = LaurentPoly.monomial(coeffs[0].field, k)
+    field = coeffs[0].field
+    xk = LaurentPoly(field, k, FpPoly.one(field))
     return tuple(c + xk * c2 for c, c2 in zip(coeffs, coeffs2)), k + k2
 
 
@@ -759,7 +760,7 @@ def laurent_evaluate(epi: VerifiedGroupEpi, elem: CandidateElement) -> WreathEle
     for i in range(epi.phi.rows):
         acc = LaurentPoly.zero(field)
         for j in range(epi.phi.cols):
-            acc = acc + LaurentPoly.from_poly(epi.phi.entry(i, j)) * coeffs[j]
+            acc = acc + LaurentPoly(field, 0, epi.phi.entry(i, j)) * coeffs[j]
         out.append(acc)
     lamps: dict[int, list[int]] = {}
     for j, f in enumerate(out):

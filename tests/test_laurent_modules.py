@@ -81,7 +81,7 @@ class TestDecompose:
         assert dec.invariant_factors == (poly(F2, 1, 1),)
 
     def test_laurent_relations_cleared(self):
-        neg = LaurentPoly.monomial(F2, -1) + LaurentPoly.monomial(F2, 1)
+        neg = LaurentPoly(F2, -1, FpPoly.one(F2)) + LaurentPoly(F2, 1, FpPoly.one(F2))
         pres = ModulePresentation.make(F2, 1, [[neg]])
         assert all(not e.is_zero or True for e in pres.relations.entries)
         dec = decompose(pres)
@@ -272,6 +272,8 @@ cases = {
     "ragged action": lambda: lm.FiniteTruncation(F2, 1, 2, ((1, 0), (0,)), ((1, 0),)),
     "action order": lambda: lm.FiniteTruncation(F3, 1, 1, ((2,),), ((1,),)),
     "no span": lambda: lm.FiniteTruncation(F2, 1, 1, ((1,),), ((0,),)),
+    "partial span": lambda: lm.FiniteTruncation(F2, 1, 2, ((1, 0), (0, 1)), ((1, 0),)),
+    "span through the action": lambda: lm.FiniteTruncation(F2, 3, 2, ((0, 1), (1, 1)), ((1, 0),)),
     "infinite": lambda: (setattr(lm, "smith_normal_form", zero_diagonal_snf),
                          lm.finite_truncation(free, 3)),
     "dimension": lambda: (setattr(lm, "smith_normal_form", real_snf),
@@ -303,6 +305,8 @@ def test_corrupted_modules_rejected_under_optimize():
         "ragged action": "x-action is not a dim x dim matrix",
         "action order": "x-action does not have order dividing m",
         "no span": "generator images fail to span the truncation",
+        "partial span": "generator images fail to span the truncation",
+        "span through the action": "accepted",
         "infinite": "truncation is not finite",
         "dimension": "truncation dimension disagrees with the rank formula",
     }

@@ -309,6 +309,16 @@ class TestAgainstFpPolyOracle:
                 matches_fppoly_oracle(PolyMatrix.zeros(field, rows, cols))
 
 
+def test_snf_at_the_largest_legal_exponent():
+    # 16x16 identity over F_2 with x^4096 at (0, 1): products skip the all-zero
+    # degree slices, so one high-degree entry does not cost as if every entry had it
+    proc = subprocess.run([sys.executable, "-m", "lamprigid.cli", "snf",
+                           str(DATA / "snf_identity16_x4096.json"), "--json"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["diag"] == [[[0, 1]]] * 16
+
+
 # Each case builds a SmithDecomposition that must fail its certificate; the
 # script runs under python -O, where a bare assert would let all of them pass.
 _CORRUPTED_SNF_SCRIPT = """

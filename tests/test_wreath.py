@@ -24,12 +24,11 @@ from lamprigid import (
     finite_truncation,
     hom_from_generator_images,
     identity,
-    lamps_to_module,
     laurent_canonicalize,
-    module_to_lamps,
     wreath_inv,
     wreath_mul,
     wreath_pow,
+    x_pow_minus_one,
 )
 from lamprigid import jsonio, wreath
 from lamprigid.errors import (
@@ -176,35 +175,47 @@ class TestAbelianize:
             assert sab == (sa + sb) % 4
 
 
+def dictionary_hom(spec):
+    """The canonical map out of the free module: generator j to the lamp delta(0, j)."""
+    gi = GeneratorImages(source=ModulePresentation.free(spec.field, spec.n), target=spec,
+                         module_gen_images=tuple(delta(spec, 0, j) for j in range(spec.n)),
+                         t_image=translation(spec))
+    return hom_from_generator_images(gi)
+
+
 class TestDictionary:
+    """The coefficient dictionary, as the canonical hom evaluates it on (a, 0)."""
+
     def test_constant_is_delta_zero(self):
-        assert module_to_lamps(W123, [FpPoly.one(F2)]) == delta(W123, 0)
+        assert dictionary_hom(W123).evaluate([FpPoly.one(F2)], 0) == delta(W123, 0)
 
     def test_quadratic_example(self):
-        assert module_to_lamps(W123, [poly(F2, 1, 0, 1)]) == element(W123, {0: [1], 2: [1]}, 0)
+        img = dictionary_hom(W123).evaluate([poly(F2, 1, 0, 1)], 0)
+        assert img == element(W123, {0: [1], 2: [1]}, 0)
 
     def test_round_trip(self):
+        # coefficient of x^i in coordinate j is read back as the lamp value at (i, j)
         rng = random.Random(31)
         spec = LamplighterSpec(F3, 2, 4)
+        hom = dictionary_hom(spec)
         for _ in range(200):
             vec = [poly(F3, *[rng.randrange(3) for _ in range(4)]) for _ in range(2)]
-            assert list(lamps_to_module(module_to_lamps(spec, vec))) == vec
+            img = hom.evaluate(vec, 0)
+            assert img.in_base
+            back = [poly(F3, *[img.lamp_at(i)[j] for i in range(4)]) for j in range(2)]
+            assert back == vec
 
     def test_multiplication_by_x_is_the_shift(self):
         rng = random.Random(37)
         for spec in (W123, LamplighterSpec(F3, 2, 5)):
             m = spec.base_order
+            hom = dictionary_hom(spec)
             x = poly(spec.field, 0, 1)
             for _ in range(200):
                 vec = [poly(spec.field, *[rng.randrange(spec.field.p) for _ in range(m)])
                        for _ in range(spec.n)]
-                shifted = [(x * f) % poly_xm1(spec.field, m) for f in vec]
-                assert module_to_lamps(spec, shifted) == shift_lamps(module_to_lamps(spec, vec), 1)
-
-
-def poly_xm1(field, m):
-    from lamprigid import x_pow_minus_one
-    return x_pow_minus_one(field, m)
+                shifted = [(x * f) % x_pow_minus_one(spec.field, m) for f in vec]
+                assert hom.evaluate(shifted, 0) == shift_lamps(hom.evaluate(vec, 0), 1)
 
 
 def canonical_hom(t_lamps=None):
