@@ -184,7 +184,8 @@ def _action_rows(p: int, action: list[list[int]], m: int) -> tuple[np.ndarray, .
 
 
 def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
-                     twist: Sequence[int] | None = None) -> FiniteGroupTable:
+                     twist: Sequence[int] | None = None,
+                     rows: tuple[np.ndarray, ...] | None = None) -> FiniteGroupTable:
     """Table of the cyclic extension of Z/mZ by F_p^d with t acting by A = action
     and t^m = a = twist:
 
@@ -194,7 +195,8 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
     (the default) gives the split product F_p^d x| Z/mZ.
 
     Elements are encoded in mixed radix as index = vector_index * m + residue,
-    with vector_index = sum_i v_i p^i.
+    with vector_index = sum_i v_i p^i. rows, when given, is _action_rows(p,
+    action, m), which _extensions computes once per module.
     """
     d = len(action)
     p = field.p if d else 1  # F_p^0 is the zero space; 1 keeps the modulus inside int64
@@ -208,7 +210,7 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
         raise ValueError(f"twist has length {twist_np.size}, expected {d}")
     if not np.array_equal(a_np @ twist_np % p, twist_np):
         raise ValueError("twist is not fixed by the action")
-    vecs, radix, act_idx = _action_rows(p, action, m)  # act_idx[k, j]: A^k vec_j
+    vecs, radix, act_idx = rows or _action_rows(p, action, m)  # act_idx[k, j]: A^k vec_j
     if not np.array_equal(act_idx[m], act_idx[0]):  # A^m fixes every vector: A^m = I
         raise ValueError(f"action does not have order dividing {m}")
     wrap = (((vecs + twist_np) % p) @ radix).astype(np.int32)
@@ -508,17 +510,16 @@ def _dominated_chains(base_chain: list[FpPoly], divisors: list[FpPoly],
     return out
 
 
-def _twist_classes(field: FieldSpec, action: list[list[int]], m: int) -> list[tuple[int, ...]]:
+def _twist_classes(p: int, action_rows: tuple, m: int) -> list[tuple[int, ...]]:
     """One twist from each class of H^2(C_m, M) = M^x / N_m M, N_m = 1 + A + ... + A^(m-1).
 
-    M = F_p^d with x acting by A, A^m = I. The modules truncated_qu passes have
-    at most bound elements, so the fixed space and the norm image are
-    enumerated outright. Each class is represented by its element of least
-    index; N_m M is fixed by x, so that element is the least of v + N_m M for
-    each fixed v.
+    M = F_p^d with x acting by A, A^m = I; action_rows = _action_rows(p, A, m).
+    The modules truncated_qu passes have at most bound elements, so the fixed
+    space and the norm image are enumerated outright. Each class is
+    represented by its element of least index; N_m M is fixed by x, so that
+    element is the least of v + N_m M for each fixed v.
     """
-    p = field.p if action else 1  # as in semidirect_table
-    vecs, radix, rows = _action_rows(p, action, m)
+    vecs, radix, rows = action_rows
     fixed = np.flatnonzero(rows[1] == rows[0])
     in_image = np.zeros(len(vecs), dtype=bool)
     in_image[vecs[rows[:m]].sum(axis=0) % p @ radix] = True  # N_m v for every v
@@ -530,7 +531,7 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: 
     """Yield (key, field, action, twist) for each E(M, d, a) that truncated_qu
     needs; the key (p, d, chain coefficients, twist) determines the table. The
     pool keeps the divisors of x^d - 1 by (p, d, c) and the twist classes by
-    module (p, d, chain coefficients)."""
+    module (p, d, chain coefficients), with the module's _action_rows."""
     pres = _source_presentation(source)
     field = pres.field
     p = field.p
@@ -550,8 +551,9 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: 
             action = block_companion(chain)
             module = (p, d, tuple(h.coeffs for h in chain))
             if module not in pool:
-                pool[module] = _twist_classes(field, action, d)
-            for twist in pool[module]:
+                rows = _action_rows(p if action else 1, action, d)  # as in semidirect_table
+                pool[module] = rows, _twist_classes(p if action else 1, rows, d)
+            for twist in pool[module][1]:
                 yield module + (twist,), field, action, twist
 
 
@@ -570,7 +572,7 @@ def _classify(sources: Sequence[ModulePresentation | LamplighterSpec],
         reps = []
         for key, field, action, twist in _extensions(source, bound, pool):
             if key not in rep_of:
-                table = semidirect_table(field, action, key[1], twist)
+                table = semidirect_table(field, action, key[1], twist, pool[key[:3]][0])
                 bucket = by_fingerprint.setdefault(table.fingerprint.key(), [])
                 rep_of[key] = next((kept for kept in bucket if isomorphic(table, kept)), table)
                 if rep_of[key] is table:

@@ -382,22 +382,25 @@ of x^(lo + e) in coordinate j of the b-th a, shifts[b] is its k. Candidate
 elements have one coordinate per module generator; lamp-group elements have one
 per lamp coordinate, read through the coefficient dictionary."""
 
-LAW_CHUNK = 64
-"""Pairs per law-check batch; it bounds the arrays, and so peak memory, at any sample count."""
+LAW_CHUNK = 128
+"""Pairs per law-check batch, drawn as 2 * LAW_CHUNK elements by one _draw_elements call;
+it bounds the arrays, and so peak memory, at any sample count."""
 
 
 def _twisted_sum(x: Batch, y: Batch, p: int) -> Batch:
-    """(a + x^k a', k + k') for each pair of rows, reduced mod p."""
+    """(a + x^k a', k + k') for each pair of rows. Both hold residues mod p, so
+    subtracting p where a sum reaches p reduces it. The rows of a' land by one
+    flat scatter, row b moved k_b columns right."""
     (xc, xlo, xk), (yc, ylo, yk) = x, y
     lo = min(xlo, ylo + int(xk.min()))
-    hi = max(xlo + xc.shape[2], ylo + int(xk.max()) + yc.shape[2])
-    out = np.zeros(xc.shape[:2] + (hi - lo,), dtype=xc.dtype)
+    width = max(xlo + xc.shape[2], ylo + int(xk.max()) + yc.shape[2]) - lo
+    count, coords, cols = yc.shape
+    out = np.zeros((count, coords, width), dtype=xc.dtype)
     out[:, :, xlo - lo:xlo - lo + xc.shape[2]] = xc
-    rows = np.arange(len(yc))[:, None, None]
-    coords = np.arange(yc.shape[1])[None, :, None]
-    cols = (ylo - lo + xk)[:, None, None] + np.arange(yc.shape[2])
-    out[rows, coords, cols] += yc
-    return out % p, lo, xk + yk
+    starts = np.arange(count) * (coords * width) + (ylo - lo + xk)
+    out.reshape(-1)[starts[:, None] + (np.arange(coords)[:, None] * width
+                                       + np.arange(cols)).ravel()] += yc.reshape(count, -1)
+    return np.where(out >= p, out - p, out), lo, xk + yk
 
 
 def candidate_mul(a: Batch, b: Batch, p: int) -> Batch:
@@ -420,21 +423,29 @@ def lamp_elements(spec: LamplighterSpec, batch: Batch) -> list[WreathElement]:
 
 def _draw_elements(rng: random.Random, p: int, g: int, count: int, dtype) -> Batch:
     """count seeded elements (a, k), exponents -2..3 at columns 0..5, from one
-    rng.randbytes call holding, in order: for each of the count * g * 6
-    coefficients of the a's (in C order of the batch) one little-endian 64-bit
-    word reduced mod p, or two words, high word first, when p >= 2^64; then one
-    byte per coefficient, whose low bit keeps the coefficient (otherwise it is
-    zero); then one byte per element, with k = byte mod 7 - 3.
+    rng.randbytes call holding only the bytes the residues need, in order: for
+    each of the size = count * g * 6 coefficients of the a's (in C order of the
+    batch) a little-endian integer of w bytes reduced mod p, w the byte length
+    of p - 1 (one byte for p < 256); then ceil(size / 8) bytes of keep flags,
+    coefficient i keeping its value if bit i % 8 of byte i // 8 is set
+    (otherwise it is zero); then one byte per element, with k = byte mod 7 - 3.
     """
     size = count * g * 6
-    width = 1 if p < 2 ** 64 else 2
-    data = rng.randbytes(size * (8 * width + 1) + count)
-    words = np.frombuffer(data, dtype="<u8", count=size * width)
-    values = (words % p if width == 1
-              else ((words[0::2].astype(object) << 64) + words[1::2].astype(object)) % p)
-    tail = np.frombuffer(data, dtype=np.uint8, offset=8 * width * size)
-    coeffs = np.where(tail[:size] & 1, values, 0).astype(dtype)
-    return coeffs.reshape(count, g, 6), -2, tail[size:].astype(np.int64) % 7 - 3
+    width = max(1, -(-(p - 1).bit_length() // 8))
+    flags = -(-size // 8)
+    data = rng.randbytes(size * width + flags + count)
+    # widened to a numpy word of 1, 2, 4 or 8 bytes, or to whole 64-bit limbs
+    padded = 1 << (width - 1).bit_length() if width < 8 else -(-width // 8) * 8
+    words = np.zeros((size, padded), dtype=np.uint8)
+    words[:, :width] = np.frombuffer(data, dtype=np.uint8, count=size * width).reshape(size, width)
+    words = words.view(f"<u{min(padded, 8)}")  # for p >= 2^64, 64-bit limbs, low limb first
+    values = (words[:, 0] % p if p < 2 ** 64
+              else sum(words[:, i].astype(object) << 64 * i for i in range(words.shape[1])) % p)
+    keep = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=flags, offset=size * width),
+                         count=size, bitorder="little")
+    shifts = np.frombuffer(data, dtype=np.uint8, offset=size * width + flags)
+    return ((values * keep).astype(dtype).reshape(count, g, 6), -2,
+            shifts.astype(np.int64) % 7 - 3)
 
 
 @dataclass(frozen=True)
@@ -494,9 +505,9 @@ class VerifiedGroupEpi:
         """Verify f(ab) = f(a) f(b) on seeded random pairs of group elements.
 
         The pairs are drawn a_1, b_1, a_2, ..., one _draw_elements call per
-        LAW_CHUNK pairs, and checked a batch at a time, each side as one array
-        computation. Both sides span the same exponent window, so they are
-        compared as they are.
+        LAW_CHUNK pairs (one byte per coefficient for p < 256), and checked a
+        batch at a time, each side as one array computation. Both sides span
+        the same exponent window, so they are compared as they are.
         """
         rng = random.Random(seed)
         p = self.source.field.p

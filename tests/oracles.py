@@ -575,6 +575,18 @@ def derived_subgroup_mask(table: FiniteGroupTable) -> np.ndarray:
     return member
 
 
+def generators_by_closure(table: FiniteGroupTable) -> tuple[int, ...]:
+    """Each the least element outside the subgroup the earlier ones generate,
+    the subgroup taken by product closure instead of Light's right-multiplication walk."""
+    gens: list[int] = []
+    while True:
+        inside = np.zeros(table.order, dtype=bool)
+        inside[subgroup_closure(table, gens)] = True
+        if inside.all():
+            return tuple(gens)
+        gens.append(int(np.argmin(inside)))
+
+
 def twist_classes_by_cover(field: FieldSpec, action: list[list[int]], m: int
                            ) -> list[tuple[int, ...]]:
     """One twist from each class of H^2(C_m, M) = M^x / N_m M, N_m = 1 + A + ... + A^(m-1):
@@ -709,37 +721,32 @@ def law_pairs(field: FieldSpec, generators: int, samples: int, seed: int
     """The seeded pairs (a, b) the law check draws, as LaurentPoly coefficients.
 
     A scalar reading of the documented layout: for each batch of LAW_CHUNK
-    pairs, drawn a_1, b_1, a_2, ..., one randbytes call holds a 64-bit
-    little-endian word per coefficient of exponent -2..3 (two, high word first,
-    when p >= 2^64), then a byte per coefficient whose low bit keeps it, then a
-    byte per element giving k = byte mod 7 - 3.
+    pairs, drawn a_1, b_1, a_2, ..., one randbytes call holds, for each
+    coefficient of exponent -2..3, a little-endian integer of as many bytes as
+    p - 1 takes, reduced mod p; then one bit per coefficient, least
+    significant bit of each byte first, keeping it when set; then a byte per
+    element giving k = byte mod 7 - 3.
     """
     rng = random.Random(seed)
     p = field.p
-    width = 1 if p < 2 ** 64 else 2
+    width = max(1, ((p - 1).bit_length() + 7) // 8)
     elements: list[CandidateElement] = []
     for start in range(0, samples, LAW_CHUNK):
         count = 2 * min(LAW_CHUNK, samples - start)
         size = count * generators * 6
-        data = rng.randbytes(size * (8 * width + 1) + count)
-        words = []
-        for w in range(size * width):
-            words.append(int.from_bytes(data[8 * w:8 * w + 8], "little"))
-        keep = data[8 * width * size:8 * width * size + size]
-        shift_bytes = data[8 * width * size + size:]
+        flags = (size + 7) // 8
+        data = rng.randbytes(size * width + flags + count)
         for e in range(count):
             coeffs = []
             for j in range(generators):
                 terms = []
                 for col in range(6):
                     i = (e * generators + j) * 6 + col
-                    value = 0
-                    for word in words[width * i:width * (i + 1)]:
-                        value = (value << 64) + word
-                    if keep[i] & 1:
+                    value = int.from_bytes(data[width * i:width * (i + 1)], "little")
+                    if data[size * width + i // 8] >> (i % 8) & 1:
                         terms.append((col - 2, value % p))
                 coeffs.append(laurent_canonicalize(field, terms))
-            elements.append((tuple(coeffs), shift_bytes[e] % 7 - 3))
+            elements.append((tuple(coeffs), data[size * width + flags + e] % 7 - 3))
     return list(zip(elements[0::2], elements[1::2]))
 
 

@@ -41,6 +41,7 @@ from oracles import (
     brute_normal_subgroups,
     derived_subgroup_mask,
     element_orders_by_powers,
+    generators_by_closure,
     lattice_qu,
     orders_modulo_by_iteration,
     respects_law_by_dicts,
@@ -370,6 +371,27 @@ class TestAssociativityAgainstCubeOracle:
                     build_agrees_with_cube(corrupted(table, rng))
 
 
+class TestGeneratingSetAgainstClosureOracle:
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_extension_tables_at_bound_sixteen(self, name):
+        candidate = bundled(name)
+        lamp = LamplighterSpec(candidate.field, candidate.n, None)
+        for source in (candidate.presentation, lamp):
+            for key, field, action, twist in quotients._extensions(source, 16, {}):
+                table = semidirect_table(field, action, key[1], twist=twist)
+                assert table.generators == generators_by_closure(table), key
+
+    def test_cyclic_and_direct_products(self):
+        tables = [cyclic_table(n) for n in (1, 2, 7, 12, 600)]
+        tables += [direct_product_table(cyclic_table(a), cyclic_table(b))
+                   for a, b in ((2, 2), (2, 4), (3, 5), (4, 6), (2, 30))]
+        catalog = dict(small_group_catalog())
+        tables += [direct_product_table(catalog["S3"], catalog["Q8"]),
+                   direct_product_table(cyclic_table(3), catalog["D4"])]
+        for table in tables:
+            assert table.generators == generators_by_closure(table), table.order
+
+
 class TestInvariantsAgainstQuotientOracle:
     def test_small_group_catalog(self):
         for _, table in small_group_catalog():
@@ -423,14 +445,15 @@ class TestReplacedLoopsAgainstOracles:
         for source in (candidate.presentation, lamp):
             pool = {}
             for key, field, action, twist in quotients._extensions(source, 16, pool):
-                assert pool[key[:3]] == twist_classes_by_cover(field, action, key[1]), key
+                assert pool[key[:3]][1] == twist_classes_by_cover(field, action, key[1]), key
                 orders_match_oracle(semidirect_table(field, action, key[1], twist=twist))
 
     @settings(max_examples=40, deadline=None)
     @given(extension_data())
     def test_random_block_companion_actions(self, data):
         field, action, m, twist = data
-        assert quotients._twist_classes(field, action, m) == \
+        rows = quotients._action_rows(field.p, action, m)
+        assert quotients._twist_classes(field.p, rows, m) == \
             twist_classes_by_cover(field, action, m)
         orders_match_oracle(semidirect_table(field, action, m, twist=twist))
 
@@ -630,16 +653,15 @@ class TestCompareQu:
         # the compare-qu golden pairs; the second pair's sides share modules (p, d, chain)
         sides = (bundled(left).presentation, bundled(right).presentation)
         modules = {key[:3] for side in sides for key, *_ in quotients._extensions(side, 16, {})}
-        calls = []
-        original = quotients._twist_classes
-
-        def counting(field, action, m):
-            calls.append((field.p, m, tuple(map(tuple, action))))
-            return original(field, action, m)
-
-        monkeypatch.setattr(quotients, "_twist_classes", counting)
+        calls = {"_action_rows": 0, "_twist_classes": 0}
+        for name in calls:
+            def counting(*args, _name=name, _fn=getattr(quotients, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(quotients, name, counting)
         compare_qu(*sides, 16)
-        assert len(calls) == len(set(calls)) == len(modules)
+        # a module's action rows serve its twist classes and every table built on it
+        assert calls == {"_action_rows": len(modules), "_twist_classes": len(modules)}
 
     def test_one_fingerprint_per_table(self, monkeypatch):
         calls = {"fingerprint": 0, "semidirect_table": 0}

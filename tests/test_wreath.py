@@ -3,6 +3,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -413,7 +414,7 @@ def test_batched_law_matches_laurent_oracle(name, seed, monkeypatch):
 
     pairs = oracles.law_pairs(field, epi.source.generators, 1000, seed)
     elements = [x for pair in pairs for x in pair]
-    assert [len(coeffs) for coeffs, _, _ in drawn] == [128] * 15 + [80]
+    assert [len(coeffs) for coeffs, _, _ in drawn] == [256] * 7 + [208]
     assert all(lo == -2 for _, lo, _ in drawn)
     assert [int(k) for _, _, shifts in drawn for k in shifts] == [k for _, k in elements]
     assert [[[int(c) for c in coord] for coord in row] for coeffs, _, _ in drawn for row in coeffs] \
@@ -429,6 +430,46 @@ def test_batched_law_matches_laurent_oracle(name, seed, monkeypatch):
         assert epi.evaluate(x) == fx and epi.evaluate(y) == fy
         assert left == oracles.laurent_evaluate(epi, oracles.laurent_candidate_mul(x, y))
         assert right == wreath_mul(fx, fy) == left
+
+
+@pytest.mark.parametrize("p", [2, 3, 251, 10 ** 18 + 3, 2 ** 64 + 13])
+def test_law_draws_cover_residues_keep_flags_and_shifts(p, monkeypatch):
+    """The draws of one default law check reach every residue of a small p and
+    the top half of a large one, keep about half of the coefficients, and take
+    every shift -3..3."""
+    pres = ModulePresentation.free(FieldSpec(p), 1)
+    epi = build_lamplighter_epimorphism(pres, epimorphism_to_free(pres, 1))
+    draw = wreath._draw_elements
+    drawn = []
+
+    def recording(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(wreath, "_draw_elements", recording)
+    epi.law_check()
+    values = [int(c) for coeffs, _, _ in drawn for c in coeffs.ravel()]
+    if p < 256:
+        assert set(values) == set(range(p))
+    else:
+        assert max(values) >= 2 ** 32 and max(values) >= p // 2
+    # a coefficient is zero when dropped, or kept with the value 0
+    assert abs(values.count(0) / len(values) - (1 + 1 / p) / 2) < 0.02
+    assert {int(k) for _, _, shifts in drawn for k in shifts} == set(range(-3, 4))
+
+
+def test_law_check_memory_does_not_grow_with_samples():
+    epi = law_case_epi("disguised16")
+    epi.law_check(samples=10)  # phi_coeffs is cached on first use
+    peaks = []
+    for samples in (1000, 8000):
+        tracemalloc.start()
+        try:
+            epi.law_check(samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 _BROKEN_LAW_SCRIPT = """
