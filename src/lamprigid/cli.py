@@ -33,7 +33,8 @@ def _load_json(source: str) -> Any:
             return json.loads(source)
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and integers past the digit limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidInput(f"cannot read JSON from {source!r}: {exc}") from exc
 
 
@@ -80,6 +81,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _wreath_spec(args: argparse.Namespace) -> LamplighterSpec:
     from .fppoly import FieldSpec
+    jsonio._at_most(args.n, jsonio.MAX_GENERATORS, "'--n'")  # abelianize allocates n per lamp
     try:
         base = None if args.base in ("Z", "z") else int(args.base)
         return LamplighterSpec(FieldSpec(args.p), args.n, base)

@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg_fp as la
 from .errors import (
     InvalidM, NotNormalized, NotSurjective, RankDeficient, RelationNotKilled, ZeroDivisor, require)
 from .fppoly import FieldSpec, FpPoly, LaurentPoly, poly_gcd, x_pow_minus_one
@@ -181,9 +180,11 @@ class FiniteTruncation:
     """Explicit model of N / (x^m - 1) N as an F_p space with an x-action.
 
     Basis vectors are monomials x^j inside each cyclic summand of the Smith
-    form, ordered by (summand index, degree). The action matrix raised to the
-    m-th power is the identity, and the generator images span the whole space
-    under the action-generated algebra; both facts are certified on build.
+    form, ordered by (summand index, degree). Certified on build: A^m = I for the
+    action matrix A (square-and-multiply with matrix_mul), and the images span
+    F_p^d as an x-stable space, i.e. the certified Smith normal form of
+    [images as columns | xI - A] has only unit invariant factors, as F_p^d with
+    x acting by A is the cokernel of xI - A.
     """
 
     field: FieldSpec
@@ -193,21 +194,29 @@ class FiniteTruncation:
     generator_images: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        p = self.field.p
         d = self.dim
+        require(self.m >= 1, "truncation order m is not positive")
         require(len(self.x_action) == d and all(len(r) == d for r in self.x_action),
                 "x-action is not a dim x dim matrix")
-        if d:
-            power = la.mat_pow([list(r) for r in self.x_action], self.m, p)
-            require(power == la.identity(d), "x-action does not have order dividing m")
-        # By Cayley-Hamilton, g, Ag, ..., A^(d-1) g span the x-stable subspace g generates.
-        rows: list[list[int]] = []
-        for g in self.generator_images:
-            vec = list(g)
-            for _ in range(d):
-                rows.append(vec)
-                vec = la.mat_vec(self.x_action, vec, p)
-        require(len(la.rref(rows, p)[0]) == d, "generator images fail to span the truncation")
+        require(all(len(g) == d for g in self.generator_images),
+                "generator image is not a vector of length dim")
+        if not d:
+            return
+        action = PolyMatrix(self.field, np.array(self.x_action, dtype=object)[:, :, None])
+        power, base, k = PolyMatrix.identity(self.field, d), action, self.m
+        while k:
+            if k & 1:
+                power = matrix_mul(power, base)
+            base, k = matrix_mul(base, base), k >> 1
+        require(power == PolyMatrix.identity(self.field, d),
+                "x-action does not have order dividing m")
+        g = len(self.generator_images)
+        bordered = np.zeros((d, d + g, 2), dtype=object)
+        bordered[:, g:, 0] = -action.coeffs[:, :, 0]
+        bordered[range(d), range(g, g + d), 1] = 1
+        bordered[:, :g, 0] = np.array(self.generator_images, dtype=object).reshape(g, d).T
+        diag = smith_normal_form(PolyMatrix(self.field, bordered)).diag
+        require(all(f.degree == 0 for f in diag), "generator images fail to span the truncation")
 
 
 def block_companion(chain: list[FpPoly]) -> list[list[int]]:

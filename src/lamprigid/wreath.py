@@ -25,7 +25,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import linalg_fp as la
 from .errors import (
     ConjugationMismatch,
     CocycleViolation,
@@ -36,7 +35,7 @@ from .errors import (
 )
 from .fppoly import FieldSpec, FpPoly, LaurentPoly
 from .laurent_modules import ModulePresentation, check_epimorphism
-from .polymatrix import PolyMatrix
+from .polymatrix import PolyMatrix, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,8 @@ def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
     Checks, in the finite target: base-valuedness, order dividing p, pairwise
     commutation, every relator column (x acting by t-image conjugation), the
     conjugation action itself, and invertibility of the t-image shift mod m.
-    Also decides surjectivity, by one rank computation over F_p.
+    Also decides surjectivity, from the certified Smith normal form of the lamp
+    polynomials of the image's base part bordered by (x^m - 1) I_n.
     """
     spec = gi.target
     m = spec.base_order
@@ -320,13 +320,16 @@ def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
         if not acc.is_identity:
             raise RelationViolated(j, "relator image is nontrivial")
 
-    # The image maps onto Z/mZ and meets the base in the span of all translates of the
-    # generator images and of t-image^m (lamps (1 + x + ... + x^(m-1)) u for t-image lamps u),
-    # as t-image conjugation translates by the unit sigma: its order is m p^rank.
-    base_gens = list(gi.module_gen_images) + [wreath_pow(gi.t_image, m)]
-    rows = [[c for i in range(m) for c in shift_lamps(w, k).lamp_at(i)]
-            for w in base_gens for k in range(m)]
-    surjective = len(la.rref(rows, spec.field.p)[0]) == spec.n * m
+    # The image maps onto Z/mZ and meets the base in the F_p[x]-submodule of (F_p[x]/(x^m - 1))^n
+    # generated by the lamp polynomials of the generator images and of t-image^m, as t-image
+    # conjugation translates by the unit sigma. That is the whole base iff
+    # [(x^m - 1) I_n | lamp polynomials as columns] has only unit invariant factors.
+    n, base_gens = spec.n, list(gi.module_gen_images) + [wreath_pow(gi.t_image, m)]
+    terms = [(j, j, e, c) for j in range(n) for e, c in ((0, -1), (m, 1))]
+    terms += [(j, n + k, i, c) for k, w in enumerate(base_gens)
+              for i, v in w.lamps for j, c in enumerate(v)]
+    bordered = PolyMatrix.from_terms(spec.field, n, n + len(base_gens), terms)
+    surjective = all(f.degree == 0 for f in smith_normal_form(bordered).diag)
 
     return VerifiedHom(images=gi, sigma=sigma, sigma_inverse=sigma_inverse,
                        surjective=surjective)

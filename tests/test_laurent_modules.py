@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,10 +23,12 @@ from lamprigid import (
     smith_normal_form,
     torsion_quotient_order,
 )
-from lamprigid.errors import InvalidM, NotNormalized, RankDeficient, RelationNotKilled, ZeroDivisor
-from lamprigid import linalg_fp as la
+from lamprigid.errors import (
+    CertificateError, InvalidM, NotNormalized, RankDeficient, RelationNotKilled, ZeroDivisor)
+from lamprigid.fppoly import x_pow_minus_one
+from lamprigid.laurent_modules import FiniteTruncation, block_companion
 
-from oracles import random_poly, verified_residue_count
+from oracles import brute_monic_divisors, random_poly, verified_residue_count
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -225,9 +228,11 @@ class TestFiniteTruncation:
             pres = random_presentation(rng, field)
             m = rng.randint(1, 5)
             t = finite_truncation(pres, m)
-            if t.dim:
-                power = la.mat_pow([list(r) for r in t.x_action], m, field.p)
-                assert power == la.identity(t.dim)
+            action = np.array(t.x_action, dtype=np.int64).reshape(t.dim, t.dim)
+            power = np.eye(t.dim, dtype=np.int64)
+            for _ in range(m):
+                power = power @ action % field.p
+            assert (power == np.eye(t.dim, dtype=np.int64)).all()
 
     def test_formula_versus_truncation_dimension(self):
         rng = random.Random(66)
@@ -244,6 +249,64 @@ class TestFiniteTruncation:
         rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
         pres = random_presentation(rng, F2, max_gens=gens)
         finite_truncation(pres, m)  # spanning and order assertions run at build
+
+    def test_certificate_matches_brute_force_oracle(self):
+        """The truncation certificate accepts iff A^m = I (numpy powers) and the
+        x-stable span of the images, closed by search over all p^d vectors, is F_p^d."""
+        rng = random.Random(19)
+        outcomes = set()
+        for _ in range(150):
+            field = rng.choice([F2, F3])
+            p, m = field.p, rng.randint(1, 4)
+            if rng.random() < 0.5:  # block companions of divisors of x^m - 1 have A^m = I
+                divisors = [f for f in brute_monic_divisors(x_pow_minus_one(field, m)) if f.degree]
+                chain = []
+                for h in rng.choices(divisors, k=rng.randint(1, 3)):
+                    if sum(int(f.degree) for f in chain + [h]) <= 4:
+                        chain.append(h)
+                action = block_companion(chain)
+            else:
+                d = rng.randint(1, 4)
+                action = [[rng.randrange(p) for _ in range(d)] for _ in range(d)]
+            d = len(action)
+            images = [tuple(rng.randrange(p) for _ in range(d)) for _ in range(rng.randint(0, 2))]
+            a = np.array(action, dtype=np.int64)
+            power = np.eye(d, dtype=np.int64)
+            for _ in range(m):
+                power = power @ a % p
+            closure, frontier = {(0,) * d}, [(0,) * d]
+            while frontier:
+                v = np.array(frontier.pop(), dtype=np.int64)
+                for w in [a @ v % p] + [(v + g) % p for g in np.array(images, dtype=np.int64)]:
+                    if (w := tuple(w.tolist())) not in closure:
+                        closure.add(w)
+                        frontier.append(w)
+            if not (power == np.eye(d, dtype=np.int64)).all():
+                expected = "x-action does not have order dividing m"
+            elif len(closure) < p ** d:
+                expected = "generator images fail to span the truncation"
+            else:
+                expected = "accepted"
+            try:
+                FiniteTruncation(field, m, d, tuple(map(tuple, action)), tuple(images))
+                got = "accepted"
+            except CertificateError as exc:
+                got = str(exc)
+            assert got == expected, (p, m, action, images)
+            outcomes.add(got)
+        assert outcomes == {"accepted", "x-action does not have order dividing m",
+                            "generator images fail to span the truncation"}
+
+    def test_wide_prime_truncation(self):
+        # residue products past 2^63 put the certificate's matrices on the object dtype
+        field = FieldSpec(10 ** 18 + 3)
+        minus_one = field.p - 1
+        swap_signs = ((minus_one, 0), (0, 1))  # x acts as diag(-1, 1): x^2 = 1
+        FiniteTruncation(field, 2, 2, swap_signs, ((1, 1),))
+        with pytest.raises(CertificateError, match="order dividing m"):
+            FiniteTruncation(field, 1, 2, swap_signs, ((1, 1),))
+        with pytest.raises(CertificateError, match="fail to span"):
+            FiniteTruncation(field, 2, 2, swap_signs, ((minus_one, 0),))
 
 
 _CORRUPTED_MODULES_SCRIPT = """
@@ -273,6 +336,8 @@ cases = {
     "action order": lambda: lm.FiniteTruncation(F3, 1, 1, ((2,),), ((1,),)),
     "no span": lambda: lm.FiniteTruncation(F2, 1, 1, ((1,),), ((0,),)),
     "partial span": lambda: lm.FiniteTruncation(F2, 1, 2, ((1, 0), (0, 1)), ((1, 0),)),
+    "image length": lambda: lm.FiniteTruncation(F2, 1, 1, ((1,),), ((1, 0),)),
+    "order m": lambda: lm.FiniteTruncation(F2, -1, 1, ((1,),), ((1,),)),
     "span through the action": lambda: lm.FiniteTruncation(F2, 3, 2, ((0, 1), (1, 1)), ((1, 0),)),
     "infinite": lambda: (setattr(lm, "smith_normal_form", zero_diagonal_snf),
                          lm.finite_truncation(free, 3)),
@@ -306,6 +371,8 @@ def test_corrupted_modules_rejected_under_optimize():
         "action order": "x-action does not have order dividing m",
         "no span": "generator images fail to span the truncation",
         "partial span": "generator images fail to span the truncation",
+        "image length": "generator image is not a vector of length dim",
+        "order m": "truncation order m is not positive",
         "span through the action": "accepted",
         "infinite": "truncation is not finite",
         "dimension": "truncation dimension disagrees with the rank formula",

@@ -380,7 +380,8 @@ class TestCli:
         assert run_cli("certify").returncode == 2
 
     @pytest.mark.parametrize("group", [["--p", "4"], ["--p", "1"], ["--p", "2", "--n", "0"],
-                                       ["--p", "2", "--base", "0"], ["--p", "2", "--base", "x"]])
+                                       ["--p", "2", "--base", "0"], ["--p", "2", "--base", "x"],
+                                       ["--p", "2", "--n", "129"]])
     def test_wreath_bad_group_is_input_error(self, group, capsys):
         elem = '{"lamps":[],"shift":1}'
         code = cli.main(["wreath", "mul", elem, elem, *group])
@@ -388,6 +389,19 @@ class TestCli:
         assert code == 2
         assert "Traceback" not in err
         assert err.startswith("input error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, content", [
+        ("snf", b"[" * 200_000),  # the decoder raises RecursionError far below this depth
+        ("certify", b'{"p": 1' + b"0" * 5000 + b', "n": 1}'),  # past the 4300-digit limit
+        ("certify", '{"p": 2, "n": 1, "note": "\u00e9"}'.encode("latin-1")),
+    ], ids=["deep-nesting", "long-integer", "not-utf8"])
+    def test_unreadable_json_is_input_error(self, command, content, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        code = cli.main([command, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("input error: cannot read JSON from ") and err.count("\n") == 1
 
     def test_certificate_failure_exit_code(self, monkeypatch, capsys):
         # the batched candidate law without its x^k twist: the input is valid,

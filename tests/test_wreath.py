@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 import subprocess
@@ -563,3 +564,28 @@ def test_surjectivity_matches_bfs_oracle():
         assert surjective == oracles.bfs_surjective(gi), gi
         verdicts.append(surjective)
     assert verdicts == [True] * 3 + [False, True, True, True, True, True, False, True]
+
+
+
+def test_random_surjectivity_matches_bfs_oracle():
+    # free sources of rank r <= 2 into (Z/pZ)^n wr Z/m, n <= 2: every base-valued
+    # image set and every unit t-shift is a homomorphism, onto or not
+    rng = random.Random(19)
+    verdicts = set()
+    for _ in range(60):
+        field = rng.choice([F2, F3])
+        rank, n, m = rng.randint(1, 2), rng.randint(1, 2), rng.randint(1, 4)
+        spec = LamplighterSpec(field, n, m)
+
+        def lamps():
+            return {i: [rng.randrange(field.p) for _ in range(n)]
+                    for i in range(m) if rng.random() < 0.4}
+
+        sigma = rng.choice([s for s in range(1, m + 1) if math.gcd(s, m) == 1])
+        gi = GeneratorImages(source=ModulePresentation.free(field, rank), target=spec,
+                             module_gen_images=tuple(element(spec, lamps()) for _ in range(rank)),
+                             t_image=element(spec, lamps(), sigma))
+        surjective = hom_from_generator_images(gi).surjective
+        assert surjective == oracles.bfs_surjective(gi), gi
+        verdicts.add(surjective)
+    assert verdicts == {True, False}
