@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Any
 
@@ -26,25 +27,33 @@ from .wreath import LamplighterSpec, abelianize, wreath_inv, wreath_mul
 
 
 def _load_json(source: str) -> Any:
+    inline = source.lstrip().startswith(("{", "["))
     try:
         if source == "-":
             return json.load(sys.stdin)
-        if source.lstrip().startswith(("{", "[")):
+        if inline:
             return json.loads(source)
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
     # ValueError covers JSONDecodeError, UnicodeDecodeError and integers past the digit limit
     except (OSError, ValueError, RecursionError) as exc:
-        raise InvalidInput(f"cannot read JSON from {source!r}: {exc}") from exc
+        what = f"inline JSON of {len(source)} characters" if inline else repr(source)
+        raise InvalidInput(f"cannot read JSON from {what}: {exc}") from exc
 
 
 def _emit(payload: Any, as_json: bool, text: str | None = None) -> None:
-    if as_json:
-        sys.stdout.write(jsonio.canonical_dumps(payload))
-    else:
-        sys.stdout.write((text if text is not None else jsonio.canonical_dumps(payload)))
-        if text is not None and not text.endswith("\n"):
-            sys.stdout.write("\n")
+    """Write the output to stdout. A reader that has closed stdout (`| head`)
+    leaves the exit code alone: stdout is pointed at os.devnull, so the flush
+    at exit cannot fail again."""
+    if as_json or text is None:
+        text = jsonio.canonical_dumps(payload)
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_snf(args: argparse.Namespace) -> int:

@@ -13,7 +13,7 @@ so degree comparisons in the division algorithm need no special cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import BothZero, DivisionByZero, FieldMismatch, require
 
@@ -181,21 +181,6 @@ class FpPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "FpPoly":
-        if k < 0:
-            raise ValueError("negative power of a plain polynomial")
-        out = FpPoly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __divmod__(self, other: "FpPoly") -> tuple["FpPoly", "FpPoly"]:
-        return poly_divmod(self, other)
-
     def __floordiv__(self, other: "FpPoly") -> "FpPoly":
         return poly_divmod(self, other)[0]
 
@@ -208,20 +193,12 @@ class FpPoly:
         return poly_divmod(other, self)[1].is_zero
 
     def __str__(self) -> str:
-        return format_terms([(i, c) for i, c in enumerate(self.coeffs) if c])
-
-
-def format_terms(terms: Sequence[tuple[int, int]]) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for e, c in sorted(terms):
-        if e == 0:
-            parts.append(str(c))
-        else:
-            head = "" if c == 1 else str(c)
-            parts.append(f"{head}x" if e == 1 else f"{head}x^{e}")
-    return " + ".join(parts)
+        parts = []
+        for e, c in enumerate(self.coeffs):
+            if c:
+                head = "" if c == 1 else str(c)
+                parts.append(str(c) if e == 0 else f"{head}x" if e == 1 else f"{head}x^{e}")
+        return " + ".join(parts) or "0"
 
 
 def poly_divmod(a: FpPoly, b: FpPoly) -> tuple[FpPoly, FpPoly]:
@@ -308,10 +285,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return self.body.is_zero
 
-    @property
-    def is_unit(self) -> bool:
-        return (not self.is_zero) and self.body.degree == 0
-
     def coefficient(self, e: int) -> int:
         return self.body.coefficient(e - self.shift)
 
@@ -325,22 +298,9 @@ class LaurentPoly:
         _check_fields(self, other)
         return laurent_canonicalize(self.field, self.terms() + other.terms())
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.field, self.shift, -self.body)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            return LaurentPoly(self.field, self.shift, self.body * other)
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         _check_fields(self, other)
         return LaurentPoly(self.field, self.shift + other.shift, self.body * other.body)
-
-    __rmul__ = __mul__
-
-    def __str__(self) -> str:
-        return format_terms(self.terms())
 
 
 def laurent_canonicalize(field: FieldSpec, raw: Iterable[tuple[int, int]]) -> LaurentPoly:

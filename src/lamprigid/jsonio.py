@@ -47,6 +47,12 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _quote(value: Any) -> str:
+    """repr(value) cut to about 80 characters, for error messages."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise InvalidInput(message)
@@ -77,9 +83,9 @@ def _literal_pairs(data: Any, allow_negative: bool = False) -> list[tuple[int, i
     _expect(isinstance(data, list), "polynomial literal must be a list of [exp, coeff] pairs")
     pairs = []
     for item in data:
-        _expect(isinstance(item, list) and len(item) == 2
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in item),
-                f"bad term {item!r} in polynomial literal")
+        if not (isinstance(item, list) and len(item) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
+            raise InvalidInput(f"bad term {_quote(item)} in polynomial literal")
         e, c = item
         _expect(allow_negative or e >= 0,
                 f"negative exponent {e} where a plain polynomial is expected")
@@ -182,7 +188,8 @@ def parse_wreath_element(spec: LamplighterSpec, data: Any) -> WreathElement:
     _expect(isinstance(lamps, list), "'lamps' must be a list of [index, vector] pairs")
     parsed = []
     for item in lamps:
-        _expect(isinstance(item, list) and len(item) == 2, f"bad lamp entry {item!r}")
+        if not (isinstance(item, list) and len(item) == 2):
+            raise InvalidInput(f"bad lamp entry {_quote(item)}")
         idx, vec = item
         _expect(isinstance(idx, int) and not isinstance(idx, bool), "lamp index must be an integer")
         _expect(isinstance(vec, list) and len(vec) == spec.n

@@ -319,12 +319,8 @@ class _Worker:
             changed = False
             for i in range(k - 1):
                 a, b = self.poly(self.g[i, i]), self.poly(self.g[i + 1, i + 1])
-                if a.is_zero and not b.is_zero:
-                    self.swap(False, i, i + 1)
-                    self.swap(True, i, i + 1)
-                    changed = True
-                    continue
-                if a.is_zero or b.is_zero or a.divides(b):
+                # zeros stay last: diagonalize leaves them there, and a gcd step keeps g, ab/g nonzero
+                if b.is_zero or a.divides(b):
                     continue
                 g, u, v = poly_gcd_ext(a, b)
                 # [[a,0],[0,b]] -> [[g,0],[0,ab/g]]: col_i += col_(i+1), then rows i, i+1

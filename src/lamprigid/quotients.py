@@ -99,8 +99,10 @@ class FiniteGroupTable:
 
     @cached_property
     def element_orders(self) -> np.ndarray:
-        """Order of every element, computed once."""
-        return _orders_modulo(self, np.arange(self.order) == self.identity)
+        """Order of every element, the least k >= 1 with g^k = e; computed once."""
+        orders = np.argmax(self.powers[1:] == self.identity, axis=0) + 1
+        orders.flags.writeable = False
+        return orders
 
     @cached_property
     def class_sizes(self) -> np.ndarray:
@@ -143,13 +145,6 @@ def _row_blocks(order: int, row_entries: int):
     entries; a slice holds at most _BLOCK_ENTRIES entries, or one row."""
     step = max(1, _BLOCK_ENTRIES // row_entries)
     return (slice(start, start + step) for start in range(0, order, step))
-
-
-def _orders_modulo(table: FiniteGroupTable, member: np.ndarray) -> np.ndarray:
-    """Least k >= 1 with g^k in the subgroup with mask member, for every g."""
-    orders = np.argmax(member[table.powers[1:]], axis=0) + 1
-    orders.flags.writeable = False
-    return orders
 
 
 def cyclic_table(n: int) -> FiniteGroupTable:

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fppoly import FieldSpec, FpPoly, LaurentPoly
 from .laurent_modules import ModulePresentation, check_epimorphism
-from .polymatrix import PolyMatrix, smith_normal_form
+from .polymatrix import PolyMatrix, _exact_dtype, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,6 @@ class LamplighterSpec:
     @property
     def is_cyclic(self) -> bool:
         return self.base_order is not None
-
-    @property
-    def order(self) -> int | None:
-        """Group order for a cyclic base, None for the infinite base."""
-        if self.base_order is None:
-            return None
-        return self.field.p ** (self.n * self.base_order) * self.base_order
 
     def reduce_index(self, i: int) -> int:
         return i % self.base_order if self.base_order else i
@@ -98,13 +91,6 @@ class WreathElement:
     @property
     def in_base(self) -> bool:
         return self.shift == 0
-
-    def lamp_at(self, idx: int) -> tuple[int, ...]:
-        key = self.spec.reduce_index(idx)
-        for i, v in self.lamps:
-            if i == key:
-                return v
-        return (0,) * self.spec.n
 
     def __str__(self) -> str:
         body = ", ".join(f"{i}:{list(v)}" for i, v in self.lamps) or "-"
@@ -475,11 +461,11 @@ class VerifiedGroupEpi:
 
         The image of a has coordinates sum_j,d P[i, j, d] x^d a_j: each of its
         coefficients sums at most g(D+1) products below p^2 before reduction.
-        The dtype is int64 when that bound stays below 2^63 and Python integers
-        (object) otherwise, so the arithmetic is exact for every prime.
+        The dtype is _exact_dtype's for that many products, int64 or Python
+        integers (object), so the arithmetic is exact for every prime.
         """
-        exact = self.phi.cols * self.phi.coeffs.shape[2] * (self.source.field.p - 1) ** 2 < 2 ** 63
-        return self.phi.coeffs.astype(np.int64 if exact else object)
+        width = self.phi.cols * self.phi.coeffs.shape[2]
+        return self.phi.coeffs.astype(_exact_dtype(self.source.field.p, width))
 
     def _image(self, batch: Batch) -> Batch:
         """(phi(a), k) for every element of a candidate batch."""

@@ -566,15 +566,6 @@ def orders_modulo_by_iteration(table: FiniteGroupTable, member: np.ndarray) -> n
     return orders
 
 
-def derived_subgroup_mask(table: FiniteGroupTable) -> np.ndarray:
-    """Mask of G', closed from the commutators a b a^-1 b^-1 of all pairs."""
-    mul, inv = table.mul, table.inverse
-    commutators = mul[mul[mul, inv[:, None]], inv[None, :]]
-    member = np.zeros(table.order, dtype=bool)
-    member[subgroup_closure(table, sorted(set(commutators.ravel().tolist())))] = True
-    return member
-
-
 def generators_by_closure(table: FiniteGroupTable) -> tuple[int, ...]:
     """Each the least element outside the subgroup the earlier ones generate,
     the subgroup taken by product closure instead of Light's right-multiplication walk."""
@@ -796,7 +787,7 @@ def bfs_surjective(gi: GeneratorImages) -> bool:
         return lamps, w.shift % m
 
     generators = [dense(w) for w in gi.module_gen_images + (gi.t_image,)]
-    seen = np.zeros(spec.order, dtype=bool)
+    seen = np.zeros(p ** (n * m) * m, dtype=bool)
     seen[0] = True
     lamps, shifts = np.zeros((1, m, n), dtype=np.int64), np.zeros(1, dtype=np.int64)
     while len(shifts):

@@ -197,12 +197,6 @@ class TestLaurent:
         f = laurent_canonicalize(F3, [(3, 2)])
         assert f.shift == 3 and f.body == poly(F3, 2)
 
-    def test_units(self):
-        assert laurent_canonicalize(F2, [(5, 1)]).is_unit
-        assert not laurent_canonicalize(F2, [(0, 1), (1, 1)]).is_unit
-        assert laurent_canonicalize(F5, [(-3, 2)]).is_unit
-        assert not LaurentPoly.zero(F2).is_unit
-
     @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-10, 10)), max_size=12),
            st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -402,6 +403,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2, err
         assert err.startswith("input error: cannot read JSON from ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["snf", "[" * 100_000],
+        ["snf", json.dumps({"p": 2, "rows": 1, "cols": 1, "entries": [[[[0] * 50_000]]]})],
+        ["wreath", "inv", json.dumps({"lamps": [[0] * 50_000], "shift": 0}), "--p", "2"],
+    ], ids=["inline-json", "long-term", "long-lamp-entry"])
+    def test_long_input_gives_short_message(self, argv, capsys):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert len(err.encode()) <= 300
+
+    @pytest.mark.parametrize("argv, code", [
+        (["certify", "candidates/free_rank1.json", "--json"], 0),
+        (["certify", "candidates/torsion_only.json"], 1),
+        (["quotients", "candidates/free_rank1.json", "--bound", "16"], 0),
+        (["snf", "tests/data/disguised16_free_rank2_p3_relations.json"], 0),
+    ], ids=["certify-json", "certify-uncertified", "quotients", "snf"])
+    def test_closed_stdout_keeps_exit_code(self, argv, code):
+        # the reader of stdout has quit before the first write, as `| head` may
+        root = pathlib.Path(__file__).resolve().parents[1]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "lamprigid.cli", argv[0], str(root / argv[1]),
+                                   *argv[2:]], stdout=write_end, stderr=subprocess.PIPE, timeout=600)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (code, b"")
 
     def test_certificate_failure_exit_code(self, monkeypatch, capsys):
         # the batched candidate law without its x^k twist: the input is valid,

@@ -370,6 +370,7 @@ cases = {
     "off-diagonal D": claimed(mat(F2, [[(1,), (1,)], [(), (1,)]])),
     "broken chain": claimed(mat(F2, [[(0, 1), ()], [(), (1, 1)]])),
     "non-monic diagonal": claimed(mat(F3, [[(2,)]])),
+    "zero before nonzero": claimed(mat(F2, [[(), ()], [(), (1,)]])),
     **{f"x in V at {i}": x_in_v(i) for i in range(3)},
 }
 
@@ -410,6 +411,7 @@ def test_corrupted_snf_rejected_under_optimize():
         "off-diagonal D": "D has off-diagonal entries",
         "broken chain": "divisibility chain broken",
         "non-monic diagonal": "diagonal entry not monic",
+        "zero before nonzero": "nonzero diagonal entry after a zero one",
         "x in V at 0": "V is not unimodular",
         "x in V at 1": "V is not unimodular",
         "x in V at 2": "V is not unimodular",

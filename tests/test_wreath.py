@@ -96,7 +96,7 @@ class TestGroupLaw:
         table = build_group_table(trunc, 3)
 
         def encode(w):
-            vec_idx = sum(w.lamp_at(i)[0] * 2 ** i for i in range(3))
+            vec_idx = sum(dict(w.lamps).get(i, (0,) * w.spec.n)[0] * 2 ** i for i in range(3))
             return vec_idx * 3 + w.shift
 
         rng = random.Random(8)
@@ -204,7 +204,8 @@ class TestDictionary:
             vec = [poly(F3, *[rng.randrange(3) for _ in range(4)]) for _ in range(2)]
             img = hom.evaluate(vec, 0)
             assert img.in_base
-            back = [poly(F3, *[img.lamp_at(i)[j] for i in range(4)]) for j in range(2)]
+            lamps = dict(img.lamps)
+            back = [poly(F3, *[lamps.get(i, (0,) * spec.n)[j] for i in range(4)]) for j in range(2)]
             assert back == vec
 
     def test_multiplication_by_x_is_the_shift(self):
