@@ -37,8 +37,9 @@ def _load_json(source: str) -> Any:
             return json.load(fh)
     # ValueError covers JSONDecodeError, UnicodeDecodeError and integers past the digit limit
     except (OSError, ValueError, RecursionError) as exc:
-        what = f"inline JSON of {len(source)} characters" if inline else repr(source)
-        raise InvalidInput(f"cannot read JSON from {what}: {exc}") from exc
+        what = f"inline JSON of {len(source)} characters" if inline else jsonio._quote(source)
+        detail = exc.strerror if isinstance(exc, OSError) else exc  # its str() repeats the path
+        raise InvalidInput(f"cannot read JSON from {what}: {detail}") from exc
 
 
 def _emit(payload: Any, as_json: bool, text: str | None = None) -> None:

@@ -206,14 +206,7 @@ def element_to_json(w: WreathElement) -> dict:
 
 
 def fingerprint_to_json(fp: QuotientFingerprint) -> dict:
-    return {
-        "order": fp.order,
-        "abelian_invariants": list(fp.abelian_invariants),
-        "exponent": fp.exponent,
-        "element_orders": list(fp.element_orders),
-        "class_sizes": list(fp.class_sizes),
-        "name": fp.describe(),
-    }
+    return {**vars(fp), "name": fp.describe()}
 
 
 def quset_to_json(qs: QuSet) -> dict:
@@ -255,26 +248,13 @@ def report_to_json(report: RigidityReport) -> dict:
         "seed": report.seed,
         "qu_bound": report.qu_bound,
         "order_cap": ORDER_CAP,
-        "ab_check": {
-            "passed": report.ab_check.passed,
-            "coinvariant_dimension": report.ab_check.coinvariant_dimension,
-            "expected_rank": report.ab_check.expected_rank,
-        },
+        "ab_check": dict(vars(report.ab_check)),
         "decomposition": decomposition_to_json(report.decomposition, report.torsion_orders),
         "chosen_m": report.chosen_m,
-        "rank_check": None if rank is None else {
-            "passed": rank.passed,
-            "free_rank": rank.free_rank,
-            "target_rank": rank.target_rank,
-            "m": rank.m,
-            "torsion_degree_sum": rank.torsion_degree_sum,
-            "inequality_lhs": rank.inequality_lhs,
-            "inequality_rhs": rank.inequality_rhs,
-            "inequality_holds": rank.inequality_holds,
-        },
+        "rank_check": None if rank is None else dict(vars(rank)),
         "epimorphism": None if epi is None else {
             "matrix": matrix_to_json(epi.phi),
-            "law_check": {"samples": epi.law_check.samples, "seed": epi.law_check.seed},
+            "law_check": dict(vars(epi.law_check)),
         },
         "qu_comparison": {
             "sides": {"left": "candidate", "right": "lamplighter"},

@@ -18,7 +18,10 @@ refutation branch and typically produces the distinguishing witness. The
 epimorphism stage is constructive and only runs after a passing rank check.
 
 Reports are deterministic given (input, seed): serializing the same report
-twice yields identical bytes.
+twice yields identical bytes. The fields of AbelianizationCheck, RankCheck and
+LawCheckReport are the keys of the ab_check, rank_check and
+epimorphism.law_check blocks of the rigidity-report/1 JSON, written as they
+are: renaming a field changes the schema.
 """
 
 from __future__ import annotations

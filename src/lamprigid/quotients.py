@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from typing import Sequence
 
@@ -166,16 +166,28 @@ def _vector_grid(p: int, d: int) -> tuple[np.ndarray, np.ndarray]:
             p ** np.arange(d, dtype=np.int64))
 
 
+def _addition_table(p: int, d: int) -> np.ndarray:
+    """int32 index of v + w for all v, w in F_p^d, built one digit (v_k + w_k) mod p
+    at a time. With d = 0, p is never read: callers pass 1 for the zero space."""
+    table = np.zeros((1, 1), dtype=np.int32)
+    if d:
+        digit = np.add.outer(np.arange(p, dtype=np.int32), np.arange(p, dtype=np.int32)) % p
+        for k in range(d):
+            table = (digit[:, None, :, None] * p ** k
+                     + table[None, :, None, :]).reshape(p ** (k + 1), p ** (k + 1))
+    return table
+
+
 def _action_rows(p: int, action: list[list[int]], m: int) -> tuple[np.ndarray, ...]:
-    """The vector grid and radix of F_p^d, and rows k = 0..m holding the index
-    of A^k v for every vector v, A = action."""
+    """The vector grid and _addition_table of F_p^d, and rows k = 0..m holding
+    the index of A^k v for every vector v, A = action."""
     d = len(action)
     vecs, radix = _vector_grid(p, d)
     a_np = np.array(action, dtype=np.int64).reshape(d, d)
     rows = [np.arange(p ** d), vecs @ a_np.T % p @ radix]
     while len(rows) <= m:
         rows.append(rows[1][rows[-1]])
-    return vecs, radix, np.stack(rows[:m + 1])
+    return vecs, _addition_table(p, d), np.stack(rows[:m + 1])
 
 
 def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
@@ -195,8 +207,7 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
     """
     d = len(action)
     p = field.p if d else 1  # F_p^0 is the zero space; 1 keeps the modulus inside int64
-    count = p ** d
-    order = count * m
+    order = p ** d * m
     if order > ORDER_CAP:
         raise OrderBoundExceeded(f"order {order} exceeds cap {ORDER_CAP}")
     a_np = np.array(action, dtype=np.int64).reshape(d, d)
@@ -205,16 +216,10 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
         raise ValueError(f"twist has length {twist_np.size}, expected {d}")
     if not np.array_equal(a_np @ twist_np % p, twist_np):
         raise ValueError("twist is not fixed by the action")
-    vecs, radix, act_idx = rows or _action_rows(p, action, m)  # act_idx[k, j]: A^k vec_j
+    _, sum_idx, act_idx = rows or _action_rows(p, action, m)  # act_idx[k, j]: A^k vec_j
     if not np.array_equal(act_idx[m], act_idx[0]):  # A^m fixes every vector: A^m = I
         raise ValueError(f"action does not have order dividing {m}")
-    wrap = (((vecs + twist_np) % p) @ radix).astype(np.int32)
-    sum_idx = np.zeros((count, count), dtype=np.int32)
-    if d:
-        chunk = max(1, (1 << 22) // (count * d))
-        for start in range(0, count, chunk):
-            end = min(start + chunk, count)
-            sum_idx[start:end] = ((vecs[start:end, None, :] + vecs[None, :, :]) % p) @ radix
+    wrap = sum_idx[:, int(twist_np @ p ** np.arange(d))]  # wrap[j] = index(vec_j + a)
     # table[(i, k), (j, l)]: block[i, k, j] = index(vec_i + A^k vec_j), plus the
     # twist a where k + l >= m; a C-ordered block gives a C-ordered table
     block = np.ascontiguousarray(sum_idx[:, act_idx[:m], None])
@@ -318,7 +323,9 @@ def quotient_table(table: FiniteGroupTable, normal: frozenset[int] | set[int]) -
 
 @dataclass(frozen=True)
 class QuotientFingerprint:
-    """Cheap isomorphism invariants used to pre-filter the backtracking search."""
+    """Cheap isomorphism invariants used to pre-filter the backtracking search.
+    The fields, with "name" = describe(), are the keys of each quotient class
+    in the rigidity-report/1 JSON: renaming a field changes the schema."""
 
     order: int
     abelian_invariants: tuple[int, ...]
@@ -505,7 +512,7 @@ def _dominated_chains(base_chain: list[FpPoly], divisors: list[FpPoly],
     return out
 
 
-def _twist_classes(p: int, action_rows: tuple, m: int) -> list[tuple[int, ...]]:
+def _twist_classes(action_rows: tuple, m: int) -> list[tuple[int, ...]]:
     """One twist from each class of H^2(C_m, M) = M^x / N_m M, N_m = 1 + A + ... + A^(m-1).
 
     M = F_p^d with x acting by A, A^m = I; action_rows = _action_rows(p, A, m).
@@ -514,11 +521,10 @@ def _twist_classes(p: int, action_rows: tuple, m: int) -> list[tuple[int, ...]]:
     represented by its element of least index; N_m M is fixed by x, so that
     element is the least of v + N_m M for each fixed v.
     """
-    vecs, radix, rows = action_rows
+    vecs, add, rows = action_rows
     fixed = np.flatnonzero(rows[1] == rows[0])
-    in_image = np.zeros(len(vecs), dtype=bool)
-    in_image[vecs[rows[:m]].sum(axis=0) % p @ radix] = True  # N_m v for every v
-    least = ((vecs[fixed, None] + vecs[in_image]) % p @ radix).min(axis=1)  # of v + N_m M
+    norm = reduce(lambda acc, row: add[acc, row], rows[1:m], rows[0])  # N_m v for every v
+    least = add[fixed[:, None], np.unique(norm)].min(axis=1)  # of v + N_m M
     return [tuple(v) for v in vecs[fixed[least == fixed]].tolist()]
 
 
@@ -547,7 +553,7 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: 
             module = (p, d, tuple(h.coeffs for h in chain))
             if module not in pool:
                 rows = _action_rows(p if action else 1, action, d)  # as in semidirect_table
-                pool[module] = rows, _twist_classes(p if action else 1, rows, d)
+                pool[module] = rows, _twist_classes(rows, d)
             for twist in pool[module][1]:
                 yield module + (twist,), field, action, twist
 

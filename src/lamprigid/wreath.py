@@ -264,9 +264,11 @@ class VerifiedHom:
 def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
     """Check the proposed images and return an evaluable homomorphism.
 
-    Checks, in the finite target: base-valuedness, order dividing p, pairwise
-    commutation, every relator column (x acting by t-image conjugation), the
-    conjugation action itself, and invertibility of the t-image shift mod m.
+    Checks, in the finite target: base-valuedness, invertibility of the
+    t-image shift mod m, and every relator column (x acting by t-image
+    conjugation). Base-valued images need no further check: the base of
+    (Z/pZ)^n wr Z/m is an F_p-vector space, so they have order dividing p and
+    commute, and (T, s)(L, 0)(T, s)^-1 = (s.L, 0) for every t-image (T, s).
     Also decides surjectivity, from the certified Smith normal form of the lamp
     polynomials of the image's base part bordered by (x^m - 1) I_n.
     """
@@ -277,13 +279,6 @@ def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
     for i, w in enumerate(gi.module_gen_images):
         if not w.in_base:
             raise NotBaseValued(f"image of generator {i} has shift {w.shift}")
-    for i, w in enumerate(gi.module_gen_images):
-        if not wreath_pow(w, spec.field.p).is_identity:
-            raise RelationViolated(i, "image order does not divide p")
-    for i, a in enumerate(gi.module_gen_images):
-        for b in gi.module_gen_images[i + 1:]:
-            if wreath_mul(a, b) != wreath_mul(b, a):
-                raise RelationViolated(i, "module generator images do not commute")
 
     sigma = gi.t_image.shift
     if math.gcd(sigma, m) != 1:
@@ -291,12 +286,6 @@ def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
             f"t-image shift {sigma} is not invertible mod {m}; "
             "conjugation cannot realize an invertible x-action")
     sigma_inverse = pow(sigma, -1, m) if m > 1 else 0
-
-    inv_t = wreath_inv(gi.t_image)
-    for i, w in enumerate(gi.module_gen_images):
-        conjugated = wreath_mul(wreath_mul(gi.t_image, w), inv_t)
-        if conjugated != shift_lamps(w, sigma):
-            raise ConjugationMismatch(f"conjugation of generator image {i} is not the index shift")
 
     rel = gi.source.relations
     for j in range(rel.cols):

@@ -132,6 +132,9 @@ class TestCertify:
         report = certify(CandidateGroup(F2, 2, ModulePresentation.free(F2, 1)), qu_bound=4)
         assert report.failed_stage == "abelianization_check"
         assert report.rank_check is None and report.epimorphism is None
+        out = json.loads(jsonio.canonical_dumps(jsonio.report_to_json(report)))
+        assert out["rank_check"] is None and out["epimorphism"] is None
+        assert out["ab_check"] == {"passed": False, "coinvariant_dimension": 1, "expected_rank": 2}
 
     def test_stage_consistency(self):
         for candidate in (CandidateGroup.free(F2, 1), mixed_candidate(), torsion_candidate()):
@@ -408,7 +411,8 @@ class TestCli:
         ["snf", "[" * 100_000],
         ["snf", json.dumps({"p": 2, "rows": 1, "cols": 1, "entries": [[[[0] * 50_000]]]})],
         ["wreath", "inv", json.dumps({"lamps": [[0] * 50_000], "shift": 0}), "--p", "2"],
-    ], ids=["inline-json", "long-term", "long-lamp-entry"])
+        ["snf", "a" * 100_000],
+    ], ids=["inline-json", "long-term", "long-lamp-entry", "long-path"])
     def test_long_input_gives_short_message(self, argv, capsys):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err

@@ -193,6 +193,21 @@ class TestTableBuilderAgainstBlockOracle:
         oracle = semidirect_table_by_blocks(field, action, m, twist=twist)
         assert np.array_equal(built.mul, oracle.mul)
 
+    def test_order_1024_table(self):
+        x4_minus_1 = x_pow_minus_one(F2, 4)
+        action = block_companion([x4_minus_1, x4_minus_1])
+        built = semidirect_table(F2, action, 4)
+        assert built.order == 1024
+        assert np.array_equal(built.mul, semidirect_table_by_blocks(F2, action, 4).mul)
+
+
+@pytest.mark.parametrize("p, d", [(2, 0), (7, 0), (2, 1), (2, 4), (3, 3), (5, 2), (13, 1)])
+def test_addition_table_matches_digit_sums(p, d):
+    vecs, radix = quotients._vector_grid(p, d)
+    expected = (vecs[:, None, :] + vecs[None, :, :]) % p @ radix
+    table = quotients._addition_table(p, d)
+    assert table.dtype == np.int32 and np.array_equal(table, expected)
+
 
 class TestLawCheckAgainstPairOracle:
     def test_generator_images_over_catalog(self):
@@ -451,7 +466,7 @@ class TestReplacedLoopsAgainstOracles:
     def test_random_block_companion_actions(self, data):
         field, action, m, twist = data
         rows = quotients._action_rows(field.p, action, m)
-        assert quotients._twist_classes(field.p, rows, m) == \
+        assert quotients._twist_classes(rows, m) == \
             twist_classes_by_cover(field, action, m)
         orders_match_oracle(semidirect_table(field, action, m, twist=twist))
 

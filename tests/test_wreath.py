@@ -7,6 +7,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -530,6 +532,29 @@ class TestScaleShiftHelpers:
     def test_shift_wraps_cyclically(self):
         a = element(W123, {2: [1]}, 0)
         assert shift_lamps(a, 1) == element(W123, {0: [1]}, 0)
+
+
+@st.composite
+def base_pair_and_element(draw):
+    """Two base elements and any element of (Z/pZ)^n wr Z/m, p in {2, 3, 5},
+    n <= 2, m <= 5."""
+    p, n, m = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 2)), draw(st.integers(1, 5))
+    spec = LamplighterSpec(FieldSpec(p), n, m)
+    lamps = st.dictionaries(st.integers(-m, 2 * m),
+                            st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    a, b, t_lamps = (draw(lamps) for _ in range(3))
+    return spec, element(spec, a), element(spec, b), element(spec, t_lamps, draw(st.integers()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base_pair_and_element())
+def test_base_facts_that_hom_verification_relies_on(case):
+    # hom_from_generator_images checks only that module images are base-valued:
+    # base elements have order dividing p, commute, and t-conjugation shifts them
+    spec, a, b, t = case
+    assert wreath_pow(a, spec.field.p).is_identity
+    assert wreath_mul(a, b) == wreath_mul(b, a)
+    assert wreath_mul(wreath_mul(t, a), wreath_inv(t)) == shift_lamps(a, t.shift)
 
 
 def _example_generator_images():
