@@ -2,10 +2,10 @@
 isomorphism testing, and order-bounded quotient sets of module semidirect
 products.
 
-Tables are numpy int32 arrays, built and inspected by whole-array operations.
-Group axioms are fully verified at construction at every order, associativity
-by Light's test on a generating set (blocks of rows, each block at most 512^2
-entries).
+Tables are numpy int32 arrays. build_tables verifies the group axioms of a list
+of tables (associativity by Light's test on a generating set) and reads their
+invariants in one pass per batch of similar-sized tables, by blocks of whole rows;
+a bound-16 comparison is one batch, and FiniteGroupTable.build a batch of one.
 
 The bounded quotient sets of N x| Z are built without any subgroup search.
 Every finite quotient is a cyclic extension E(M, d, a): M a quotient module of
@@ -15,19 +15,20 @@ N_d = 1 + x + ... + x^(d-1) (K. Brown, Cohomology of Groups, IV.3). Over the
 polynomial ring each M is a direct sum of cyclic modules along a divisor chain
 dominated by the truncation's own invariant chain, so enumerating those chains
 and one a per cohomology class gives one table of order p^dim(M) * d <= B per
-candidate quotient. One comparison classifies each extension once: each
-distinct key (p, d, chain, a) of either side gives one table, sorted into
-isomorphism classes by fingerprint and isomorphism test. The fingerprint is
-read from the table's power table (row k holds g^k) with no quotient table:
-element orders, class sizes, and the invariant factors of A = G/G' counted as
+candidate quotient. One comparison classifies each extension once: the
+tables of the distinct keys (p, d, chain, a) of both sides are built in one
+pass, then sorted into isomorphism classes by fingerprint and isomorphism
+test. The fingerprint needs no quotient table: element orders, class sizes,
+and the invariant factors of A = G/G' counted from powers g^k as
 |A[k]| = #{g : g^k in G'} / |G'|. The lattice search remains for tests and tools.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import product
 from typing import Sequence
 
@@ -46,78 +47,33 @@ from .wreath import LamplighterSpec
 BOUND_CAP = 16
 ORDER_CAP = 4096  # size guard on tables; quotient sets need order <= BOUND_CAP only
 _BLOCK_ENTRIES = 512 ** 2
+_BATCH_ENTRIES = 128 ** 2  # batches save numpy calls; past this, padding costs more
 
 
 @dataclass(frozen=True, eq=False)
 class FiniteGroupTable:
-    """Multiplication table on indices 0..order-1 with verified group axioms."""
+    """Multiplication table on indices 0..order-1, verified and read by build_tables."""
 
     order: int
     mul: np.ndarray
     identity: int
     inverse: np.ndarray
     generators: tuple[int, ...]  # each the least element outside what the earlier ones generate
+    element_orders: np.ndarray  # least k >= 1 with g^k = e
+    class_sizes: np.ndarray  # |G| over the centralizer's order
+    fingerprint: "QuotientFingerprint"
 
     @classmethod
     def build(cls, mul: np.ndarray) -> "FiniteGroupTable":
-        mul = np.ascontiguousarray(mul, dtype=np.int32)
-        order = mul.shape[0]
-        require(mul.shape == (order, order), "table is not square")
-        require(mul.min() >= 0 and mul.max() < order, "table entry out of range")
-        idx = np.arange(order)
-        ids = np.flatnonzero((mul == idx).all(axis=1))
-        require(len(ids) == 1, "table has no unique identity")
-        e = int(ids[0])
-        require(np.array_equal(mul[:, e], idx), "identity fails on the right")
-        inv_count = (mul == e).sum(axis=1)
-        require((inv_count == 1).all(), "some element lacks a unique inverse")
-        inverse = np.argmax(mul == e, axis=1).astype(np.int32)
-        gens = _check_associative(mul, e)
-        mul.flags.writeable = False
-        inverse.flags.writeable = False
-        return cls(order=order, mul=mul, identity=e, inverse=inverse, generators=gens)
-
-    @cached_property
-    def fingerprint(self) -> "QuotientFingerprint":
-        """Isomorphism invariants, computed once per table; frozen fields keep it valid."""
-        return fingerprint(self)
-
-    @cached_property
-    def powers(self) -> np.ndarray:
-        """Row k holds g^k for every g, k = 0..exponent; int32 like mul. Rows
-        h+1..h+k are g^h g^i for i = 1..k, doubling up to the order."""
-        e, order = self.identity, self.order
-        rows = np.empty((order + 1, order), dtype=np.int32)
-        rows[0], rows[1], h = e, np.arange(order), 1
-        while h < order:
-            k = min(h, order - h)
-            rows[h + 1:h + k + 1] = self.mul[rows[h], rows[1:k + 1]]
-            h += k
-        rows = rows[:int(np.argmax((rows[1:] == e).all(axis=1))) + 2].copy()
-        rows.flags.writeable = False
-        return rows
-
-    @cached_property
-    def element_orders(self) -> np.ndarray:
-        """Order of every element, the least k >= 1 with g^k = e; computed once."""
-        orders = np.argmax(self.powers[1:] == self.identity, axis=0) + 1
-        orders.flags.writeable = False
-        return orders
-
-    @cached_property
-    def class_sizes(self) -> np.ndarray:
-        """Conjugacy class size of every element: |G| over its centralizer's order."""
-        sizes = self.order // (self.mul == self.mul.T).sum(axis=1)
-        sizes.flags.writeable = False
-        return sizes
+        return build_tables([mul])[0]
 
     def element_order(self, g: int) -> int:
         return int(self.element_orders[g])
 
 
-def _check_associative(mul: np.ndarray, e: int) -> tuple[int, ...]:
-    """Light's test; returns the generating set S it checks. The g with
-    (x g) y = x (g y) for all x, y include e and are closed under products:
+def _generators(mul: np.ndarray, e: int) -> list[int]:
+    """The generating set Light's test checks. The g with (x g) y = x (g y)
+    for all x, y include e and are closed under products:
     (x (a b)) y = ((x a) b) y = (x a) (b y) = x (a (b y)) = x ((a b) y) for two
     such a, b. So it suffices to check a set S whose products reach every
     element: each least element not reached from e by right multiplication by S
@@ -134,17 +90,124 @@ def _check_associative(mul: np.ndarray, e: int) -> tuple[int, ...]:
                     if not reached[y]:
                         reached[y] = True
                         stack.append(y)
-    for rows in _row_blocks(order, max(1, order * len(gens))):  # [x, i, y]: (x g_i) y, x (g_i y)
-        require(np.array_equal(mul[mul[rows][:, gens]], mul[rows][:, mul[gens]]),
+    return gens
+
+
+def build_tables(muls: Sequence[np.ndarray]) -> list[FiniteGroupTable]:
+    """Verify a nonempty list of tables and read their invariants, in order of
+    size by batches whose rows, padded to the batch's largest order, hold at most
+    _BATCH_ENTRIES entries (a larger table is a batch alone)."""
+    muls = [np.ascontiguousarray(m, dtype=np.int32) for m in muls]
+    for m in muls:
+        require(m.ndim == 2 and m.shape[0] == m.shape[1], "table is not square")
+    batches, size = [[]], 0
+    for t in sorted(range(len(muls)), key=lambda t: len(muls[t])):
+        if batches[-1] and (size + len(muls[t])) * len(muls[t]) > _BATCH_ENTRIES:
+            batches, size = batches + [[]], 0
+        batches[-1].append(t)
+        size += len(muls[t])
+    built = {t: table for batch in batches
+             for t, table in zip(batch, _build_batch([muls[t] for t in batch]))}
+    return [built[t] for t in range(len(muls))]
+
+
+def _build_batch(muls: list[np.ndarray]) -> list[FiniteGroupTable]:
+    """One pass over tables laid end to end: g in table t is off[t] + g globally, and
+    a b is flat[base[a] + b] (a lone table stays square, as sq, for cheap row copies).
+    Each check runs on every table before the next: entries in range, a unique
+    identity, also on the right, unique inverses, Light's test on _generators.
+    Then centralizers give class sizes, G' is the normal closure of the generators'
+    commutators, and powers by doubling give the orders of each g and of g G'."""
+    orders = [len(m) for m in muls]
+    off, entries = np.cumsum([0] + orders), np.cumsum([0] + [n * n for n in orders])
+    tab = np.repeat(np.arange(len(muls)), orders)
+    eoff, en, idx = off[tab], np.array(orders)[tab], np.arange(off[-1])
+    base = entries[tab] + (idx - eoff) * en - eoff
+    sq, span = muls[0] if len(muls) == 1 else None, np.arange(max(orders))
+    flat = (muls[0].reshape(-1) if sq is not None else
+            np.concatenate([m.reshape(-1) + o for m, o in zip(muls, off.tolist())]))
+
+    def mul(a, b) -> np.ndarray:
+        return flat[base[a] + b] if sq is None else sq[a, b]
+
+    def blocks(widths: np.ndarray):  # slices of k rows, k * max(widths) <= _BLOCK_ENTRIES or k = 1
+        step = max(1, _BLOCK_ENTRIES // int(widths.max()))
+        return (slice(start, start + step) for start in range(0, len(widths), step))
+
+    def count(hits: np.ndarray, n: np.ndarray) -> np.ndarray:  # over a row's first n entries
+        return hits.sum(axis=1) - (hits.shape[1] - n) * hits[:, -1]
+
+    def rows(a) -> tuple[np.ndarray, np.ndarray]:
+        """Each b of a's table and a b, padded to a's widest table by repeating the last b."""
+        if sq is not None:
+            return span, sq[a]
+        cols = np.minimum(eoff[a][..., None] + span[:en[a].max()], (eoff + en - 1)[a][..., None])
+        return cols, flat[base[a][..., None] + cols]
+
+    require(((np.minimum.reduceat(flat, entries[:-1]) >= off[:-1])
+             & (np.maximum.reduceat(flat, entries[:-1]) < off[1:])).all(),
+            "table entry out of range")
+    ident = np.zeros(len(idx), dtype=bool)
+    for r in blocks(en):
+        ident[r] = np.equal(*rows(r)).all(axis=1)
+    require((np.bincount(tab[ident], minlength=len(muls)) == 1).all(),
+            "table has no unique identity")
+    e = np.flatnonzero(ident)
+    e_el = e[tab]
+    require(np.array_equal(mul(idx, e_el), idx), "identity fails on the right")
+    inverse, sizes, unique = np.empty(len(idx), np.int32), np.empty(len(idx), np.int64), True
+    for r in blocks(en):  # also class sizes, used once the table is a group
+        cols, ax = rows(r)
+        hits = ax == e_el[r, None]
+        unique &= bool((count(hits, en[r]) == 1).all())
+        inverse[r] = eoff[r] + hits.argmax(axis=1)
+        xa = sq.T[r] if sq is not None else mul(cols, idx[r, None])
+        sizes[r] = en[r] // count(ax == xa, en[r])  # |G| / |C(a)|; x = a counts
+    require(unique, "some element lacks a unique inverse")
+    gens = [_generators(m, int(g)) for m, g in zip(muls, e - off[:-1])]
+    s = max(1, *map(len, gens))  # short rows of gen_idx repeat generators, or hold e
+    gen_idx = off[:-1, None] + [((gs or [int(g)]) * s)[:s] for gs, g in zip(gens, e - off[:-1])]
+    for r in blocks(en * s):  # [x, i, y]: (x g_i) y, x (g_i y)
+        x = idx[r, None]
+        g = gen_idx if sq is not None else gen_idx[tab[r]]
+        require(np.array_equal(rows(mul(x, g))[1], mul(x[..., None], rows(g)[1])),
                 "associativity fails")
-    return tuple(gens)
-
-
-def _row_blocks(order: int, row_entries: int):
-    """Consecutive row slices covering 0..order-1. A row spans row_entries
-    entries; a slice holds at most _BLOCK_ENTRIES entries, or one row."""
-    step = max(1, _BLOCK_ENTRIES // row_entries)
-    return (slice(start, start + step) for start in range(0, order, step))
+    gi, gj, member = gen_idx[:, :, None], gen_idx[:, None, :], np.zeros(len(idx), dtype=bool)
+    member[mul(mul(mul(gi, gj), inverse[gi]), inverse[gj])] = True  # [g_i, g_j]
+    while True:  # close under products and conjugation by generators: member becomes G'
+        m = np.flatnonzero(member)
+        for r in blocks(en[m]):
+            cols, ax = rows(m[r])
+            member[np.where(member[cols], ax, m[r, None])] = True
+        g = gen_idx[tab[m]]
+        member[mul(mul(g, m[:, None]), inverse[g])] = True
+        if member.sum() == m.size:
+            break
+    powers, h = np.empty((len(span) + 1, len(idx)), dtype=np.int32), 1
+    powers[0], powers[1] = e_el, idx  # rows h + 1..h + k are g^h g^i, i = 1..k
+    found = powers[1] == e_el  # the g of order <= h
+    while h < len(span) and not found.all():
+        k = min(h, len(span) - h)
+        powers[h + 1:h + k + 1] = mul(powers[h], powers[1:k + 1])
+        found |= (powers[h + 1:h + k + 1] == e_el).any(axis=0)
+        h += k
+    element_orders = (powers[1:h + 1] == e_el).argmax(axis=0) + 1
+    a_orders = member[powers[1:h + 1]].argmax(axis=0) + 1  # order of g G' in A
+    inverse -= eoff
+    for arr in (inverse, element_orders, sizes, *muls):
+        arr.flags.writeable = False
+    by_table = element_orders[np.lexsort((element_orders, tab))].tolist()
+    return [FiniteGroupTable(
+        order=hi - lo, mul=muls[t], identity=int(e[t]) - lo, inverse=inverse[lo:hi],
+        generators=tuple(gens[t]), element_orders=element_orders[lo:hi], class_sizes=sizes[lo:hi],
+        fingerprint=QuotientFingerprint(
+            order=hi - lo,
+            abelian_invariants=_abelian_invariants(a_orders[lo:hi].tolist()),
+            exponent=math.lcm(*set(by_table[lo:hi])),
+            element_orders=tuple(by_table[lo:hi]),
+            class_sizes=tuple(size for size, c in sorted(Counter(sizes[lo:hi].tolist()).items())
+                              for _ in range(c // size))))
+        for t, (lo, hi) in enumerate(zip(off[:-1].tolist(), off[1:].tolist()))]
 
 
 def cyclic_table(n: int) -> FiniteGroupTable:
@@ -202,32 +265,40 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
     (the default) gives the split product F_p^d x| Z/mZ.
 
     Elements are encoded in mixed radix as index = vector_index * m + residue,
-    with vector_index = sum_i v_i p^i. rows, when given, is _action_rows(p,
-    action, m), which _extensions computes once per module.
+    with vector_index = sum_i v_i p^i. rows, when given, is _action_rows(p, action, m).
     """
     d = len(action)
     p = field.p if d else 1  # F_p^0 is the zero space; 1 keeps the modulus inside int64
-    order = p ** d * m
-    if order > ORDER_CAP:
-        raise OrderBoundExceeded(f"order {order} exceeds cap {ORDER_CAP}")
+    if p ** d * m > ORDER_CAP:
+        raise OrderBoundExceeded(f"order {p ** d * m} exceeds cap {ORDER_CAP}")
     a_np = np.array(action, dtype=np.int64).reshape(d, d)
     twist_np = np.array([0] * d if twist is None else twist, dtype=np.int64) % p
     if twist_np.shape != (d,):
         raise ValueError(f"twist has length {twist_np.size}, expected {d}")
     if not np.array_equal(a_np @ twist_np % p, twist_np):
         raise ValueError("twist is not fixed by the action")
-    _, sum_idx, act_idx = rows or _action_rows(p, action, m)  # act_idx[k, j]: A^k vec_j
-    if not np.array_equal(act_idx[m], act_idx[0]):  # A^m fixes every vector: A^m = I
+    rows = rows or _action_rows(p, action, m)
+    if not np.array_equal(rows[2][m], rows[2][0]):  # A^m fixes every vector: A^m = I
         raise ValueError(f"action does not have order dividing {m}")
-    wrap = sum_idx[:, int(twist_np @ p ** np.arange(d))]  # wrap[j] = index(vec_j + a)
-    # table[(i, k), (j, l)]: block[i, k, j] = index(vec_i + A^k vec_j), plus the
-    # twist a where k + l >= m; a C-ordered block gives a C-ordered table
-    block = np.ascontiguousarray(sum_idx[:, act_idx[:m], None])
+    return FiniteGroupTable.build(_extension_mul(p, m, twist_np.tolist(), rows))
+
+
+def _extension_mul(p: int, m: int, twist: Sequence[int],
+                   rows: tuple[np.ndarray, ...]) -> np.ndarray:
+    """semidirect_table's array, unchecked: entry ((i, k), (j, l)) is index(vec_i + w) * m
+    + (k + l) mod m, with w = A^k vec_j, plus a if k + l >= m."""
+    sum_idx, act = rows[1], rows[2][:m]  # act[k, j]: A^k vec_j, an intp index as take wants
     residues = np.arange(m, dtype=np.int32)
-    table = np.where(residues[:, None, None] + residues >= m, wrap[block], block)
+    wraps = residues[:, None] + residues >= m
+    wrap = sum_idx[:, sum(a * p ** i for i, a in enumerate(twist))]  # index(vec_j + a)
+    table = np.empty((len(sum_idx), m, len(sum_idx), m), dtype=np.int32)  # C-ordered
+    np.take(sum_idx, np.where(wraps[:, None, :], wrap[act][:, :, None], act[:, :, None]),
+            axis=1, out=table, mode="clip")  # mode "raise" would buffer out
+    res = residues[:, None] + residues  # (k + l) mod m
+    res[wraps] -= m
     table *= m
-    table += (residues[:, None, None] + residues) % m
-    return FiniteGroupTable.build(table.reshape(order, order))
+    table += res[:, None, :]
+    return table.reshape(len(sum_idx) * m, -1)
 
 
 def build_group_table(trunc: FiniteTruncation, m: int) -> FiniteGroupTable:
@@ -347,37 +418,30 @@ class QuotientFingerprint:
 
 
 def fingerprint(table: FiniteGroupTable) -> QuotientFingerprint:
-    """Element orders, exponent, class sizes and the invariant factors of
-    A = G/G', all read from the power table. |A[k]| = #{g : g^k in G'} / |G'|,
-    and for each prime q, log_q(|A[q^j]| / |A[q^(j-1)]|) cyclic factors of A
-    have order at least q^j (Holt, Eick and O'Brien 2005, ch. 8)."""
-    mul, inv, powers = table.mul, table.inverse, table.powers
-    commutator = np.zeros(table.order, dtype=bool)
-    for rows in _row_blocks(table.order, table.order):  # commutators [a, x], a in rows
-        conj = mul[mul[rows], inv[rows, None]]
-        commutator[mul[conj, inv]] = True
-    member = np.zeros(table.order, dtype=bool)
-    member[subgroup_closure(table, list(np.flatnonzero(commutator)))] = True
-    torsion = member[powers].sum(axis=1) // member.sum()  # |A[k]|, k = 0..exponent
-    exponent, index = len(powers) - 1, int(torsion[-1])
+    """The table's fingerprint, which build_tables computed with the table."""
+    return table.fingerprint
+
+
+def _abelian_invariants(a_orders: list[int]) -> tuple[int, ...]:
+    """Invariant factors of A = G/G' from the orders in A of the elements of G.
+    With N(k) = #{g : ord(g G') | k} = |G'| |A[k]|, for each prime q,
+    log_q(N(q^j) / N(q^(j-1))) cyclic factors of A have order at least q^j
+    (Holt, Eick and O'Brien 2005, ch. 8)."""
+    counts = Counter(a_orders)
+    exponent = math.lcm(*counts)
     factors: list[int] = []  # largest first
-    primes = [q for q in range(2, index + 1) if index % q == 0 and all(q % r for r in range(2, q))]
+    primes = [q for q in range(2, exponent + 1)
+              if exponent % q == 0 and all(q % r for r in range(2, q))]
     for q in primes:
         ranks, k = [], q  # ranks[j - 1]: factors of order >= q^j
-        while exponent % k == 0 and torsion[k] > torsion[k // q]:
-            ranks.append(round(math.log(torsion[k] // torsion[k // q], q)))
+        while exponent % k == 0:
+            n_k, n_below = (sum(c for a, c in counts.items() if j % a == 0) for j in (k, k // q))
+            ranks.append(round(math.log(n_k // n_below, q)))
             k *= q
         factors += [1] * (ranks[0] - len(factors))
         for i in range(ranks[0]):
             factors[i] *= q ** sum(r > i for r in ranks)
-    counts = np.bincount(table.class_sizes).tolist()
-    return QuotientFingerprint(
-        order=table.order,
-        abelian_invariants=tuple(reversed(factors)),
-        exponent=exponent,
-        element_orders=tuple(np.sort(table.element_orders).tolist()),
-        class_sizes=tuple(s for s, c in enumerate(counts) if c for _ in range(c // s)),
-    )
+    return tuple(reversed(factors))
 
 
 def _hom_from_images(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
@@ -417,9 +481,7 @@ def isomorphic(g_table: FiniteGroupTable, h_table: FiniteGroupTable) -> bool:
     """Fingerprint pre-filter, then backtracking over generator images."""
     if g_table.order > ORDER_CAP or h_table.order > ORDER_CAP:
         raise OrderBoundExceeded(f"isomorphism test above the cap {ORDER_CAP}")
-    if g_table.order != h_table.order:
-        return False
-    if g_table.fingerprint != h_table.fingerprint:
+    if g_table.fingerprint != h_table.fingerprint:  # which holds the order
         return False
     if g_table.order == 1:
         return True
@@ -561,27 +623,24 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: 
 def _classify(sources: Sequence[ModulePresentation | LamplighterSpec],
               bound: int) -> list[QuSet]:
     """The quotient set of each source, drawn from one pool of class
-    representatives that lives for this call: each distinct key's table is
-    built once and joins an isomorphic kept table of equal fingerprint, or is kept."""
+    representatives that lives for this call: the tables of all distinct keys
+    are built in one build_tables pass, then each joins an isomorphic kept
+    table of equal fingerprint, in the order the keys were met, or is kept."""
     if bound < 1 or bound > BOUND_CAP:
         raise OrderBoundExceeded(f"bound {bound} outside 1..{BOUND_CAP}")
-    rep_of: dict[tuple, FiniteGroupTable] = {}
-    by_fingerprint: dict[tuple, list[FiniteGroupTable]] = {}
     pool: dict[tuple, list] = {}
-    qu_sets = []
-    for source in sources:
-        reps = []
-        for key, field, action, twist in _extensions(source, bound, pool):
-            if key not in rep_of:
-                table = semidirect_table(field, action, key[1], twist, pool[key[:3]][0])
-                bucket = by_fingerprint.setdefault(table.fingerprint.key(), [])
-                rep_of[key] = next((kept for kept in bucket if isomorphic(table, kept)), table)
-                if rep_of[key] is table:
-                    bucket.append(table)
-            reps.append(rep_of[key])
-        classes = sorted(dict.fromkeys(reps), key=lambda t: t.fingerprint.key())
-        qu_sets.append(QuSet(bound=bound, classes=tuple(classes)))
-    return qu_sets
+    side_keys = [[key for key, *_ in _extensions(source, bound, pool)] for source in sources]
+    keys = list(dict.fromkeys(key for side in side_keys for key in side))
+    tables = build_tables([_extension_mul(k[0], k[1], k[3], pool[k[:3]][0]) for k in keys])
+    rep_of, by_fingerprint = {}, {}  # key -> kept table; fingerprint key -> kept tables
+    for key, table in zip(keys, tables):
+        bucket = by_fingerprint.setdefault(table.fingerprint.key(), [])
+        rep_of[key] = next((kept for kept in bucket if isomorphic(table, kept)), table)
+        if rep_of[key] is table:
+            bucket.append(table)
+    return [QuSet(bound=bound, classes=tuple(sorted(dict.fromkeys(rep_of[k] for k in side),
+                                                    key=lambda t: t.fingerprint.key())))
+            for side in side_keys]
 
 
 def truncated_qu(source: ModulePresentation | LamplighterSpec, bound: int) -> QuSet:

@@ -71,6 +71,19 @@ def fingerprints_agree(source, bound):
     return truncated_qu(source, bound).fingerprints == lattice_qu(source, bound).fingerprints
 
 
+def recorded_batches(monkeypatch):
+    """Record the tables of each build_tables call, the one way quotient sets build tables."""
+    batches = []
+    original = quotients.build_tables
+
+    def recording(muls):
+        batches.append(original(muls))
+        return batches[-1]
+
+    monkeypatch.setattr(quotients, "build_tables", recording)
+    return batches
+
+
 @st.composite
 def small_modules(draw):
     """Diagonal presentations over F_2 or F_3: free rank 0 or 1 plus one or two
@@ -138,17 +151,10 @@ class TestTwistedTable:
             semidirect_table(F2, [[0, 1], [1, 0]], 3)
 
     def test_bound_sixteen_tables_stay_within_bound(self, monkeypatch):
-        orders = []
-        original = quotients.semidirect_table
-
-        def recording(*args, **kwargs):
-            table = original(*args, **kwargs)
-            orders.append(table.order)
-            return table
-
-        monkeypatch.setattr(quotients, "semidirect_table", recording)
+        batches = recorded_batches(monkeypatch)
         for name in CANDIDATE_NAMES:
             truncated_qu(bundled(name).presentation, 16)
+        orders = [table.order for batch in batches for table in batch]
         assert orders and max(orders) <= 16
 
 
@@ -385,6 +391,25 @@ class TestAssociativityAgainstCubeOracle:
                     build_agrees_with_cube(corrupted(table, rng))
 
 
+def cyclic_and_direct_products():
+    tables = [cyclic_table(n) for n in (1, 2, 7, 12, 600)]
+    tables += [direct_product_table(cyclic_table(a), cyclic_table(b))
+               for a, b in ((2, 2), (2, 4), (3, 5), (4, 6), (2, 30))]
+    catalog = dict(small_group_catalog())
+    tables += [direct_product_table(catalog["S3"], catalog["Q8"]),
+               direct_product_table(cyclic_table(3), catalog["D4"])]
+    return tables
+
+
+def extension_tables_at_bound_sixteen(name):
+    """The bound-16 extension tables of a bundled candidate and of its lamp group."""
+    candidate = bundled(name)
+    lamp = LamplighterSpec(candidate.field, candidate.n, None)
+    return [semidirect_table(field, action, key[1], twist=twist)
+            for source in (candidate.presentation, lamp)
+            for key, field, action, twist in quotients._extensions(source, 16, {})]
+
+
 class TestGeneratingSetAgainstClosureOracle:
     @pytest.mark.parametrize("name", CANDIDATE_NAMES)
     def test_extension_tables_at_bound_sixteen(self, name):
@@ -396,14 +421,49 @@ class TestGeneratingSetAgainstClosureOracle:
                 assert table.generators == generators_by_closure(table), key
 
     def test_cyclic_and_direct_products(self):
-        tables = [cyclic_table(n) for n in (1, 2, 7, 12, 600)]
-        tables += [direct_product_table(cyclic_table(a), cyclic_table(b))
-                   for a, b in ((2, 2), (2, 4), (3, 5), (4, 6), (2, 30))]
-        catalog = dict(small_group_catalog())
-        tables += [direct_product_table(catalog["S3"], catalog["Q8"]),
-                   direct_product_table(cyclic_table(3), catalog["D4"])]
-        for table in tables:
+        for table in cyclic_and_direct_products():
             assert table.generators == generators_by_closure(table), table.order
+
+
+def same_as_single_builds(muls):
+    """build_tables on the whole list, each table against FiniteGroupTable.build alone."""
+    batch = quotients.build_tables(muls)
+    assert len(batch) == len(muls)
+    for mul, table in zip(muls, batch):
+        alone = FiniteGroupTable.build(mul)
+        assert np.array_equal(table.mul, mul)
+        assert (table.order, table.identity, table.generators) == \
+            (alone.order, alone.identity, alone.generators)
+        for name in ("inverse", "element_orders", "class_sizes"):
+            assert np.array_equal(getattr(table, name), getattr(alone, name)), name
+        assert table.fingerprint == alone.fingerprint
+    return batch
+
+
+class TestBatchAgainstSingleBuilds:
+    def test_mixed_orders_against_oracles(self):
+        tables = [cyclic_table(1)]
+        for name in CANDIDATE_NAMES:
+            tables += extension_tables_at_bound_sixteen(name)
+        tables += [table for _, table in small_group_catalog()]
+        tables += cyclic_and_direct_products()
+        assert len({table.order for table in tables}) > 10
+        for table in same_as_single_builds([table.mul for table in tables]):
+            assert table.generators == generators_by_closure(table), table.order
+            assert table.element_orders.tolist() == element_orders_by_powers(table)
+            assert table.fingerprint.abelian_invariants == abelian_invariants_by_quotients(table)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(extension_data(), min_size=1, max_size=4))
+    def test_random_extension_batches(self, batch):
+        same_as_single_builds([semidirect_table(field, action, m, twist=twist).mul
+                               for field, action, m, twist in batch])
+
+    def test_order_one_tables_only(self):
+        # compare_qu at bound 1 builds only the trivial group
+        batch = same_as_single_builds([np.zeros((1, 1), dtype=np.int32) for _ in range(3)])
+        for table in batch:
+            assert table.generators == () and table.fingerprint.describe() == "1"
 
 
 class TestInvariantsAgainstQuotientOracle:
@@ -622,18 +682,11 @@ class TestCompareQu:
                     for side in (left, right)]
         keys = set(per_side[0]) | set(per_side[1])
         assert len(keys) < len(per_side[0]) + len(per_side[1])  # the sides share keys
-        builds = []
-        original = quotients.semidirect_table
-
-        def counting(*args, **kwargs):
-            builds.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(quotients, "semidirect_table", counting)
+        batches = recorded_batches(monkeypatch)
         first = compare_qu(left, right, 16)
-        assert len(builds) == len(keys)
+        assert [len(batch) for batch in batches] == [len(keys)]  # one pass for both sides
         second = compare_qu(left, right, 16)
-        assert len(builds) == 2 * len(keys)
+        assert [len(batch) for batch in batches] == [len(keys), len(keys)]
         assert first == second
 
     def test_builds_no_quotient_table(self, monkeypatch):
@@ -642,23 +695,15 @@ class TestCompareQu:
         def forbidden(*args, **kwargs):
             raise AssertionError("quotient_table called")
 
-        calls = {"build": 0, "semidirect_table": 0}
-        original_build, original_semidirect = quotients.FiniteGroupTable.build, semidirect_table
-
-        def counting_build(cls, mul):
-            calls["build"] += 1
-            return original_build(mul)
-
-        def counting_semidirect(*args, **kwargs):
-            calls["semidirect_table"] += 1
-            return original_semidirect(*args, **kwargs)
-
         monkeypatch.setattr(quotients, "quotient_table", forbidden)
-        monkeypatch.setattr(quotients.FiniteGroupTable, "build", classmethod(counting_build))
-        monkeypatch.setattr(quotients, "semidirect_table", counting_semidirect)
-        for left, right in [("free_rank1", "free_rank2_p3"), ("mixed_free_torsion", "torsion_only")]:
+        batches = recorded_batches(monkeypatch)
+        pairs = [("free_rank1", "free_rank2_p3"), ("mixed_free_torsion", "torsion_only")]
+        for left, right in pairs:
             compare_qu(bundled(left).presentation, bundled(right).presentation, 16)
-        assert calls["build"] == calls["semidirect_table"] > 0
+        distinct_keys = [len({key for name in pair for key, *_ in
+                              quotients._extensions(bundled(name).presentation, 16, {})})
+                         for pair in pairs]
+        assert [len(batch) for batch in batches] == distinct_keys and min(distinct_keys) > 0
 
     @pytest.mark.parametrize("left, right", [("free_rank1", "free_rank2_p3"),
                                              ("mixed_free_torsion", "torsion_only")])
@@ -677,23 +722,28 @@ class TestCompareQu:
         assert calls == {"_action_rows": len(modules), "_twist_classes": len(modules)}
 
     def test_one_fingerprint_per_table(self, monkeypatch):
-        calls = {"fingerprint": 0, "semidirect_table": 0}
-        for name in calls:
-            def counting(*args, _name=name, _fn=getattr(quotients, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(quotients, name, counting)
+        made, original = [], quotients.QuotientFingerprint
+
+        def counting(**fields):
+            made.append(original(**fields))
+            return made[-1]
+
+        monkeypatch.setattr(quotients, "QuotientFingerprint", counting)
+        batches = recorded_batches(monkeypatch)
         cmp = compare_qu(bundled("mixed_free_torsion").presentation,
                          LamplighterSpec(F2, 1, None), 8)
         assert cmp.equal
-        assert calls["fingerprint"] == calls["semidirect_table"] > 0
+        tables = [table for batch in batches for table in batch]
+        assert len(made) == len(tables) > 0
+        assert {id(fp) for fp in made} == {id(table.fingerprint) for table in tables}
 
 
 _BROKEN_TABLES_SCRIPT = """
 import json
+import sys
 import numpy as np
 from lamprigid.errors import CertificateError
-from lamprigid.quotients import FiniteGroupTable
+from lamprigid.quotients import build_tables
 
 cases = {
     "not square": np.zeros((2, 3)),
@@ -716,23 +766,39 @@ cases["C400 with two entries swapped"] = cyclic
 cyclic = (np.arange(600)[:, None] + np.arange(600)[None, :]) % 600
 cyclic[599, [300, 301]] = cyclic[599, [301, 300]]
 cases["C600 with two entries swapped"] = cyclic
-outcome = {"debug": __debug__}
-for name, mul in cases.items():
+# Valid tables and a corrupted bound-16 extension table, from standard input
+given = json.loads(sys.stdin.read())
+valid = [np.array(mul) for mul in given["valid"]]
+
+
+def verdict(muls):
     try:
-        FiniteGroupTable.build(np.array(mul))
-        outcome[name] = "accepted"
+        build_tables(muls)
+        return "accepted"
     except CertificateError as exc:
-        outcome[name] = str(exc)
+        return str(exc)
+
+
+outcome = {"debug": __debug__, "valid tables": verdict(valid)}
+for name, mul in cases.items():
+    outcome[name] = verdict([np.array(mul)])
+    outcome[name + ", after valid tables"] = verdict(valid + [np.array(mul)])
+half = len(valid) // 2
+outcome["corrupted extension, mid-batch"] = verdict(
+    valid[:half] + [np.array(given["corrupted"])] + valid[half:])
 print(json.dumps(outcome))
 """
 
 
 def test_broken_tables_rejected_under_optimize():
-    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_TABLES_SCRIPT],
+    valid = extension_tables_at_bound_sixteen("free_rank1") + cyclic_and_direct_products()[:4]
+    largest = max(extension_tables_at_bound_sixteen("free_rank2_p3"), key=lambda t: t.order)
+    given = {"valid": [table.mul.tolist() for table in valid],
+             "corrupted": corrupted(largest, random.Random(7)).tolist()}
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_TABLES_SCRIPT], input=json.dumps(given),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "debug": False,
+    messages = {
         "not square": "table is not square",
         "out of range": "table entry out of range",
         "two left identities": "table has no unique identity",
@@ -742,4 +808,11 @@ def test_broken_tables_rejected_under_optimize():
         "loop x C32": "associativity fails",
         "C400 with two entries swapped": "associativity fails",
         "C600 with two entries swapped": "associativity fails",
+    }
+    assert json.loads(proc.stdout) == {
+        "debug": False,
+        "valid tables": "accepted",
+        **messages,
+        **{name + ", after valid tables": message for name, message in messages.items()},
+        "corrupted extension, mid-batch": "associativity fails",
     }
