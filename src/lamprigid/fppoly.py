@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .errors import BothZero, DivisionByZero, FieldMismatch, require
+from .errors import AlgebraError, require
 
 NEG_INF = float("-inf")
 
@@ -76,7 +76,7 @@ class FieldSpec:
 
 def _check_fields(a: "FpPoly | LaurentPoly", b: "FpPoly | LaurentPoly") -> None:
     if a.field != b.field:
-        raise FieldMismatch(f"mixed moduli {a.field.p} and {b.field.p}")
+        raise AlgebraError(f"mixed moduli {a.field.p} and {b.field.p}")
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def poly_divmod(a: FpPoly, b: FpPoly) -> tuple[FpPoly, FpPoly]:
     """Euclidean division a = q*b + r with deg r < deg b."""
     _check_fields(a, b)
     if b.is_zero:
-        raise DivisionByZero("division by the zero polynomial")
+        raise AlgebraError("division by the zero polynomial")
     if a.is_zero or a.degree < b.degree:
         return FpPoly.zero(a.field), a
     p = a.field.p
@@ -230,7 +230,7 @@ def poly_gcd_ext(a: FpPoly, b: FpPoly) -> tuple[FpPoly, FpPoly, FpPoly]:
     """
     _check_fields(a, b)
     if a.is_zero and b.is_zero:
-        raise BothZero("gcd(0, 0) is undefined")
+        raise AlgebraError("gcd(0, 0) is undefined")
     field = a.field
     r0, r1 = a, b
     s0, s1 = FpPoly.one(field), FpPoly.zero(field)
@@ -268,7 +268,7 @@ class LaurentPoly:
 
     def __post_init__(self):
         if self.body.field != self.field:
-            raise FieldMismatch("body lives over a different field")
+            raise AlgebraError("body lives over a different field")
         if self.body.is_zero:
             object.__setattr__(self, "shift", 0)
         else:

@@ -23,8 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    InvalidM, NotNormalized, NotSurjective, RankDeficient, RelationNotKilled, ZeroDivisor, require)
+from .errors import AlgebraError, require
 from .fppoly import FieldSpec, FpPoly, LaurentPoly, poly_gcd, x_pow_minus_one
 from .polymatrix import PolyMatrix, SmithDecomposition, matrix_mul, smith_normal_form
 
@@ -128,7 +127,7 @@ def quotient_dim(dec: ModuleDecomposition, m: int) -> int:
     invariant factors.
     """
     if m < 1:
-        raise InvalidM(f"m = {m}")
+        raise AlgebraError(f"m = {m}")
     xm1 = x_pow_minus_one(dec.field, m)
     total = dec.free_rank * m
     for f in dec.invariant_factors:
@@ -139,21 +138,22 @@ def quotient_dim(dec: ModuleDecomposition, m: int) -> int:
 def torsion_quotient_order(f: FpPoly) -> int:
     """Order of the quotient of the Laurent ring by f: p^deg(f) for f(0) != 0."""
     if f.is_zero:
-        raise ZeroDivisor("quotient by zero is the whole ring")
+        raise AlgebraError("quotient by zero is the whole ring")
     if f.constant_term == 0:
-        raise NotNormalized("strip the x-power unit first: f(0) must be nonzero")
+        raise AlgebraError("strip the x-power unit first: f(0) must be nonzero")
     return f.field.p ** int(f.degree)
 
 
 def check_epimorphism(pres: ModulePresentation, phi: PolyMatrix) -> None:
-    """Certify that phi (n x g) kills every relator and induces a surjection N -> R^n."""
+    """Certify that phi (n x g) kills every relator and induces a surjection N -> R^n.
+
+    Both are certificates: every pipeline phi is computed, not supplied."""
     if phi.cols != pres.generators:
-        raise RelationNotKilled("matrix shape does not match the presentation")
-    if not matrix_mul(phi, pres.relations).is_zero:
-        raise RelationNotKilled("phi does not annihilate the relation columns")
+        raise AlgebraError("matrix shape does not match the presentation")
+    require(matrix_mul(phi, pres.relations).is_zero, "phi does not annihilate the relation columns")
     # units of the Laurent ring are c * x^k: strip the x-power before testing
-    if not all(not d.is_zero and d.strip_x().degree == 0 for d in smith_normal_form(phi).diag):
-        raise NotSurjective("normal form of phi has a non-unit diagonal entry")
+    require(all(not d.is_zero and d.strip_x().degree == 0 for d in smith_normal_form(phi).diag),
+            "normal form of phi has a non-unit diagonal entry")
 
 
 def epimorphism_to_free(pres: ModulePresentation, n: int) -> PolyMatrix:
@@ -168,7 +168,7 @@ def epimorphism_to_free(pres: ModulePresentation, n: int) -> PolyMatrix:
     free_coords = [i for i in range(pres.generators)
                    if i >= len(snf.diag) or snf.diag[i].is_zero]
     if len(free_coords) < n:
-        raise RankDeficient(
+        raise AlgebraError(
             f"free rank {len(free_coords)} < target rank {n}: no surjection onto R^{n}")
     # No check_epimorphism here: U*R*V = D has zero rows at the free coordinates
     # and V is invertible, so phi kills the relations; U is unimodular, so phi is onto.
@@ -243,7 +243,7 @@ def finite_truncation(pres: ModulePresentation, m: int) -> FiniteTruncation:
     entries are the annihilators of the cyclic summands of the quotient.
     """
     if m < 1:
-        raise InvalidM(f"m = {m}")
+        raise AlgebraError(f"m = {m}")
     field, g, rel = pres.field, pres.generators, pres.relations.coeffs
     cols = rel.shape[1]
     bordered = np.zeros((g, cols + g, max(rel.shape[2], m + 1)), dtype=object)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FieldMismatch, NotSquare, ShapeMismatch, require
+from .errors import AlgebraError, require
 from .fppoly import FieldSpec, FpPoly, poly_divmod, poly_gcd_ext
 
 
@@ -40,7 +40,7 @@ class PolyMatrix:
         p, dtype = self.field.p, _exact_dtype(self.field.p, 1)
         c = np.asarray(self.coeffs)
         if c.ndim != 3:
-            raise ShapeMismatch(f"expected a coefficient array C[i, j, e], got {c.ndim} axes")
+            raise AlgebraError(f"expected a coefficient array C[i, j, e], got {c.ndim} axes")
         c = (c.astype(object) if object in (dtype, c.dtype) else c) % p
         top = c.any(axis=(0, 1)).nonzero()[0]
         c = c[..., :top[-1] + 1].astype(dtype) if top.size else np.zeros(c.shape[:2] + (1,), dtype)
@@ -51,9 +51,9 @@ class PolyMatrix:
     def from_rows(cls, field: FieldSpec, rows: Sequence[Sequence[FpPoly]]) -> "PolyMatrix":
         c = len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
-            raise ShapeMismatch("ragged rows")
+            raise AlgebraError("ragged rows")
         if any(e.field != field for row in rows for e in row):
-            raise FieldMismatch("matrix entry over a different field")
+            raise AlgebraError("matrix entry over a different field")
         return cls.from_terms(field, len(rows), c, [
             (i, j, e, v) for i, row in enumerate(rows) for j, f in enumerate(row)
             for e, v in enumerate(f.coeffs)])
@@ -132,9 +132,9 @@ def _mul_sums(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def matrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Exact matrix product, computed on coefficient arrays."""
     if a.field != b.field:
-        raise FieldMismatch("mixed fields in matrix product")
+        raise AlgebraError("mixed fields in matrix product")
     if a.cols != b.rows:
-        raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+        raise AlgebraError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     return PolyMatrix(a.field, _mul_sums(a.coeffs, b.coeffs, a.field.p))
 
 
@@ -153,7 +153,7 @@ def determinant(m: PolyMatrix) -> FpPoly:
     certificates, skip almost every update.
     """
     if m.rows != m.cols:
-        raise NotSquare(f"determinant of a {m.rows}x{m.cols} matrix")
+        raise AlgebraError(f"determinant of a {m.rows}x{m.cols} matrix")
     n = m.rows
     a = m.to_lists()
     prev, sign = FpPoly.one(m.field), 1

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotNormal, OrderBoundExceeded, require
+from .errors import AlgebraError, require
 from .fppoly import FieldSpec, FpPoly, poly_gcd, x_pow_minus_one
 from .laurent_modules import (
     FiniteTruncation,
@@ -254,8 +254,7 @@ def _action_rows(p: int, action: list[list[int]], m: int) -> tuple[np.ndarray, .
 
 
 def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
-                     twist: Sequence[int] | None = None,
-                     rows: tuple[np.ndarray, ...] | None = None) -> FiniteGroupTable:
+                     twist: Sequence[int] | None = None) -> FiniteGroupTable:
     """Table of the cyclic extension of Z/mZ by F_p^d with t acting by A = action
     and t^m = a = twist:
 
@@ -265,19 +264,19 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
     (the default) gives the split product F_p^d x| Z/mZ.
 
     Elements are encoded in mixed radix as index = vector_index * m + residue,
-    with vector_index = sum_i v_i p^i. rows, when given, is _action_rows(p, action, m).
+    with vector_index = sum_i v_i p^i.
     """
     d = len(action)
     p = field.p if d else 1  # F_p^0 is the zero space; 1 keeps the modulus inside int64
     if p ** d * m > ORDER_CAP:
-        raise OrderBoundExceeded(f"order {p ** d * m} exceeds cap {ORDER_CAP}")
+        raise AlgebraError(f"order {p ** d * m} exceeds cap {ORDER_CAP}")
     a_np = np.array(action, dtype=np.int64).reshape(d, d)
     twist_np = np.array([0] * d if twist is None else twist, dtype=np.int64) % p
     if twist_np.shape != (d,):
         raise ValueError(f"twist has length {twist_np.size}, expected {d}")
     if not np.array_equal(a_np @ twist_np % p, twist_np):
         raise ValueError("twist is not fixed by the action")
-    rows = rows or _action_rows(p, action, m)
+    rows = _action_rows(p, action, m)
     if not np.array_equal(rows[2][m], rows[2][0]):  # A^m fixes every vector: A^m = I
         raise ValueError(f"action does not have order dividing {m}")
     return FiniteGroupTable.build(_extension_mul(p, m, twist_np.tolist(), rows))
@@ -347,7 +346,7 @@ def enumerate_normal_subgroups(table: FiniteGroupTable) -> list[frozenset[int]]:
     Each returned subset is re-verified to be subgroup- and conjugation-closed.
     """
     if table.order > ORDER_CAP:
-        raise OrderBoundExceeded(f"order {table.order} exceeds cap {ORDER_CAP}")
+        raise AlgebraError(f"order {table.order} exceeds cap {ORDER_CAP}")
     atoms: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     seen = np.zeros(table.order, dtype=bool)
     for g in range(table.order):
@@ -384,7 +383,7 @@ def quotient_table(table: FiniteGroupTable, normal: frozenset[int] | set[int]) -
     """Coset multiplication table of G / N."""
     members = np.array(sorted(normal), dtype=np.int64)
     if not _is_subgroup(table, members) or not _is_normal(table, members):
-        raise NotNormal("subset is not a normal subgroup")
+        raise AlgebraError("subset is not a normal subgroup")
     rep_of = table.mul[members].min(axis=0)  # rep_of[g] = min of the coset N g
     reps = np.unique(rep_of)
     return FiniteGroupTable.build(np.searchsorted(reps, rep_of[table.mul[np.ix_(reps, reps)]]))
@@ -480,7 +479,7 @@ def _respects_law(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
 def isomorphic(g_table: FiniteGroupTable, h_table: FiniteGroupTable) -> bool:
     """Fingerprint pre-filter, then backtracking over generator images."""
     if g_table.order > ORDER_CAP or h_table.order > ORDER_CAP:
-        raise OrderBoundExceeded(f"isomorphism test above the cap {ORDER_CAP}")
+        raise AlgebraError(f"isomorphism test above the cap {ORDER_CAP}")
     if g_table.fingerprint != h_table.fingerprint:  # which holds the order
         return False
     if g_table.order == 1:
@@ -627,7 +626,7 @@ def _classify(sources: Sequence[ModulePresentation | LamplighterSpec],
     are built in one build_tables pass, then each joins an isomorphic kept
     table of equal fingerprint, in the order the keys were met, or is kept."""
     if bound < 1 or bound > BOUND_CAP:
-        raise OrderBoundExceeded(f"bound {bound} outside 1..{BOUND_CAP}")
+        raise AlgebraError(f"bound {bound} outside 1..{BOUND_CAP}")
     pool: dict[tuple, list] = {}
     side_keys = [[key for key, *_ in _extensions(source, bound, pool)] for source in sources]
     keys = list(dict.fromkeys(key for side in side_keys for key in side))

@@ -25,14 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConjugationMismatch,
-    CocycleViolation,
-    NotBaseValued,
-    RelationViolated,
-    SpecMismatch,
-    require,
-)
+from .errors import AlgebraError, require
 from .fppoly import FieldSpec, FpPoly, LaurentPoly
 from .laurent_modules import ModulePresentation, check_epimorphism
 from .polymatrix import PolyMatrix, _exact_dtype, smith_normal_form
@@ -121,7 +114,7 @@ def translation(spec: LamplighterSpec, k: int = 1) -> WreathElement:
 
 def _check_specs(a: WreathElement, b: WreathElement) -> None:
     if a.spec != b.spec:
-        raise SpecMismatch("elements of different wreath products")
+        raise AlgebraError("elements of different wreath products")
 
 
 def wreath_mul(a: WreathElement, b: WreathElement) -> WreathElement:
@@ -178,7 +171,7 @@ def relabel_lamps(a: WreathElement, unit: int) -> WreathElement:
     """Base-index relabeling i -> unit * i (cyclic base, unit invertible mod m)."""
     m = a.spec.base_order
     if m is None:
-        raise SpecMismatch("cyclic base required")
+        raise AlgebraError("cyclic base required")
     return WreathElement(
         a.spec,
         tuple(((unit * i) % m, v) for i, v in a.lamps),
@@ -214,14 +207,14 @@ class GeneratorImages:
 
     def __post_init__(self):
         if not self.target.is_cyclic:
-            raise SpecMismatch("verification target must have a cyclic base")
+            raise AlgebraError("verification target must have a cyclic base")
         if self.target.field != self.source.field:
-            raise SpecMismatch("source and target over different prime fields")
+            raise AlgebraError("source and target over different prime fields")
         if len(self.module_gen_images) != self.source.generators:
             raise ValueError("one image per module generator required")
         for w in tuple(self.module_gen_images) + (self.t_image,):
             if w.spec != self.target:
-                raise SpecMismatch("image lives in a different group")
+                raise AlgebraError("image lives in a different group")
 
 
 @dataclass(frozen=True)
@@ -275,14 +268,14 @@ def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
     spec = gi.target
     m = spec.base_order
     if m is None:
-        raise SpecMismatch("cyclic base required")
+        raise AlgebraError("cyclic base required")
     for i, w in enumerate(gi.module_gen_images):
         if not w.in_base:
-            raise NotBaseValued(f"image of generator {i} has shift {w.shift}")
+            raise AlgebraError(f"image of generator {i} has shift {w.shift}")
 
     sigma = gi.t_image.shift
     if math.gcd(sigma, m) != 1:
-        raise ConjugationMismatch(
+        raise AlgebraError(
             f"t-image shift {sigma} is not invertible mod {m}; "
             "conjugation cannot realize an invertible x-action")
     sigma_inverse = pow(sigma, -1, m) if m > 1 else 0
@@ -293,7 +286,7 @@ def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
         for i in range(rel.rows):
             acc = wreath_mul(acc, _apply_poly(rel.entry(i, j), gi.module_gen_images[i], sigma))
         if not acc.is_identity:
-            raise RelationViolated(j, "relator image is nontrivial")
+            raise AlgebraError(f"relator {j} not satisfied: relator image is nontrivial")
 
     # The image maps onto Z/mZ and meets the base in the F_p[x]-submodule of (F_p[x]/(x^m - 1))^n
     # generated by the lamp polynomials of the generator images and of t-image^m, as t-image
@@ -323,27 +316,26 @@ def cocycle_verify(hom: VerifiedHom, bound: int) -> CocycleReport:
     """Assert the section identities g(k + k') = g(k) + x^k g(k') and g(km) = k g(m).
 
     Both are theorems for any verified homomorphism (in normalized form); a
-    failure here means the hom object is corrupted, not that the input is bad.
+    failure here means the hom object is corrupted, not that the input is bad,
+    so it raises CertificateError.
     """
     m = hom.target.base_order
     if m is None:
-        raise SpecMismatch("cyclic base required")
+        raise AlgebraError("cyclic base required")
     g: dict[int, WreathElement] = {}
     for k in range(-2 * bound, 2 * bound + 1):
         g[k] = hom.section_lamp(k)
-    if not g[0].is_identity:
-        raise CocycleViolation(0, 0, "g(0) != 0")
+    require(g[0].is_identity, "cocycle identity failed at (0, 0): g(0) != 0")
     pairs = 0
     for k in range(-bound, bound + 1):
         for k2 in range(-bound, bound + 1):
-            expected = wreath_mul(g[k], shift_lamps(g[k2], k))
-            if g[k + k2] != expected:
-                raise CocycleViolation(k, k2)
+            require(g[k + k2] == wreath_mul(g[k], shift_lamps(g[k2], k)),
+                    f"cocycle identity failed at ({k}, {k2})")
             pairs += 1
     multiples = 0
     for k in range(-(bound // m), bound // m + 1):
-        if g[k * m] != scale_lamps(g[m], k % hom.target.field.p):
-            raise CocycleViolation(k, m, "g(km) != k g(m)")
+        require(g[k * m] == scale_lamps(g[m], k % hom.target.field.p),
+                f"cocycle identity failed at ({k}, {m}): g(km) != k g(m)")
         multiples += 1
     table = tuple((k, g[k]) for k in range(-bound, bound + 1))
     return CocycleReport(values=table, pairs_checked=pairs, multiples_checked=multiples)

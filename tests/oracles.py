@@ -33,7 +33,7 @@ from lamprigid import (
     poly_gcd_ext,
     x_pow_minus_one,
 )
-from lamprigid.errors import FieldMismatch, ShapeMismatch
+from lamprigid.errors import AlgebraError
 from lamprigid.laurent_modules import block_companion
 from lamprigid.quotients import (
     QuComparison,
@@ -154,9 +154,9 @@ def determinantal_divisor_diag(m: PolyMatrix) -> list[FpPoly]:
 def list_matrix_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     """Exact matrix product, one FpPoly entry at a time."""
     if a.field != b.field:
-        raise FieldMismatch("mixed fields in matrix product")
+        raise AlgebraError("mixed fields in matrix product")
     if a.cols != b.rows:
-        raise ShapeMismatch(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+        raise AlgebraError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     zero = FpPoly.zero(a.field)
     out = []
     for i in range(a.rows):

@@ -12,7 +12,7 @@ from lamprigid import (
     poly_divmod,
     poly_gcd_ext,
 )
-from lamprigid.errors import BothZero, DivisionByZero, FieldMismatch
+from lamprigid.errors import AlgebraError
 from lamprigid.fppoly import NEG_INF, PRIMALITY_LIMIT, is_prime
 
 from oracles import brute_monic_divisors, random_poly, trial_division_is_prime
@@ -67,7 +67,7 @@ class TestFpPolyBasics:
         assert poly(F2, 0, 1) * poly(F2, 1, 1) == poly(F2, 0, 1, 1)
 
     def test_field_mismatch(self):
-        with pytest.raises(FieldMismatch):
+        with pytest.raises(AlgebraError, match="mixed moduli 2 and 3"):
             poly(F2, 1) + poly(F3, 1)
 
 
@@ -90,7 +90,7 @@ class TestDivmod:
         assert q.is_zero and r.is_zero
 
     def test_division_by_zero(self):
-        with pytest.raises(DivisionByZero):
+        with pytest.raises(AlgebraError, match="division by the zero polynomial"):
             poly_divmod(poly(F2, 1), FpPoly.zero(F2))
 
     def test_round_trip_randomized(self):
@@ -130,7 +130,7 @@ class TestGcd:
         assert g == poly(F2, 1, 1, 1)
 
     def test_both_zero(self):
-        with pytest.raises(BothZero):
+        with pytest.raises(AlgebraError, match=r"gcd\(0, 0\) is undefined"):
             poly_gcd_ext(FpPoly.zero(F2), FpPoly.zero(F2))
 
     def test_soundness_randomized(self):

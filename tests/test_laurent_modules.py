@@ -23,8 +23,7 @@ from lamprigid import (
     smith_normal_form,
     torsion_quotient_order,
 )
-from lamprigid.errors import (
-    CertificateError, InvalidM, NotNormalized, RankDeficient, RelationNotKilled, ZeroDivisor)
+from lamprigid.errors import AlgebraError, CertificateError
 from lamprigid.fppoly import x_pow_minus_one
 from lamprigid.laurent_modules import FiniteTruncation, block_companion
 
@@ -136,7 +135,7 @@ class TestQuotientDim:
 
     def test_invalid_m(self):
         dec = decompose(ModulePresentation.free(F2, 1))
-        with pytest.raises(InvalidM):
+        with pytest.raises(AlgebraError, match="m = 0"):
             quotient_dim(dec, 0)
 
 
@@ -153,9 +152,9 @@ class TestTorsionOrder:
         assert verified_residue_count(f) == 27
 
     def test_errors(self):
-        with pytest.raises(ZeroDivisor):
+        with pytest.raises(AlgebraError, match="quotient by zero is the whole ring"):
             torsion_quotient_order(FpPoly.zero(F2))
-        with pytest.raises(NotNormalized):
+        with pytest.raises(AlgebraError, match=r"f\(0\) must be nonzero"):
             torsion_quotient_order(poly(F2, 0, 1))
 
     def test_residue_oracle_small_degrees(self):
@@ -191,12 +190,12 @@ class TestEpimorphismToFree:
         assert phi.entry(0, 1).is_zero
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(RelationNotKilled):
+        with pytest.raises(AlgebraError, match="matrix shape does not match the presentation"):
             check_epimorphism(ModulePresentation.free(F2, 2), PolyMatrix.identity(F2, 1))
 
     def test_rank_deficient(self):
         pres = presentation(F2, 1, [[(1, 1)]])
-        with pytest.raises(RankDeficient):
+        with pytest.raises(AlgebraError, match="free rank 0 < target rank 1"):
             epimorphism_to_free(pres, 1)
 
 
@@ -218,7 +217,7 @@ class TestFiniteTruncation:
         assert t.dim == 1
 
     def test_invalid_m(self):
-        with pytest.raises(InvalidM):
+        with pytest.raises(AlgebraError, match="m = 0"):
             finite_truncation(ModulePresentation.free(F2, 1), 0)
 
     def test_action_power_is_identity(self):

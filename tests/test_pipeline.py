@@ -11,13 +11,14 @@ from lamprigid import (
     FieldSpec,
     FpPoly,
     ModulePresentation,
+    PolyMatrix,
     abelianization_check,
     certify,
     choose_m,
     decompose,
     rank_check,
 )
-from lamprigid import cli, jsonio, laurent_modules, wreath
+from lamprigid import cli, jsonio, laurent_modules, pipeline, wreath
 from lamprigid.errors import InvalidInput
 
 F2 = FieldSpec(2)
@@ -280,6 +281,12 @@ class TestJsonSchemas:
         assert jsonio.parse_matrix(jsonio.matrix_to_json(m)).entries == m.entries
 
 
+def first_coefficient_bumped(phi):
+    c = phi.coeffs.copy()
+    c[0, 0, 0] += 1  # PolyMatrix reduces it mod p
+    return PolyMatrix(phi.field, c)
+
+
 def run_cli(*args, stdin=None):
     return subprocess.run(
         [sys.executable, "-m", "lamprigid.cli", *args],
@@ -449,6 +456,22 @@ class TestCli:
         assert code == 3
         assert capsys.readouterr().err == (
             "internal error: certificate failed: homomorphism law failed on a sampled pair\n")
+
+    @pytest.mark.parametrize("corrupt", [
+        first_coefficient_bumped,
+        lambda phi: PolyMatrix.zeros(phi.field, phi.rows, phi.cols),
+    ], ids=["one-coefficient", "all-zero"])
+    def test_corrupted_phi_is_a_certificate_failure(self, corrupt, monkeypatch, capsys):
+        # phi is the program's own on every CLI path, so a phi that fails its
+        # epimorphism check is a broken certificate (3), not bad input (2)
+        intact = pipeline.epimorphism_to_free
+        monkeypatch.setattr(pipeline, "epimorphism_to_free",
+                            lambda pres, n: corrupt(intact(pres, n)))
+        path = pathlib.Path(__file__).resolve().parents[1] / "candidates" / "mixed_free_torsion.json"
+        code = cli.main(["certify", str(path), "--json"])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.count("\n") == 1 and err.startswith("internal error: certificate failed: ")
 
     def test_unexpected_exception_exit_code(self, monkeypatch, capsys):
         # an exception outside AlgebraError is the program's fault: exit 4, one

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamprigid import FieldSpec, FpPoly, PolyMatrix, determinant, is_unimodular, matrix_mul, smith_normal_form
-from lamprigid.errors import FieldMismatch, NotSquare, ShapeMismatch
+from lamprigid.errors import AlgebraError
 from lamprigid.jsonio import parse_candidate, parse_matrix
 
 from oracles import (
@@ -52,11 +52,11 @@ class TestMatrixMul:
         assert matrix_mul(a, PolyMatrix.zeros(F2, 3, 2)).is_zero
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(AlgebraError, match="cannot multiply 2x3 by 2x3"):
             matrix_mul(PolyMatrix.zeros(F2, 2, 3), PolyMatrix.zeros(F2, 2, 3))
 
     def test_field_mismatch(self):
-        with pytest.raises(FieldMismatch):
+        with pytest.raises(AlgebraError, match="mixed fields in matrix product"):
             matrix_mul(PolyMatrix.identity(F2, 2), PolyMatrix.identity(F3, 2))
 
 
@@ -119,7 +119,7 @@ class TestUnimodular:
         assert is_unimodular(mat(F2, [[(1,), (0, 1)], [(), (1,)]]))
 
     def test_not_square(self):
-        with pytest.raises(NotSquare):
+        with pytest.raises(AlgebraError, match="determinant of a 2x3 matrix"):
             is_unimodular(PolyMatrix.zeros(F2, 2, 3))
 
     def test_determinant_2x2(self):

@@ -25,7 +25,7 @@ from lamprigid import (
     truncated_qu,
 )
 from lamprigid import jsonio, quotients
-from lamprigid.errors import CertificateError, NotNormal, OrderBoundExceeded
+from lamprigid.errors import AlgebraError, CertificateError
 from lamprigid.fppoly import FpPoly, x_pow_minus_one
 from lamprigid.laurent_modules import block_companion
 from lamprigid.quotients import (
@@ -126,7 +126,7 @@ class TestBuildGroupTable:
         # 2^12 * 2 = 8192 > ORDER_CAP: the guard raises before any numpy call
         monkeypatch.setattr(quotients, "np", None)
         identity = [[int(i == j) for j in range(12)] for i in range(12)]
-        with pytest.raises(OrderBoundExceeded, match="8192 exceeds cap 4096"):
+        with pytest.raises(AlgebraError, match="8192 exceeds cap 4096"):
             semidirect_table(F2, identity, 2)
 
 
@@ -311,7 +311,8 @@ class TestQuotientTable:
                 sub = frozenset({0, g})
                 try:
                     quotient_table(d4, sub)
-                except NotNormal:
+                except AlgebraError as exc:
+                    assert str(exc) == "subset is not a normal subgroup"
                     reflection = g
                     break
         assert reflection is not None
@@ -607,7 +608,7 @@ class TestTruncatedQu:
             assert admitted == found, name
 
     def test_bound_cap(self):
-        with pytest.raises(OrderBoundExceeded):
+        with pytest.raises(AlgebraError, match=r"bound 17 outside 1\.\.16"):
             truncated_qu(ModulePresentation.free(F2, 1), 17)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -35,14 +36,7 @@ from lamprigid import (
     x_pow_minus_one,
 )
 from lamprigid import jsonio, wreath
-from lamprigid.errors import (
-    ConjugationMismatch,
-    NotBaseValued,
-    NotSurjective,
-    RelationNotKilled,
-    RelationViolated,
-    SpecMismatch,
-)
+from lamprigid.errors import AlgebraError, CertificateError
 from lamprigid.wreath import (
     candidate_mul,
     delta,
@@ -107,7 +101,7 @@ class TestGroupLaw:
             assert encode(wreath_mul(a, b)) == table.mul[encode(a), encode(b)]
 
     def test_spec_mismatch(self):
-        with pytest.raises(SpecMismatch):
+        with pytest.raises(AlgebraError, match="elements of different wreath products"):
             wreath_mul(identity(L12), identity(W123))
 
     def test_inverse_examples(self):
@@ -256,7 +250,7 @@ class TestVerifiedHom:
         assert not wreath_pow(bad, 2).is_identity  # order 4
         gi = GeneratorImages(source=pres, target=w124,
                              module_gen_images=(bad,), t_image=translation(w124))
-        with pytest.raises(NotBaseValued):
+        with pytest.raises(AlgebraError, match="image of generator 0 has shift 2"):
             hom_from_generator_images(gi)
 
     def test_non_invertible_shift_rejected(self):
@@ -265,7 +259,7 @@ class TestVerifiedHom:
         gi = GeneratorImages(source=pres, target=w124,
                              module_gen_images=(delta(w124, 0),),
                              t_image=element(w124, {}, 2))
-        with pytest.raises(ConjugationMismatch):
+        with pytest.raises(AlgebraError, match="t-image shift 2 is not invertible mod 4"):
             hom_from_generator_images(gi)
 
     def test_relator_violation(self):
@@ -274,7 +268,7 @@ class TestVerifiedHom:
         gi = GeneratorImages(source=pres, target=W123,
                              module_gen_images=(delta(W123, 0),),
                              t_image=translation(W123))
-        with pytest.raises(RelationViolated):
+        with pytest.raises(AlgebraError, match="relator 0 not satisfied"):
             hom_from_generator_images(gi)
 
     def test_torsion_candidate_admits_hom(self):
@@ -328,6 +322,25 @@ class TestCocycle:
             report = cocycle_verify(hom, 3 * m)
             assert report.pairs_checked == (6 * m + 1) ** 2
 
+    def test_wrong_normalizing_unit_is_a_certificate_failure(self):
+        # the two base-order-5 homs of acceptance criterion 07; sigma_inverse is
+        # computed, so a wrong one is a corrupted hom, not a rejected input
+        w125, w325 = LamplighterSpec(F2, 1, 5), LamplighterSpec(F3, 2, 5)
+        homs = [
+            hom_from_generator_images(GeneratorImages(
+                source=ModulePresentation.free(F2, 1), target=w125,
+                module_gen_images=(delta(w125, 0),), t_image=element(w125, {3: [1]}, 2))),
+            hom_from_generator_images(GeneratorImages(
+                source=ModulePresentation.free(F3, 2), target=w325,
+                module_gen_images=(delta(w325, 0, 0), delta(w325, 0, 1)),
+                t_image=element(w325, {2: [1, 2]}, 3))),
+        ]
+        assert [(hom.sigma, hom.sigma_inverse) for hom in homs] == [(2, 3), (3, 2)]
+        for hom in homs:
+            for u in set(range(5)) - {hom.sigma_inverse}:
+                with pytest.raises(CertificateError, match=r"cocycle identity failed at \("):
+                    cocycle_verify(dataclasses.replace(hom, sigma_inverse=u), 15)
+
 
 class TestGroupEpimorphism:
     def test_free_identity_map(self):
@@ -354,13 +367,14 @@ class TestGroupEpimorphism:
         # x is a unit of the Laurent ring, so this one IS surjective
         build_lamplighter_epimorphism(pres, bad)
         worse = PolyMatrix.from_rows(F2, [[poly(F2, 1, 1)]])
-        with pytest.raises(NotSurjective):
+        with pytest.raises(CertificateError,
+                           match="normal form of phi has a non-unit diagonal entry"):
             build_lamplighter_epimorphism(pres, worse)
 
     def test_relation_not_killed(self):
         pres = ModulePresentation.make(F2, 1, [[poly(F2, 1, 1)]])
         phi = PolyMatrix.from_rows(F2, [[FpPoly.one(F2)]])
-        with pytest.raises(RelationNotKilled):
+        with pytest.raises(CertificateError, match="phi does not annihilate the relation columns"):
             build_lamplighter_epimorphism(pres, phi)
 
     def test_semidirect_law_on_random_samples(self):
