@@ -145,11 +145,10 @@ def torsion_quotient_order(f: FpPoly) -> int:
 
 
 def check_epimorphism(pres: ModulePresentation, phi: PolyMatrix) -> None:
-    """Certify that phi (n x g) kills every relator and induces a surjection N -> R^n.
+    """Certify that phi is n x g, kills every relator and induces a surjection N -> R^n.
 
-    Both are certificates: every pipeline phi is computed, not supplied."""
-    if phi.cols != pres.generators:
-        raise AlgebraError("matrix shape does not match the presentation")
+    All three are certificates: every pipeline phi is computed, not supplied."""
+    require(phi.cols == pres.generators, "matrix shape does not match the presentation")
     require(matrix_mul(phi, pres.relations).is_zero, "phi does not annihilate the relation columns")
     # units of the Laurent ring are c * x^k: strip the x-power before testing
     require(all(not d.is_zero and d.strip_x().degree == 0 for d in smith_normal_form(phi).diag),

@@ -12,10 +12,12 @@ Every finite quotient is a cyclic extension E(M, d, a): M a quotient module of
 N / (x^d - 1) N, a a fixed point of x on M, and t^d = a. Up to isomorphism the
 extensions of C_d by M are classified by H^2(C_d, M) = M^x / N_d M with
 N_d = 1 + x + ... + x^(d-1) (K. Brown, Cohomology of Groups, IV.3). Over the
-polynomial ring each M is a direct sum of cyclic modules along a divisor chain
-dominated by the truncation's own invariant chain, so enumerating those chains
-and one a per cohomology class gives one table of order p^dim(M) * d <= B per
-candidate quotient. One comparison classifies each extension once: the
+polynomial ring each M is a sum of cyclic modules F_p[x]/(h) along a divisor chain
+dominated by the truncation's own invariant chain, and H^2 is read off the chain
+in closed form: one line per h with 1 <= v_(x-1)(h) < p^v_p(d). So enumerating
+those chains and one a per class gives one table of order p^dim(M) * d <= B per
+candidate quotient. One comparison derives each x^d - 1, chain enumeration,
+vector grid and module once, and classifies each extension once: the
 tables of the distinct keys (p, d, chain, a) of both sides are built in one
 pass, then sorted into isomorphism classes by fingerprint and isomorphism
 test. The fingerprint needs no quotient table: element orders, class sizes,
@@ -28,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from typing import Sequence
 
@@ -241,16 +242,16 @@ def _addition_table(p: int, d: int) -> np.ndarray:
     return table
 
 
-def _action_rows(p: int, action: list[list[int]], m: int) -> tuple[np.ndarray, ...]:
-    """The vector grid and _addition_table of F_p^d, and rows k = 0..m holding
-    the index of A^k v for every vector v, A = action."""
-    d = len(action)
-    vecs, radix = _vector_grid(p, d)
-    a_np = np.array(action, dtype=np.int64).reshape(d, d)
-    rows = [np.arange(p ** d), vecs @ a_np.T % p @ radix]
+def _action_rows(p: int, grid: tuple[np.ndarray, np.ndarray], action: list[list[int]],
+                 m: int) -> np.ndarray:
+    """Rows k = 0..m holding the index of A^k v for every vector v of
+    grid = _vector_grid(p, d), A = action. As there, pass 1 for p when d = 0."""
+    vecs, radix = grid
+    a_np = np.array(action, dtype=np.int64).reshape(len(action), len(action))
+    rows = [np.arange(len(vecs)), vecs @ a_np.T % p @ radix]
     while len(rows) <= m:
         rows.append(rows[1][rows[-1]])
-    return vecs, _addition_table(p, d), np.stack(rows[:m + 1])
+    return np.stack(rows[:m + 1])
 
 
 def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
@@ -276,17 +277,18 @@ def semidirect_table(field: FieldSpec, action: list[list[int]], m: int,
         raise ValueError(f"twist has length {twist_np.size}, expected {d}")
     if not np.array_equal(a_np @ twist_np % p, twist_np):
         raise ValueError("twist is not fixed by the action")
-    rows = _action_rows(p, action, m)
-    if not np.array_equal(rows[2][m], rows[2][0]):  # A^m fixes every vector: A^m = I
+    rows = _action_rows(p, _vector_grid(p, d), action, m)
+    if not np.array_equal(rows[m], rows[0]):  # A^m fixes every vector: A^m = I
         raise ValueError(f"action does not have order dividing {m}")
-    return FiniteGroupTable.build(_extension_mul(p, m, twist_np.tolist(), rows))
+    return FiniteGroupTable.build(_extension_mul(p, m, twist_np.tolist(), rows,
+                                                 _addition_table(p, d)))
 
 
-def _extension_mul(p: int, m: int, twist: Sequence[int],
-                   rows: tuple[np.ndarray, ...]) -> np.ndarray:
-    """semidirect_table's array, unchecked: entry ((i, k), (j, l)) is index(vec_i + w) * m
-    + (k + l) mod m, with w = A^k vec_j, plus a if k + l >= m."""
-    sum_idx, act = rows[1], rows[2][:m]  # act[k, j]: A^k vec_j, an intp index as take wants
+def _extension_mul(p: int, m: int, twist: Sequence[int], rows: np.ndarray,
+                   sum_idx: np.ndarray) -> np.ndarray:
+    """semidirect_table's array from _action_rows and _addition_table, unchecked: entry ((i, k),
+    (j, l)) is index(vec_i + w) * m + (k + l) mod m, w = A^k vec_j, plus a if k + l >= m."""
+    act = rows[:m]  # act[k, j]: A^k vec_j, an intp index as take wants
     residues = np.arange(m, dtype=np.int32)
     wraps = residues[:, None] + residues >= m
     wrap = sum_idx[:, sum(a * p ** i for i, a in enumerate(twist))]  # index(vec_j + a)
@@ -573,27 +575,44 @@ def _dominated_chains(base_chain: list[FpPoly], divisors: list[FpPoly],
     return out
 
 
-def _twist_classes(action_rows: tuple, m: int) -> list[tuple[int, ...]]:
-    """One twist from each class of H^2(C_m, M) = M^x / N_m M, N_m = 1 + A + ... + A^(m-1).
+def _twist_classes(chain: list[FpPoly], d: int, p: int) -> list[tuple[int, ...]]:
+    """One twist from each class of H^2(C_d, M) = M^x / N_d M, N_d = 1 + x + ... + x^(d-1),
+    for M the sum of the F_p[x]/(h), h in chain, in block_companion's basis.
 
-    M = F_p^d with x acting by A, A^m = I; action_rows = _action_rows(p, A, m).
-    The modules truncated_qu passes have at most bound elements, so the fixed
-    space and the norm image are enumerated outright. Each class is
-    represented by its element of least index; N_m M is fixed by x, so that
-    element is the least of v + N_m M for each fixed v.
-    """
-    vecs, add, rows = action_rows
-    fixed = np.flatnonzero(rows[1] == rows[0])
-    norm = reduce(lambda acc, row: add[acc, row], rows[1:m], rows[0])  # N_m v for every v
-    least = add[fixed[:, None], np.unique(norm)].min(axis=1)  # of v + N_m M
-    return [tuple(v) for v in vecs[fixed[least == fixed]].tolist()]
+    With d = d' p^k, p not dividing d', x^d - 1 = (x^d' - 1)^(p^k) and x^d' - 1 is
+    squarefree, so x - 1 divides N_d exactly p^k - 1 times. F_p[x]/(h) has the
+    fixed line of u = h / (x - 1) iff x - 1 | h, and N_d F_p[x]/(h) holds it iff
+    (x - 1)^(p^k) | h. So H^2 is the sum of the lines with 1 <= v_(x-1)(h) < p^k,
+    zero unless p | d. The summands lie on disjoint digit ranges and the other
+    fixed lines in N_d M, so the sums of multiples of these u, in index order,
+    are the least-index elements of the classes."""
+    lines, dim, pk = [], 0, 1  # pk = p^k
+    while d % (pk * p) == 0:
+        pk *= p
+    for h in chain:
+        cs, v, u = h.coeffs, 0, ()
+        while v < pk and sum(cs) % p == 0:  # x - 1 divides: synthetic division
+            cs, v = [sum(cs[i + 1:]) % p for i in range(len(cs) - 1)], v + 1
+            u = u or cs  # h / (x - 1)
+        if 1 <= v < pk:
+            lines.append((dim, u))
+        dim += int(h.degree)
+    twists = []
+    for scalars in product(range(p), repeat=len(lines)):  # the last line's digits lead
+        twist = [0] * dim
+        for c, (offset, u) in zip(reversed(scalars), lines):
+            twist[offset:offset + len(u)] = [c * a % p for a in u]
+        twists.append(tuple(twist))
+    return twists
 
 
 def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: dict):
     """Yield (key, field, action, twist) for each E(M, d, a) that truncated_qu
     needs; the key (p, d, chain coefficients, twist) determines the table. The
-    pool keeps the divisors of x^d - 1 by (p, d, c) and the twist classes by
-    module (p, d, chain coefficients), with the module's _action_rows."""
+    pool, one per _classify call, keeps x^d - 1 and its divisors by (p, d, c), the
+    dominated chains by (p, d, c, base chain coefficients), the vector grid and
+    addition table of F_p^dim by (p, dim) (p = 1 for dim 0), and by module
+    (p, d, chain coefficients) its _action_rows, addition table and twist classes."""
     pres = _source_presentation(source)
     field = pres.field
     p = field.p
@@ -602,20 +621,27 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: 
         c = 0
         while p ** (c + 1) * d <= bound:
             c += 1
-        xd1 = x_pow_minus_one(field, d)
+        if (p, d, c) not in pool:
+            xd1 = x_pow_minus_one(field, d)
+            pool[p, d, c] = xd1, _small_divisors(xd1, c)
+        xd1, divisors = pool[p, d, c]
         # with c = 0 only the zero module fits, whatever the chain
         base_chain = [g for g in (poly_gcd(f, xd1) for f in dec.invariant_factors if c)
                       if g.degree >= 1]
         base_chain.extend([xd1] * dec.free_rank)
-        if (p, d, c) not in pool:
-            pool[p, d, c] = _small_divisors(xd1, c)
-        for chain in _dominated_chains(base_chain, pool[p, d, c], c):
+        chains = (p, d, c, tuple(h.coeffs for h in base_chain))
+        if chains not in pool:
+            pool[chains] = _dominated_chains(base_chain, divisors, c)
+        for chain in pool[chains]:
             action = block_companion(chain)
             module = (p, d, tuple(h.coeffs for h in chain))
             if module not in pool:
-                rows = _action_rows(p if action else 1, action, d)  # as in semidirect_table
-                pool[module] = rows, _twist_classes(rows, d)
-            for twist in pool[module][1]:
+                space = (p if action else 1, len(action))  # as in semidirect_table
+                if space not in pool:
+                    pool[space] = _vector_grid(*space), _addition_table(*space)
+                pool[module] = (_action_rows(space[0], pool[space][0], action, d),
+                                pool[space][1], _twist_classes(chain, d, p))
+            for twist in pool[module][2]:
                 yield module + (twist,), field, action, twist
 
 
@@ -630,7 +656,7 @@ def _classify(sources: Sequence[ModulePresentation | LamplighterSpec],
     pool: dict[tuple, list] = {}
     side_keys = [[key for key, *_ in _extensions(source, bound, pool)] for source in sources]
     keys = list(dict.fromkeys(key for side in side_keys for key in side))
-    tables = build_tables([_extension_mul(k[0], k[1], k[3], pool[k[:3]][0]) for k in keys])
+    tables = build_tables([_extension_mul(k[0], k[1], k[3], *pool[k[:3]][:2]) for k in keys])
     rep_of, by_fingerprint = {}, {}  # key -> kept table; fingerprint key -> kept tables
     for key, table in zip(keys, tables):
         bucket = by_fingerprint.setdefault(table.fingerprint.key(), [])

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from lamprigid import (
@@ -460,7 +461,8 @@ class TestCli:
     @pytest.mark.parametrize("corrupt", [
         first_coefficient_bumped,
         lambda phi: PolyMatrix.zeros(phi.field, phi.rows, phi.cols),
-    ], ids=["one-coefficient", "all-zero"])
+        lambda phi: PolyMatrix(phi.field, np.concatenate([phi.coeffs, phi.coeffs[:, :1]], axis=1)),
+    ], ids=["one-coefficient", "all-zero", "extra-column"])
     def test_corrupted_phi_is_a_certificate_failure(self, corrupt, monkeypatch, capsys):
         # phi is the program's own on every CLI path, so a phi that fails its
         # epimorphism check is a broken certificate (3), not bad input (2)

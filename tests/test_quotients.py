@@ -180,6 +180,22 @@ def extension_data(draw):
     return field, action.tolist(), m, tuple(int(a) for a in twist)
 
 
+@st.composite
+def block_companion_data(draw):
+    """(field, chain, m) for p in {2, 3, 5, 7} and m in 1..16 (so p^2 | m occurs):
+    a chain of divisors of x^m - 1 with p^dim <= 64, in block_companion's basis."""
+    field = FieldSpec(draw(st.sampled_from([2, 3, 5, 7])))
+    m = draw(st.integers(1, 16))
+    left = draw(st.integers(0, {2: 6, 3: 3, 5: 2, 7: 2}[field.p]))
+    divisors = quotients._small_divisors(x_pow_minus_one(field, m), left)
+    chain = []
+    while left:  # x - 1 divides x^m - 1, so some divisor always fits
+        h = draw(st.sampled_from([h for h in divisors if h.degree <= left]))
+        chain.append(h)
+        left -= int(h.degree)
+    return field, chain, m
+
+
 class TestTableBuilderAgainstBlockOracle:
     @pytest.mark.parametrize("name", CANDIDATE_NAMES)
     def test_extension_keys_at_bound_sixteen(self, name):
@@ -519,17 +535,33 @@ class TestReplacedLoopsAgainstOracles:
         for source in (candidate.presentation, lamp):
             pool = {}
             for key, field, action, twist in quotients._extensions(source, 16, pool):
-                assert pool[key[:3]][1] == twist_classes_by_cover(field, action, key[1]), key
+                assert pool[key[:3]][2] == twist_classes_by_cover(field, action, key[1]), key
                 orders_match_oracle(semidirect_table(field, action, key[1], twist=twist))
 
-    @settings(max_examples=40, deadline=None)
-    @given(extension_data())
+    @settings(max_examples=60, deadline=None)
+    @given(block_companion_data())
     def test_random_block_companion_actions(self, data):
-        field, action, m, twist = data
-        rows = quotients._action_rows(field.p, action, m)
-        assert quotients._twist_classes(rows, m) == \
-            twist_classes_by_cover(field, action, m)
-        orders_match_oracle(semidirect_table(field, action, m, twist=twist))
+        field, chain, m = data
+        action = block_companion(chain)
+        twists = quotients._twist_classes(chain, m, field.p)
+        assert twists == twist_classes_by_cover(field, action, m)
+        orders_match_oracle(semidirect_table(field, action, m, twist=twists[-1]))
+
+    def test_every_module_at_bound_sixty_four(self):
+        # _extensions reads no BOUND_CAP; at bound 64 the twist classes of
+        # modules with p^2 | d occur, for p = 2 and 3
+        entries = []
+        for name in CANDIDATE_NAMES:
+            candidate = bundled(name)
+            for source in (candidate.presentation, LamplighterSpec(candidate.field, candidate.n, None)):
+                pool = {}
+                modules = {key[:3]: (field, action) for key, field, action, _ in
+                           quotients._extensions(source, 64, pool)}
+                entries += [(module, pool[module][2], *modules[module]) for module in modules]
+        assert len(entries) == 905
+        assert {p for (p, d, _), twists, *_ in entries if len(twists) > 1 and d % p ** 2 == 0} == {2, 3}
+        for module, twists, field, action in entries:
+            assert twists == twist_classes_by_cover(field, action, module[1]), module
 
 
 class TestIsomorphic:
@@ -707,20 +739,36 @@ class TestCompareQu:
         assert [len(batch) for batch in batches] == distinct_keys and min(distinct_keys) > 0
 
     @pytest.mark.parametrize("left, right", [("free_rank1", "free_rank2_p3"),
-                                             ("mixed_free_torsion", "torsion_only")])
+                                             ("mixed_free_torsion", "torsion_only"),
+                                             ("free_rank1", "lamp")])
     def test_one_twist_enumeration_per_module(self, monkeypatch, left, right):
-        # the compare-qu golden pairs; the second pair's sides share modules (p, d, chain)
-        sides = (bundled(left).presentation, bundled(right).presentation)
-        modules = {key[:3] for side in sides for key, *_ in quotients._extensions(side, 16, {})}
-        calls = {"_action_rows": 0, "_twist_classes": 0}
+        # the compare-qu golden pairs, whose second pair's sides share modules
+        # (p, d, chain), and a candidate against its lamp group, which share every base chain
+        candidate = bundled(left)
+        sides = [candidate.presentation, LamplighterSpec(candidate.field, candidate.n, None)
+                 if right == "lamp" else bundled(right).presentation]
+        keys = {key for side in sides for key, *_ in quotients._extensions(side, 16, {})}
+        modules = {key[:3] for key in keys}
+        grids = {(key[0] if key[3] else 1, len(key[3])) for key in keys}  # F_p^0 reads no p
+        calls = {name: [] for name in ("_vector_grid", "_addition_table", "_action_rows",
+                                       "_twist_classes", "_small_divisors", "_dominated_chains")}
         for name in calls:
-            def counting(*args, _name=name, _fn=getattr(quotients, name)):
-                calls[_name] += 1
+            def recording(*args, _name=name, _fn=getattr(quotients, name)):
+                calls[_name].append(args)
                 return _fn(*args)
-            monkeypatch.setattr(quotients, name, counting)
+            monkeypatch.setattr(quotients, name, recording)
         compare_qu(*sides, 16)
-        # a module's action rows serve its twist classes and every table built on it
-        assert calls == {"_action_rows": len(modules), "_twist_classes": len(modules)}
+        counts = {name: len(args) for name, args in calls.items() if name != "_dominated_chains"}
+        assert counts == {"_vector_grid": len(grids), "_addition_table": len(grids),
+                          "_action_rows": len(modules), "_twist_classes": len(modules),
+                          "_small_divisors": 16 * len({key[0] for key in keys})}  # per (p, d)
+        # one enumeration per (p, d) and distinct base chain; the call keeps one
+        # divisor list per (p, d), so its id stands for (p, d)
+        enumerated = [(id(divisors), tuple(h.coeffs for h in base), budget)
+                      for base, divisors, budget in calls["_dominated_chains"]]
+        assert len(set(enumerated)) == len(enumerated) <= 32
+        if right == "lamp":
+            assert len(enumerated) == 16  # free_rank1's base chain is the lamp group's at every d
 
     def test_one_fingerprint_per_table(self, monkeypatch):
         made, original = [], quotients.QuotientFingerprint
