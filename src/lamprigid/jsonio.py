@@ -30,6 +30,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 from .errors import InvalidInput
 from .fppoly import FieldSpec, FpPoly
 from .laurent_modules import ModuleDecomposition, ModulePresentation
@@ -43,8 +45,42 @@ MAX_GENERATORS = 128
 MAX_RELATORS = 128
 
 
+_KIND = np.zeros(256, np.uint8)  # 1 opens, 2 closes, 3 comma, 4 colon
+_KIND[list(b"[{")], _KIND[list(b"]}")], _KIND[ord(",")], _KIND[ord(":")] = 1, 2, 3, 4
+
+
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\\n", laid out from the C
+    encoder's compact text, since indent drops json to its pure-Python encoder.
+
+    The compact text is ASCII, and every backslash in it starts an escape, so
+    blanking each \\\\ and then each \\" keeps the length and leaves only the quotes
+    that delimit strings; their running parity marks the characters inside
+    strings. A running sum over the brackets outside them is the depth. A
+    newline and two spaces per level follow each comma and opening bracket and
+    precede each closing one, unless the brackets enclose nothing; a space
+    follows each colon."""
+    compact = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("ascii")
+    blanked = np.frombuffer(compact.replace(b"\\\\", b"  ").replace(b'\\"', b"  "), np.uint8)
+    kind = _KIND[blanked]
+    kind[np.bitwise_xor.accumulate(blanked == ord('"'))] = 0
+    opens, shuts = kind == 1, kind == 2
+    extra = np.cumsum(opens.view(np.int8) - shuts.view(np.int8), dtype=np.int32)  # the depth
+    breaks = kind == 3
+    breaks[:-1] |= opens[:-1] & ~shuts[1:]
+    shuts[1:] &= ~opens[:-1]
+    extra *= 2
+    extra += 1
+    extra *= breaks | shuts
+    extra += kind == 4
+    at = extra + 1
+    np.cumsum(at, out=at)
+    out = np.full(at[-1] + 1, ord(" "), np.uint8)
+    at -= extra + 1  # a run starts with its character, but a closing bracket ends its run
+    at[shuts] += extra[shuts]
+    out[at] = np.frombuffer(compact, np.uint8)
+    out[at[breaks] + 1] = out[at[shuts] - extra[shuts]] = out[-1] = ord("\n")
+    return str(out, "ascii")
 
 
 def _quote(value: Any) -> str:

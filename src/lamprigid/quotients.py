@@ -16,13 +16,14 @@ polynomial ring each M is a sum of cyclic modules F_p[x]/(h) along a divisor cha
 dominated by the truncation's own invariant chain, and H^2 is read off the chain
 in closed form: one line per h with 1 <= v_(x-1)(h) < p^v_p(d). So enumerating
 those chains and one a per class gives one table of order p^dim(M) * d <= B per
-candidate quotient. One comparison derives each x^d - 1, chain enumeration,
-vector grid and module once, and classifies each extension once: the
-tables of the distinct keys (p, d, chain, a) of both sides are built in one
-pass, then sorted into isomorphism classes by fingerprint and isomorphism
-test. The fingerprint needs no quotient table: element orders, class sizes,
-and the invariant factors of A = G/G' counted from powers g^k as
-|A[k]| = #{g : g^k in G'} / |G'|. The lattice search remains for tests and tools.
+candidate quotient. One comparison reads the divisors of each x^d - 1 off one
+table of orders of x, derives each chain enumeration, divisibility test, vector
+grid and module once, and classifies each extension once: the tables of the
+distinct keys (p, d, chain, a) of both sides are built in one pass, then sorted
+into isomorphism classes by fingerprint and isomorphism test. The fingerprint
+needs no quotient table: element orders, class sizes, and the invariant factors
+of A = G/G' counted from powers g^k as |A[k]| = #{g : g^k in G'} / |G'|. The
+lattice search remains for tests and tools.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlgebraError, require
-from .fppoly import FieldSpec, FpPoly, poly_gcd, x_pow_minus_one
+from .fppoly import FieldSpec, FpPoly
 from .laurent_modules import (
     FiniteTruncation,
     ModulePresentation,
@@ -530,32 +531,40 @@ def _source_presentation(source: ModulePresentation | LamplighterSpec) -> Module
     return source
 
 
-def _small_divisors(modulus: FpPoly, max_degree: int) -> list[FpPoly]:
-    """Monic divisors of the modulus with degree in 1..max_degree, sorted."""
-    field = modulus.field
-    p = field.p
-    out = []
+def _order_table(field: FieldSpec, max_degree: int) -> list[tuple[FpPoly, int]]:
+    """Each monic h with degree in 1..max_degree and h(0) != 0, sorted by
+    (degree, coeffs), with the order of x mod h. Such an h divides x^d - 1
+    iff that order divides d; an h with h(0) = 0 divides no x^d - 1."""
+    p, table = field.p, []
     for deg in range(1, max_degree + 1):
-        for tail in product(range(p), repeat=deg):
-            h = FpPoly(field, tuple(tail) + (1,))
-            if h.divides(modulus):
-                out.append(h)
-    out.sort(key=lambda h: (h.degree, h.coeffs))
-    return out
+        one = (1,) + (0,) * (deg - 1)
+        for tail in product(range(1, p), *[range(p)] * (deg - 1)):  # h(0) = tail[0] != 0
+            power, order = one, 0
+            while not order or power != one:  # power = x^order mod h, and x^deg = -tail
+                power = tuple((a - power[-1] * t) % p for a, t in zip((0,) + power[:-1], tail))
+                order += 1
+            table.append((FpPoly(field, tail + (1,)), order))
+    return table
 
 
-def _dominated_chains(base_chain: list[FpPoly], divisors: list[FpPoly],
-                      budget: int) -> list[list[FpPoly]]:
+def _dominated_chains(base_chain: list[FpPoly], divisors: list[FpPoly], budget: int,
+                      known: dict) -> list[list[FpPoly]]:
     """Ascending divisor chains h_1 | ... | h_k with sum deg <= budget that are
     dominated top-down by base_chain (h_{k-j} divides base_chain[s-1-j]).
 
     These parameterize exactly the quotient modules of the module with
     invariant chain base_chain that have dimension <= budget: a quotient of a
     torsion module over a principal ideal domain exists iff its j-th largest
-    invariant factor divides the j-th largest one of the source.
+    invariant factor divides the j-th largest one of the source. known holds
+    each divisibility test made, by (h, g), for the caller to share.
     """
     s = len(base_chain)
     out: list[list[FpPoly]] = []
+
+    def divides(h: FpPoly, g: FpPoly) -> bool:
+        if (h, g) not in known:
+            known[h, g] = h.divides(g)
+        return known[h, g]
 
     def rec(top_down: list[FpPoly], left: int, slot: int) -> None:
         out.append(list(reversed(top_down)))
@@ -565,9 +574,9 @@ def _dominated_chains(base_chain: list[FpPoly], divisors: list[FpPoly],
         for h in divisors:
             if h.degree > left:
                 continue
-            if not h.divides(base_chain[slot]):
+            if not divides(h, base_chain[slot]):
                 continue
-            if upper is not None and not h.divides(upper):
+            if upper is not None and not divides(h, upper):
                 continue
             rec(top_down + [h], left - int(h.degree), slot - 1)
 
@@ -609,29 +618,29 @@ def _twist_classes(chain: list[FpPoly], d: int, p: int) -> list[tuple[int, ...]]
 def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: dict):
     """Yield (key, field, action, twist) for each E(M, d, a) that truncated_qu
     needs; the key (p, d, chain coefficients, twist) determines the table. The
-    pool, one per _classify call, keeps x^d - 1 and its divisors by (p, d, c), the
-    dominated chains by (p, d, c, base chain coefficients), the vector grid and
-    addition table of F_p^dim by (p, dim) (p = 1 for dim 0), and by module
+    pool, one per _classify call, keeps by p the _order_table, by (p, d, c) the
+    divisors of x^d - 1 of degree <= c, by (h, g) whether h | g, the dominated
+    chains by (p, d, c, base chain coefficients), the vector grid and addition
+    table of F_p^dim by (p, dim) (p = 1 for dim 0), and by module
     (p, d, chain coefficients) its _action_rows, addition table and twist classes."""
     pres = _source_presentation(source)
     field = pres.field
     p = field.p
     dec = decompose(pres)
+    # N's own invariant chain, 0 for each free summand: for h | x^d - 1,
+    # h | gcd(f, x^d - 1) iff h | f, so no gcd is needed
+    base_chain = list(dec.invariant_factors) + [FpPoly.zero(field)] * dec.free_rank
     for d in range(1, bound + 1):
         c = 0
         while p ** (c + 1) * d <= bound:
             c += 1
+        if p not in pool:  # at d = 1, where c is largest
+            pool[p] = _order_table(field, c)
         if (p, d, c) not in pool:
-            xd1 = x_pow_minus_one(field, d)
-            pool[p, d, c] = xd1, _small_divisors(xd1, c)
-        xd1, divisors = pool[p, d, c]
-        # with c = 0 only the zero module fits, whatever the chain
-        base_chain = [g for g in (poly_gcd(f, xd1) for f in dec.invariant_factors if c)
-                      if g.degree >= 1]
-        base_chain.extend([xd1] * dec.free_rank)
-        chains = (p, d, c, tuple(h.coeffs for h in base_chain))
+            pool[p, d, c] = [h for h, order in pool[p] if h.degree <= c and d % order == 0]
+        chains = (p, d, c, tuple(f.coeffs for f in base_chain))
         if chains not in pool:
-            pool[chains] = _dominated_chains(base_chain, divisors, c)
+            pool[chains] = _dominated_chains(base_chain, pool[p, d, c], c, pool)
         for chain in pool[chains]:
             action = block_companion(chain)
             module = (p, d, tuple(h.coeffs for h in chain))
@@ -653,7 +662,7 @@ def _classify(sources: Sequence[ModulePresentation | LamplighterSpec],
     table of equal fingerprint, in the order the keys were met, or is kept."""
     if bound < 1 or bound > BOUND_CAP:
         raise AlgebraError(f"bound {bound} outside 1..{BOUND_CAP}")
-    pool: dict[tuple, list] = {}
+    pool: dict = {}
     side_keys = [[key for key, *_ in _extensions(source, bound, pool)] for source in sources]
     keys = list(dict.fromkeys(key for side in side_keys for key in side))
     tables = build_tables([_extension_mul(k[0], k[1], k[3], *pool[k[:3]][:2]) for k in keys])

@@ -309,36 +309,30 @@ class CocycleReport:
 
     values: tuple[tuple[int, WreathElement], ...]
     pairs_checked: int
-    multiples_checked: int
 
 
 def cocycle_verify(hom: VerifiedHom, bound: int) -> CocycleReport:
-    """Assert the section identities g(k + k') = g(k) + x^k g(k') and g(km) = k g(m).
+    """Assert the section identity g(k + k') = g(k) + x^k g(k') for |k|, |k'| <= bound.
 
-    Both are theorems for any verified homomorphism (in normalized form); a
+    It is a theorem for any verified homomorphism (in normalized form); a
     failure here means the hom object is corrupted, not that the input is bad,
-    so it raises CertificateError.
+    so it raises CertificateError. The pairs imply g(0) = 0, from the pair
+    (0, 0), and g(km) = k g(m) for |km| <= bound, by induction on k: x^m acts
+    trivially on a base of order m, so g(km + m) = g(km) + x^(km) g(m) = g(km) + g(m).
     """
-    m = hom.target.base_order
-    if m is None:
+    if hom.target.base_order is None:
         raise AlgebraError("cyclic base required")
     g: dict[int, WreathElement] = {}
     for k in range(-2 * bound, 2 * bound + 1):
         g[k] = hom.section_lamp(k)
-    require(g[0].is_identity, "cocycle identity failed at (0, 0): g(0) != 0")
     pairs = 0
     for k in range(-bound, bound + 1):
         for k2 in range(-bound, bound + 1):
             require(g[k + k2] == wreath_mul(g[k], shift_lamps(g[k2], k)),
                     f"cocycle identity failed at ({k}, {k2})")
             pairs += 1
-    multiples = 0
-    for k in range(-(bound // m), bound // m + 1):
-        require(g[k * m] == scale_lamps(g[m], k % hom.target.field.p),
-                f"cocycle identity failed at ({k}, {m}): g(km) != k g(m)")
-        multiples += 1
     table = tuple((k, g[k]) for k in range(-bound, bound + 1))
-    return CocycleReport(values=table, pairs_checked=pairs, multiples_checked=multiples)
+    return CocycleReport(values=table, pairs_checked=pairs)
 
 
 # --- the epimorphism onto the free lamp group --------------------------------

@@ -40,7 +40,6 @@ from lamprigid.quotients import (
     QuSet,
     _dominated_chains,
     _vector_grid,
-    _small_divisors,
     _source_presentation,
     cyclic_table,
     direct_product_table,
@@ -624,6 +623,20 @@ def _keep_new_class(kept: list[FiniteGroupTable], table: FiniteGroupTable) -> bo
     return True
 
 
+def small_divisors_by_trial_division(modulus: FpPoly, max_degree: int) -> list[FpPoly]:
+    """Monic divisors of the modulus with degree in 1..max_degree, sorted by
+    (degree, coeffs), by trial division of every monic polynomial."""
+    field = modulus.field
+    out = []
+    for deg in range(1, max_degree + 1):
+        for tail in product(range(field.p), repeat=deg):
+            h = FpPoly(field, tuple(tail) + (1,))
+            if h.divides(modulus):
+                out.append(h)
+    out.sort(key=lambda h: (h.degree, h.coeffs))
+    return out
+
+
 def lattice_qu(source, bound: int) -> QuSet:
     """Bounded quotient set of N x| Z by searching normal-subgroup lattices.
 
@@ -650,9 +663,9 @@ def lattice_qu(source, bound: int) -> QuSet:
         base_chain = [g for g in (poly_gcd(f, xm1) for f in dec.invariant_factors)
                       if g.degree >= 1]
         base_chain.extend([xm1] * dec.free_rank)
-        divisors = _small_divisors(xm1, min(cmax, m))
+        divisors = small_divisors_by_trial_division(xm1, min(cmax, m))
         seen_modules: list[FiniteGroupTable] = []
-        for chain in _dominated_chains(base_chain, divisors, cmax):
+        for chain in _dominated_chains(base_chain, divisors, cmax, {}):
             table = semidirect_table(field, block_companion(chain), m)
             if not _keep_new_class(seen_modules, table):
                 continue

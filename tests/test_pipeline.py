@@ -3,9 +3,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lamprigid import (
     CandidateGroup,
@@ -280,6 +283,49 @@ class TestJsonSchemas:
         data = {"p": 3, "rows": 1, "cols": 2, "entries": [[[[0, 2]], [[1, 1], [0, 1]]]]}
         m = jsonio.parse_matrix(data)
         assert jsonio.parse_matrix(jsonio.matrix_to_json(m)).entries == m.entries
+
+
+def standard_dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# escapes, control characters, non-ASCII text and the characters of the layout
+json_strings = st.text(st.one_of(st.sampled_from('"\\[]{},: \n\t\x00\x1f\x7fé中\U0001f600\ud800'),
+                                 st.characters()))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.integers(10 ** 99, 10 ** 130).flatmap(lambda v: st.sampled_from([v, -v])),
+              json_strings),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(json_strings, inner, max_size=5)),
+    max_leaves=40)
+
+
+class TestCanonicalDumps:
+    @settings(max_examples=150, deadline=None)
+    @given(json_values)
+    @example(0)
+    @example(-(10 ** 120))
+    @example('a"b\\c\\"')
+    @example([])
+    @example({})
+    @example({"": [[], {}, [{}]], "[": {"]": ",:"}})
+    def test_equals_the_standard_library(self, value):
+        assert jsonio.canonical_dumps(value) == standard_dumps(value)
+
+    def test_peak_memory_within_half_again_of_the_standard_library(self):
+        golden = pathlib.Path(__file__).resolve().parent / "golden" / "free_rank2_p3_b16.json"
+        payload = [json.loads(golden.read_text())] * 40  # about 0.9 MB of text
+        peaks = []
+        for dumps in (standard_dumps, jsonio.canonical_dumps):
+            tracemalloc.start()
+            try:
+                text = dumps(payload)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(text) > 800_000
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def first_coefficient_bumped(phi):

@@ -45,6 +45,7 @@ from oracles import (
     orders_modulo_by_iteration,
     respects_law_by_dicts,
     semidirect_table_by_blocks,
+    small_divisors_by_trial_division,
     small_group_catalog,
     twist_classes_by_cover,
     two_sided_compare_qu,
@@ -165,7 +166,7 @@ def extension_data(draw):
     permuted, so A^m = I, and the twist is a random fixed point of A."""
     field = FieldSpec(draw(st.sampled_from([2, 3, 5])))
     d, m = draw(st.integers(0, 3)), draw(st.integers(1, 12))
-    divisors = quotients._small_divisors(x_pow_minus_one(field, m), 3)
+    divisors = small_divisors_by_trial_division(x_pow_minus_one(field, m), 3)
     chain, left = [], d
     while left:  # x - 1 divides x^m - 1, so some divisor always fits
         h = draw(st.sampled_from([h for h in divisors if h.degree <= left]))
@@ -187,13 +188,27 @@ def block_companion_data(draw):
     field = FieldSpec(draw(st.sampled_from([2, 3, 5, 7])))
     m = draw(st.integers(1, 16))
     left = draw(st.integers(0, {2: 6, 3: 3, 5: 2, 7: 2}[field.p]))
-    divisors = quotients._small_divisors(x_pow_minus_one(field, m), left)
+    divisors = small_divisors_by_trial_division(x_pow_minus_one(field, m), left)
     chain = []
     while left:  # x - 1 divides x^m - 1, so some divisor always fits
         h = draw(st.sampled_from([h for h in divisors if h.degree <= left]))
         chain.append(h)
         left -= int(h.degree)
     return field, chain, m
+
+
+class TestOrderTable:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_divisors_by_order_equal_trial_division(self, p):
+        # h | x^d - 1 iff the order of x mod h divides d, for h(0) != 0
+        field = FieldSpec(p)
+        c_max = max(c for c in range(7) if p ** c <= 64)
+        table = quotients._order_table(field, c_max)
+        for d in range(1, 65):
+            trial = small_divisors_by_trial_division(x_pow_minus_one(field, d), c_max)
+            for c in range(c_max + 1):
+                by_order = [h for h, order in table if h.degree <= c and d % order == 0]
+                assert by_order == [h for h in trial if h.degree <= c], (d, c)
 
 
 class TestTableBuilderAgainstBlockOracle:
@@ -751,24 +766,34 @@ class TestCompareQu:
         modules = {key[:3] for key in keys}
         grids = {(key[0] if key[3] else 1, len(key[3])) for key in keys}  # F_p^0 reads no p
         calls = {name: [] for name in ("_vector_grid", "_addition_table", "_action_rows",
-                                       "_twist_classes", "_small_divisors", "_dominated_chains")}
+                                       "_twist_classes", "_order_table", "_dominated_chains")}
         for name in calls:
             def recording(*args, _name=name, _fn=getattr(quotients, name)):
                 calls[_name].append(args)
                 return _fn(*args)
             monkeypatch.setattr(quotients, name, recording)
+        tests, divides = [], FpPoly.divides
+
+        def recording_divides(h, g):
+            tests.append((h, g))
+            return divides(h, g)
+
+        monkeypatch.setattr(FpPoly, "divides", recording_divides)
         compare_qu(*sides, 16)
         counts = {name: len(args) for name, args in calls.items() if name != "_dominated_chains"}
         assert counts == {"_vector_grid": len(grids), "_addition_table": len(grids),
                           "_action_rows": len(modules), "_twist_classes": len(modules),
-                          "_small_divisors": 16 * len({key[0] for key in keys})}  # per (p, d)
-        # one enumeration per (p, d) and distinct base chain; the call keeps one
-        # divisor list per (p, d), so its id stands for (p, d)
+                          "_order_table": len({key[0] for key in keys})}  # per p
+        # one enumeration per (p, d, c) and distinct base chain; the call keeps one
+        # divisor list per (p, d, c), so its id stands for (p, d, c)
         enumerated = [(id(divisors), tuple(h.coeffs for h in base), budget)
-                      for base, divisors, budget in calls["_dominated_chains"]]
+                      for base, divisors, budget, _ in calls["_dominated_chains"]]
         assert len(set(enumerated)) == len(enumerated) <= 32
         if right == "lamp":
             assert len(enumerated) == 16  # free_rank1's base chain is the lamp group's at every d
+        # each test h | f against an invariant factor, and h | h' within a chain, is
+        # made once per comparison, not once per d
+        assert tests and len(set(tests)) == len(tests)
 
     def test_one_fingerprint_per_table(self, monkeypatch):
         made, original = [], quotients.QuotientFingerprint

@@ -341,6 +341,20 @@ class TestCocycle:
                 with pytest.raises(CertificateError, match=r"cocycle identity failed at \("):
                     cocycle_verify(dataclasses.replace(hom, sigma_inverse=u), 15)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_section_corrupted_at_a_multiple_fails_a_pair(self, monkeypatch, k):
+        # g(km) = k g(m) has no check of its own: the pairs imply it
+        hom = canonical_hom(t_lamps={0: [1]})
+        m, intact = hom.target.base_order, type(hom).section_lamp
+
+        def corrupted(self, j):
+            lamp = intact(self, j)
+            return wreath_mul(lamp, delta(W123, 1)) if j == k * m else lamp
+
+        monkeypatch.setattr(type(hom), "section_lamp", corrupted)
+        with pytest.raises(CertificateError, match=r"cocycle identity failed at \("):
+            cocycle_verify(hom, 3 * m)
+
 
 class TestGroupEpimorphism:
     def test_free_identity_map(self):
