@@ -190,27 +190,29 @@ class SmithDecomposition:
 
     Construction re-runs the full certificate: the product identity, the
     unimodularity of both transforms, diagonality, monic normalization and the
-    divisibility chain on diag (zeros, if any, sit at the end).
+    divisibility chain on diag (zeros, if any, sit at the end). U and V are checked
+    square ahead of matrix_mul, which rejects other shapes as a bad request (exit 2);
+    D then equals U * source * V, and so has its shape.
     """
 
     source: PolyMatrix
     u: PolyMatrix
     d: PolyMatrix
     v: PolyMatrix
-    diag: tuple[FpPoly, ...]
+
+    @functools.cached_property
+    def diag(self) -> tuple[FpPoly, ...]:
+        """D's diagonal entries, the invariant factors of source."""
+        return tuple(self.d.entry(i, i) for i in range(min(self.d.rows, self.d.cols)))
 
     def __post_init__(self):
         m = self.source
         require(self.u.rows == self.u.cols == m.rows, "U has the wrong shape")
         require(self.v.rows == self.v.cols == m.cols, "V has the wrong shape")
-        require(self.d.rows == m.rows and self.d.cols == m.cols, "D has the wrong shape")
         require(matrix_mul(matrix_mul(self.u, m), self.v) == self.d, "U*M*V != D")
         require(is_unimodular(self.u), "U is not unimodular")
         require(is_unimodular(self.v), "V is not unimodular")
         require(self.d.is_diagonal(), "D has off-diagonal entries")
-        k = min(m.rows, m.cols)
-        require(len(self.diag) == k, "diag has the wrong length")
-        require(all(self.d.entry(i, i) == self.diag[i] for i in range(k)), "diag differs from D")
         seen_zero = False
         for i, di in enumerate(self.diag):
             if di.is_zero:
@@ -218,7 +220,7 @@ class SmithDecomposition:
                 continue
             require(not seen_zero, "nonzero diagonal entry after a zero one")
             require(di.is_monic, "diagonal entry not monic")
-            if i + 1 < k and not self.diag[i + 1].is_zero:
+            if i + 1 < len(self.diag) and not self.diag[i + 1].is_zero:
                 require(di.divides(self.diag[i + 1]), "divisibility chain broken")
 
 
@@ -348,5 +350,4 @@ def smith_normal_form(m: PolyMatrix) -> SmithDecomposition:
     w.normalize_monic()
     R, C = m.rows, m.cols
     d, u, v = (PolyMatrix(m.field, c) for c in (w.g[:R, :C], w.g[:R, C:], w.g[R:, :C]))
-    diag = tuple(d.entry(i, i) for i in range(min(m.rows, m.cols)))
-    return SmithDecomposition(source=m, u=u, d=d, v=v, diag=diag)
+    return SmithDecomposition(source=m, u=u, d=d, v=v)

@@ -448,8 +448,9 @@ def _abelian_invariants(a_orders: list[int]) -> tuple[int, ...]:
 
 def _hom_from_images(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
                      gens: Sequence[int], images: list[int]) -> dict[int, int] | None:
-    """Extend gen -> image to the generated subgroup; None on conflict or if
-    the extension breaks the group law."""
+    """Extend gen -> image to the generated subgroup S; None on conflict. The walk
+    checks f(a g) = f(a) h_g for each reached a and generator g, so by induction on
+    words (S is finite) f(a b) = f(a) f(b): the map returned is a homomorphism on S."""
     mapping = {g_table.identity: h_table.identity}
     frontier = [g_table.identity]
     while frontier:
@@ -464,23 +465,11 @@ def _hom_from_images(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
             else:
                 mapping[ag] = bh
                 frontier.append(ag)
-    return mapping if _respects_law(g_table, h_table, mapping) else None
-
-
-def _respects_law(g_table: FiniteGroupTable, h_table: FiniteGroupTable,
-                  mapping: dict[int, int]) -> bool:
-    """f(ab) = f(a) f(b) for all a, b in the domain of f = mapping. A product
-    ab outside the domain fails: image is -1 there, and no table entry is."""
-    keys = np.fromiter(mapping.keys(), dtype=np.int64, count=len(mapping))
-    vals = np.fromiter(mapping.values(), dtype=np.int64, count=len(mapping))
-    image = np.full(g_table.order, -1, dtype=np.int64)
-    image[keys] = vals
-    return bool(np.array_equal(image[g_table.mul[np.ix_(keys, keys)]],
-                               h_table.mul[np.ix_(vals, vals)]))
+    return mapping
 
 
 def isomorphic(g_table: FiniteGroupTable, h_table: FiniteGroupTable) -> bool:
-    """Fingerprint pre-filter, then backtracking over generator images."""
+    """Fingerprint pre-filter, then backtracking over generator images to a bijective hom."""
     if g_table.order > ORDER_CAP or h_table.order > ORDER_CAP:
         raise AlgebraError(f"isomorphism test above the cap {ORDER_CAP}")
     if g_table.fingerprint != h_table.fingerprint:  # which holds the order
@@ -531,19 +520,21 @@ def _source_presentation(source: ModulePresentation | LamplighterSpec) -> Module
     return source
 
 
-def _order_table(field: FieldSpec, max_degree: int) -> list[tuple[FpPoly, int]]:
-    """Each monic h with degree in 1..max_degree and h(0) != 0, sorted by
-    (degree, coeffs), with the order of x mod h. Such an h divides x^d - 1
-    iff that order divides d; an h with h(0) = 0 divides no x^d - 1."""
+def _order_table(field: FieldSpec, bound: int) -> list[tuple[FpPoly, int]]:
+    """Each monic h with h(0) != 0 and order of x mod h at most bound // p^deg(h),
+    with that order, sorted by (degree, coeffs). Such an h divides x^d - 1 iff that
+    order divides d (no h with h(0) = 0 does), and the h left out fit no d with
+    p^deg(h) d <= bound, the order of an extension by F_p[x]/(h) and C_d."""
     p, table = field.p, []
-    for deg in range(1, max_degree + 1):
-        one = (1,) + (0,) * (deg - 1)
-        for tail in product(range(1, p), *[range(p)] * (deg - 1)):  # h(0) = tail[0] != 0
+    for deg in range(1, bound.bit_length()):  # p^deg <= bound only if deg < bit_length
+        one, limit = (1,) + (0,) * (deg - 1), bound // p ** deg
+        for tail in product(range(1, p), *[range(p)] * (deg - 1)) if limit else ():  # h(0) != 0
             power, order = one, 0
-            while not order or power != one:  # power = x^order mod h, and x^deg = -tail
+            while order < limit and (not order or power != one):  # power = x^order mod h
                 power = tuple((a - power[-1] * t) % p for a, t in zip((0,) + power[:-1], tail))
-                order += 1
-            table.append((FpPoly(field, tail + (1,)), order))
+                order += 1  # x^deg = -tail
+            if power == one:
+                table.append((FpPoly(field, tail + (1,)), order))
     return table
 
 
@@ -630,12 +621,12 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: 
     # N's own invariant chain, 0 for each free summand: for h | x^d - 1,
     # h | gcd(f, x^d - 1) iff h | f, so no gcd is needed
     base_chain = list(dec.invariant_factors) + [FpPoly.zero(field)] * dec.free_rank
+    if p not in pool:
+        pool[p] = _order_table(field, bound)
     for d in range(1, bound + 1):
         c = 0
         while p ** (c + 1) * d <= bound:
             c += 1
-        if p not in pool:  # at d = 1, where c is largest
-            pool[p] = _order_table(field, c)
         if (p, d, c) not in pool:
             pool[p, d, c] = [h for h, order in pool[p] if h.degree <= c and d % order == 0]
         chains = (p, d, c, tuple(f.coeffs for f in base_chain))

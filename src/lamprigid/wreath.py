@@ -170,8 +170,6 @@ def scale_lamps(a: WreathElement, c: int) -> WreathElement:
 def relabel_lamps(a: WreathElement, unit: int) -> WreathElement:
     """Base-index relabeling i -> unit * i (cyclic base, unit invertible mod m)."""
     m = a.spec.base_order
-    if m is None:
-        raise AlgebraError("cyclic base required")
     return WreathElement(
         a.spec,
         tuple(((unit * i) % m, v) for i, v in a.lamps),
@@ -263,12 +261,11 @@ def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
     (Z/pZ)^n wr Z/m is an F_p-vector space, so they have order dividing p and
     commute, and (T, s)(L, 0)(T, s)^-1 = (s.L, 0) for every t-image (T, s).
     Also decides surjectivity, from the certified Smith normal form of the lamp
-    polynomials of the image's base part bordered by (x^m - 1) I_n.
+    polynomials of the image's base part bordered by (x^m - 1) I_n. The base is
+    cyclic: GeneratorImages rejects any other target.
     """
     spec = gi.target
     m = spec.base_order
-    if m is None:
-        raise AlgebraError("cyclic base required")
     for i, w in enumerate(gi.module_gen_images):
         if not w.in_base:
             raise AlgebraError(f"image of generator {i} has shift {w.shift}")
@@ -320,8 +317,6 @@ def cocycle_verify(hom: VerifiedHom, bound: int) -> CocycleReport:
     (0, 0), and g(km) = k g(m) for |km| <= bound, by induction on k: x^m acts
     trivially on a base of order m, so g(km + m) = g(km) + x^(km) g(m) = g(km) + g(m).
     """
-    if hom.target.base_order is None:
-        raise AlgebraError("cyclic base required")
     g: dict[int, WreathElement] = {}
     for k in range(-2 * bound, 2 * bound + 1):
         g[k] = hom.section_lamp(k)
@@ -336,9 +331,6 @@ def cocycle_verify(hom: VerifiedHom, bound: int) -> CocycleReport:
 
 
 # --- the epimorphism onto the free lamp group --------------------------------
-
-CandidateElement = tuple[tuple[LaurentPoly, ...], int]
-"""Element (a, k) of the candidate group, a given by generator coefficients."""
 
 Batch = tuple[np.ndarray, int, np.ndarray]
 """B elements (a, k) as (coeffs, lo, shifts): coeffs[b, j, e] is the coefficient
@@ -375,14 +367,6 @@ def candidate_mul(a: Batch, b: Batch, p: int) -> Batch:
 def lamp_mul(u: Batch, v: Batch, p: int) -> Batch:
     """(L, g)(L', g') = (L + g.L', g + g') in the lamp group, L' translated by g."""
     return _twisted_sum(u, v, p)
-
-
-def lamp_elements(spec: LamplighterSpec, batch: Batch) -> list[WreathElement]:
-    """The lamp-group elements of a batch, as canonical WreathElements."""
-    coeffs, lo, shifts = batch
-    return [element(spec, [(lo + e, [int(c) for c in col]) for e, col in enumerate(row.T)],
-                    int(k))
-            for row, k in zip(coeffs, shifts)]
 
 
 def _draw_elements(rng: random.Random, p: int, g: int, count: int, dtype) -> Batch:
@@ -451,19 +435,6 @@ class VerifiedGroupEpi:
         for d in range(phi.shape[2]):
             out[:, :, d:d + coeffs.shape[2]] += phi[:, :, d] @ coeffs
         return out % self.source.field.p, lo, shifts
-
-    def evaluate(self, elem: CandidateElement) -> WreathElement:
-        """Image of one element: the law check's batch computation on a batch of one."""
-        coeffs, k = elem
-        if len(coeffs) != self.source.generators:
-            raise ValueError("one coefficient per module generator required")
-        terms = [(j, e, c) for j, f in enumerate(coeffs) for e, c in f.terms()]
-        lo = min((e for _, e, _ in terms), default=0)
-        hi = max((e for _, e, _ in terms), default=0)
-        dense = np.zeros((1, len(coeffs), hi - lo + 1), dtype=self.phi_coeffs.dtype)
-        for j, e, c in terms:
-            dense[0, j, e - lo] = c
-        return lamp_elements(self.target, self._image((dense, lo, np.array([k]))))[0]
 
     def law_check(self, samples: int = 1000, seed: int = 0) -> LawCheckReport:
         """Verify f(ab) = f(a) f(b) on seeded random pairs of group elements.

@@ -52,12 +52,16 @@ from lamprigid.quotients import (
 )
 from lamprigid.wreath import (
     LAW_CHUNK,
-    CandidateElement,
+    Batch,
     GeneratorImages,
+    LamplighterSpec,
     VerifiedGroupEpi,
     WreathElement,
     element,
 )
+
+CandidateElement = tuple[tuple[LaurentPoly, ...], int]
+"""Element (a, k) of the candidate group, a given by generator coefficients."""
 
 
 def all_polys(field: FieldSpec, max_deg: int):
@@ -637,6 +641,22 @@ def small_divisors_by_trial_division(modulus: FpPoly, max_degree: int) -> list[F
     return out
 
 
+def orders_of_x_by_powers(field: FieldSpec, max_degree: int) -> list[tuple[FpPoly, int]]:
+    """Each monic h with degree in 1..max_degree and h(0) != 0, sorted by
+    (degree, coeffs), with the order of x mod h: the least k >= 1 with
+    x^k = 1 mod h, walking x, x^2, ... in FpPoly arithmetic."""
+    x, one, out = FpPoly(field, (0, 1)), FpPoly.one(field), []
+    for deg in range(1, max_degree + 1):
+        for tail in product(range(1, field.p), *[range(field.p)] * (deg - 1)):
+            h = FpPoly(field, tail + (1,))
+            power, order = x % h, 1
+            while power != one:
+                power, order = (power * x) % h, order + 1
+            out.append((h, order))
+    out.sort(key=lambda entry: (entry[0].degree, entry[0].coeffs))
+    return out
+
+
 def lattice_qu(source, bound: int) -> QuSet:
     """Bounded quotient set of N x| Z by searching normal-subgroup lattices.
 
@@ -778,6 +798,27 @@ def laurent_evaluate(epi: VerifiedGroupEpi, elem: CandidateElement) -> WreathEle
         for e, c in f.terms():
             lamps.setdefault(e, [0] * epi.target.n)[j] = c
     return element(epi.target, lamps.items(), k)
+
+
+def lamp_elements(spec: LamplighterSpec, batch: Batch) -> list[WreathElement]:
+    """The lamp-group elements of a batch, as canonical WreathElements."""
+    coeffs, lo, shifts = batch
+    return [element(spec, [(lo + e, [int(c) for c in col]) for e, col in enumerate(row.T)],
+                    int(k))
+            for row, k in zip(coeffs, shifts)]
+
+
+def image_of_one(epi: VerifiedGroupEpi, elem: CandidateElement) -> WreathElement:
+    """(phi(a), k) read off the law check's batch computation, epi._image, on a
+    batch that holds elem alone."""
+    coeffs, k = elem
+    terms = [(j, e, c) for j, f in enumerate(coeffs) for e, c in f.terms()]
+    lo = min((e for _, e, _ in terms), default=0)
+    hi = max((e for _, e, _ in terms), default=0)
+    dense = np.zeros((1, len(coeffs), hi - lo + 1), dtype=epi.phi_coeffs.dtype)
+    for j, e, c in terms:
+        dense[0, j, e - lo] = c
+    return lamp_elements(epi.target, epi._image((dense, lo, np.array([k]))))[0]
 
 
 def bfs_surjective(gi: GeneratorImages) -> bool:

@@ -12,7 +12,8 @@ from lamprigid import (
     poly_divmod,
     poly_gcd_ext,
 )
-from lamprigid.errors import AlgebraError
+from lamprigid import fppoly
+from lamprigid.errors import AlgebraError, CertificateError
 from lamprigid.fppoly import NEG_INF, PRIMALITY_LIMIT, is_prime
 
 from oracles import brute_monic_divisors, random_poly, trial_division_is_prime
@@ -106,6 +107,18 @@ class TestDivmod:
             assert r.degree < b.degree
 
 
+def corrupt_first_division(monkeypatch, corrupt):
+    """Make fppoly.poly_divmod return corrupt(q, r) in place of its first (q, r)."""
+    calls, divmod_ = [], fppoly.poly_divmod
+
+    def corrupted(a, b):
+        calls.append(None)
+        q, r = divmod_(a, b)
+        return corrupt(q, r) if len(calls) == 1 else (q, r)
+
+    monkeypatch.setattr(fppoly, "poly_divmod", corrupted)
+
+
 class TestGcd:
     def test_worked_example_f2(self):
         # gcd(x^2 + 1, x + 1) = x + 1 over F_2
@@ -144,6 +157,20 @@ class TestGcd:
             g, u, v = poly_gcd_ext(a, b)
             assert u * a + v * b == g
             assert g.divides(a) and g.divides(b)
+
+    def test_wrong_quotient_fails_the_bezout_certificate(self, monkeypatch):
+        # x^3 + x + 1 = x (x^2 + 1) + 1: a quotient of x + 1 instead of x leaves the
+        # remainders, and so g = 1, but not u and v
+        corrupt_first_division(monkeypatch, lambda q, r: (q + FpPoly.one(F2), r))
+        with pytest.raises(CertificateError, match="Bezout certificate failed"):
+            poly_gcd_ext(poly(F2, 1, 1, 0, 1), poly(F2, 1, 0, 1))
+
+    def test_lost_remainder_fails_the_divisibility_check(self, monkeypatch):
+        # a first remainder read as 0 stops at g = b with u = 0 and v = 1, which
+        # satisfy Bezout; only the divisibility check sees that b does not divide a
+        corrupt_first_division(monkeypatch, lambda q, r: (q, FpPoly.zero(F2)))
+        with pytest.raises(CertificateError, match="gcd does not divide its inputs"):
+            poly_gcd_ext(poly(F2, 1, 1, 0, 1), poly(F2, 1, 0, 1))
 
     def test_maximality_against_exhaustive_divisors(self):
         rng = random.Random(13)

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamprigid import FieldSpec, FpPoly, PolyMatrix, determinant, is_unimodular, matrix_mul, smith_normal_form
-from lamprigid.errors import AlgebraError
+from lamprigid import cli, polymatrix
+from lamprigid.errors import AlgebraError, CertificateError
 from lamprigid.jsonio import parse_candidate, parse_matrix
 
 from oracles import (
@@ -126,6 +127,16 @@ class TestUnimodular:
         # det [[x, 1], [1, x]] = x^2 - 1
         m = mat(F3, [[(0, 1), (1,)], [(1,), (0, 1)]])
         assert determinant(m) == poly(F3, 2, 0, 1)
+
+    def test_inexact_division_is_a_certificate_failure(self, monkeypatch):
+        # the second step divides x^4 by prev = x; a numerator off by 1 where the
+        # divisor is not a unit leaves remainder 1
+        m = mat(F2, [[(0, 1), (1,), ()], [(1,), (0, 1), (1,)], [(), (1,), (0, 1)]])
+        divmod_ = polymatrix.poly_divmod
+        monkeypatch.setattr(polymatrix, "poly_divmod", lambda a, b: divmod_(
+            a + FpPoly.one(F2) if b.degree > 0 else a, b))
+        with pytest.raises(CertificateError, match="Bareiss division is not exact"):
+            determinant(m)
 
     def test_determinant_matches_leibniz_oracle(self):
         rng = random.Random(17)
@@ -335,8 +346,7 @@ def mat(field, rows):
 def claimed(m, u=None, v=None):
     # m claimed as its own normal form, with identity transforms by default
     return dict(source=m, u=u or PolyMatrix.identity(m.field, m.rows), d=m,
-                v=v or PolyMatrix.identity(m.field, m.cols),
-                diag=tuple(m.entry(i, i) for i in range(min(m.rows, m.cols))))
+                v=v or PolyMatrix.identity(m.field, m.cols))
 
 source = mat(F2, [[(0, 1), (1,)], [(), (1, 1)]])
 snf = smith_normal_form(source)
@@ -359,12 +369,14 @@ def x_in_v(i):
     rows[i][i] = FpPoly(F3, (0, 1))
     v = PolyMatrix.from_rows(F3, rows)
     d = matrix_mul(three, v)
-    return dict(source=three, u=PolyMatrix.identity(F3, 3), d=d, v=v,
-                diag=tuple(d.entry(j, j) for j in range(3)))
+    return dict(source=three, u=PolyMatrix.identity(F3, 3), d=d, v=v)
 
 cases = {
-    "corrupted U": dict(source=source, u=bad_u, d=snf.d, v=snf.v, diag=snf.diag),
-    "corrupted V": dict(source=source, u=snf.u, d=snf.d, v=bad_v, diag=snf.diag),
+    "corrupted U": dict(source=source, u=bad_u, d=snf.d, v=snf.v),
+    "corrupted V": dict(source=source, u=snf.u, d=snf.d, v=bad_v),
+    # D has no shape check of its own: U*M*V is 2x2, so a 3x2 D differs from it
+    "D with an extra zero row": dict(source=source, u=snf.u, v=snf.v, d=PolyMatrix.from_rows(
+        F2, snf.d.to_lists() + [[FpPoly.zero(F2)] * 2])),
     "singular U": claimed(PolyMatrix.zeros(F2, 2, 2), u=singular),
     "singular V": claimed(PolyMatrix.zeros(F2, 2, 2), v=singular),
     "off-diagonal D": claimed(mat(F2, [[(1,), (1,)], [(), (1,)]])),
@@ -381,7 +393,7 @@ large = mat(PL, [[(3, 1), (PL.p - 2,), ()], [(), (0, 1), (7, PL.p - 1)], [(1, 1)
 large_snf = smith_normal_form(large)
 minus_x = FpPoly(PL, (0, PL.p - 1))
 
-large_fields = dict(source=large, u=large_snf.u, d=large_snf.d, v=large_snf.v, diag=large_snf.diag)
+large_fields = dict(source=large, u=large_snf.u, d=large_snf.d, v=large_snf.v)
 cases.update({
     "large p: corrupted U": {**large_fields, "u": bumped(large_snf.u, 1, minus_x)},
     "large p: corrupted V": {**large_fields, "v": bumped(large_snf.v, 5, FpPoly(PL, (PL.p - 1,)))},
@@ -406,6 +418,7 @@ def test_corrupted_snf_rejected_under_optimize():
         "debug": False,
         "corrupted U": "U*M*V != D",
         "corrupted V": "U*M*V != D",
+        "D with an extra zero row": "U*M*V != D",
         "singular U": "U is not unimodular",
         "singular V": "V is not unimodular",
         "off-diagonal D": "D has off-diagonal entries",
@@ -420,3 +433,22 @@ def test_corrupted_snf_rejected_under_optimize():
         "large p: corrupted V": "U*M*V != D",
         "large p: corrupted D": "U*M*V != D",
     }
+
+
+@pytest.mark.parametrize("axis, message", [(1, "U has the wrong shape"),
+                                           (0, "V has the wrong shape")])
+def test_misshapen_transform_exits_three(monkeypatch, capsys, axis, message):
+    """A zero column appended to the worker's grid makes U R x (R + 1), a zero row
+    makes V (C + 1) x C. matrix_mul would refuse either product as a bad request
+    (exit 2), so the shape checks run first and the fault exits 3."""
+    normalize = polymatrix._Worker.normalize_monic
+
+    def padded(self):
+        normalize(self)
+        shape = list(self.g.shape)
+        shape[axis] = 1
+        self.g = np.concatenate([self.g, np.zeros(shape, self.g.dtype)], axis=axis)
+
+    monkeypatch.setattr(polymatrix._Worker, "normalize_monic", padded)
+    assert cli.main(["snf", str(DATA / "disguised16_free_rank2_p3_relations.json"), "--json"]) == 3
+    assert capsys.readouterr().err == f"internal error: certificate failed: {message}\n"

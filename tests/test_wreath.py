@@ -40,7 +40,6 @@ from lamprigid.errors import AlgebraError, CertificateError
 from lamprigid.wreath import (
     candidate_mul,
     delta,
-    lamp_elements,
     lamp_mul,
     scale_lamps,
     shift_lamps,
@@ -362,7 +361,7 @@ class TestGroupEpimorphism:
         phi = epimorphism_to_free(pres, 1)
         epi = build_lamplighter_epimorphism(pres, phi)
         a = (laurent_canonicalize(F2, [(0, 1), (2, 1)]),)
-        img = epi.evaluate((a, 3))
+        img = oracles.image_of_one(epi, (a, 3))
         assert img == element(epi.target, {0: [1], 2: [1]}, 3)
 
     def test_torsion_killed_and_law_sampled(self):
@@ -372,7 +371,8 @@ class TestGroupEpimorphism:
         report = epi.law_check(samples=1000, seed=3)
         assert report.samples == 1000
         # the torsion generator maps to trivial lamps
-        img = epi.evaluate(((laurent_canonicalize(F2, []), laurent_canonicalize(F2, [(0, 1)])), 0))
+        img = oracles.image_of_one(
+            epi, ((laurent_canonicalize(F2, []), laurent_canonicalize(F2, [(0, 1)])), 0))
         assert img.is_identity
 
     def test_not_surjective_rejected(self):
@@ -429,8 +429,8 @@ def law_case_epi(name):
 @pytest.mark.parametrize("name", LAW_CASES)
 def test_batched_law_matches_laurent_oracle(name, seed, monkeypatch):
     """Every batch the law check draws holds the pairs of the scalar decoder,
-    and both of its sides, and evaluate, agree with LaurentPoly arithmetic pair
-    by pair."""
+    and both of its sides, and _image on each element alone, agree with
+    LaurentPoly arithmetic pair by pair."""
     epi = law_case_epi(name)
     field, p = epi.source.field, epi.source.field.p
     assert (epi.phi_coeffs.dtype == object) == (name in ("large_p", "wide_p"))
@@ -455,11 +455,11 @@ def test_batched_law_matches_laurent_oracle(name, seed, monkeypatch):
     coeffs, lo, shifts = drawn[0]
     a = (coeffs[0::2], lo, shifts[0::2])
     b = (coeffs[1::2], lo, shifts[1::2])
-    lhs = lamp_elements(epi.target, epi._image(candidate_mul(a, b, p)))
-    rhs = lamp_elements(epi.target, lamp_mul(epi._image(a), epi._image(b), p))
+    lhs = oracles.lamp_elements(epi.target, epi._image(candidate_mul(a, b, p)))
+    rhs = oracles.lamp_elements(epi.target, lamp_mul(epi._image(a), epi._image(b), p))
     for (x, y), left, right in zip(pairs, lhs, rhs):
         fx, fy = oracles.laurent_evaluate(epi, x), oracles.laurent_evaluate(epi, y)
-        assert epi.evaluate(x) == fx and epi.evaluate(y) == fy
+        assert oracles.image_of_one(epi, x) == fx and oracles.image_of_one(epi, y) == fy
         assert left == oracles.laurent_evaluate(epi, oracles.laurent_candidate_mul(x, y))
         assert right == wreath_mul(fx, fy) == left
 
