@@ -50,7 +50,7 @@ def require_calls(src: pathlib.Path) -> list[tuple[pathlib.Path, int, int, int, 
                 calls.append((path.relative_to(src.parent), node.lineno,
                               starts[cond.lineno - 1] + cond.col_offset,
                               starts[cond.end_lineno - 1] + cond.end_col_offset, text))
-    return calls
+    return sorted(calls)
 
 
 def passes(copy: pathlib.Path, selection: list[str]) -> bool:
