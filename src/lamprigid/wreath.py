@@ -26,9 +26,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import AlgebraError, require
-from .fppoly import FieldSpec, FpPoly, LaurentPoly
+from .fppoly import FieldSpec
 from .laurent_modules import ModulePresentation, check_epimorphism
-from .polymatrix import PolyMatrix, _exact_dtype, smith_normal_form
+from .polymatrix import PolyMatrix, _exact_dtype, _mul_sums, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -161,32 +161,6 @@ def shift_lamps(a: WreathElement, k: int) -> WreathElement:
     return WreathElement(a.spec, tuple((i + k, v) for i, v in a.lamps), a.shift)
 
 
-def scale_lamps(a: WreathElement, c: int) -> WreathElement:
-    p = a.spec.field.p
-    return WreathElement(
-        a.spec, tuple((i, tuple((c * e) % p for e in v)) for i, v in a.lamps), a.shift)
-
-
-def relabel_lamps(a: WreathElement, unit: int) -> WreathElement:
-    """Base-index relabeling i -> unit * i (cyclic base, unit invertible mod m)."""
-    m = a.spec.base_order
-    return WreathElement(
-        a.spec,
-        tuple(((unit * i) % m, v) for i, v in a.lamps),
-        (unit * a.shift) % m,
-    )
-
-
-def _apply_poly(poly: FpPoly | LaurentPoly, w: WreathElement, step: int) -> WreathElement:
-    """Module action of poly on a base element, x acting as index shift by step."""
-    terms = poly.terms() if isinstance(poly, LaurentPoly) else list(enumerate(poly.coeffs))
-    out = identity(w.spec)
-    for e, c in terms:
-        if c:
-            out = wreath_mul(out, scale_lamps(shift_lamps(w, step * e), c))
-    return out
-
-
 # --- verified homomorphisms --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -217,7 +191,7 @@ class GeneratorImages:
 
 @dataclass(frozen=True)
 class VerifiedHom:
-    """A checked homomorphism N x| Z -> (Z/pZ)^n wr (Z/mZ), evaluable on (a, k).
+    """A checked homomorphism N x| Z -> (Z/pZ)^n wr (Z/mZ).
 
     sigma is the t-image's shift; sigma_inverse is the recorded normalizing
     automorphism (index relabeling by sigma_inverse) that moves the t-image
@@ -233,18 +207,11 @@ class VerifiedHom:
     def target(self) -> LamplighterSpec:
         return self.images.target
 
-    def evaluate(self, coeffs: Sequence[FpPoly | LaurentPoly], k: int) -> WreathElement:
-        """Image of (sum_i coeffs[i] . gen_i, k)."""
-        if len(coeffs) != self.images.source.generators:
-            raise ValueError("one coefficient per module generator required")
-        acc = identity(self.target)
-        for c, w in zip(coeffs, self.images.module_gen_images):
-            acc = wreath_mul(acc, _apply_poly(c, w, self.sigma))
-        return wreath_mul(acc, wreath_pow(self.images.t_image, k))
-
     def normalized(self, w: WreathElement) -> WreathElement:
-        """Apply the recorded automorphism; the normalized t-image has shift 1."""
-        return relabel_lamps(w, self.sigma_inverse)
+        """Apply the recorded automorphism, base index i -> sigma_inverse * i; the
+        normalized t-image has shift 1."""
+        u = self.sigma_inverse
+        return WreathElement(self.target, tuple((u * i, v) for i, v in w.lamps), u * w.shift)
 
     def section_lamp(self, k: int) -> WreathElement:
         """Lamp part of the normalized image of (0, k)."""
@@ -253,19 +220,24 @@ class VerifiedHom:
 
 
 def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
-    """Check the proposed images and return an evaluable homomorphism.
+    """Check the proposed images and return the homomorphism they define.
 
     Checks, in the finite target: base-valuedness, invertibility of the
     t-image shift mod m, and every relator column (x acting by t-image
     conjugation). Base-valued images need no further check: the base of
     (Z/pZ)^n wr Z/m is an F_p-vector space, so they have order dividing p and
     commute, and (T, s)(L, 0)(T, s)^-1 = (s.L, 0) for every t-image (T, s).
-    Also decides surjectivity, from the certified Smith normal form of the lamp
-    polynomials of the image's base part bordered by (x^m - 1) I_n. The base is
-    cyclic: GeneratorImages rejects any other target.
+    The base is cyclic (GeneratorImages rejects any other target), so it is
+    the F_p[x]-module (F_p[x]/(x^m - 1))^n, the lamp at index i in coordinate j
+    read as the coefficient of x^i in coordinate j. Conjugation by the t-image
+    (T, sigma) sends (L, 0) to (x^sigma L, 0), so relator column c maps to
+    sum_k rel[k, c](x^sigma) L_k mod x^m - 1, L_k the lamp polynomials of
+    generator k's image: one matrix product for all columns. Surjectivity is
+    decided from the certified Smith normal form of the same lamp polynomials,
+    with those of t-image^m, bordered by (x^m - 1) I_n.
     """
-    spec = gi.target
-    m = spec.base_order
+    spec, rel = gi.target, gi.source.relations
+    p, n, m, g = spec.field.p, spec.n, spec.base_order, rel.rows
     for i, w in enumerate(gi.module_gen_images):
         if not w.in_base:
             raise AlgebraError(f"image of generator {i} has shift {w.shift}")
@@ -277,27 +249,30 @@ def hom_from_generator_images(gi: GeneratorImages) -> VerifiedHom:
             "conjugation cannot realize an invertible x-action")
     sigma_inverse = pow(sigma, -1, m) if m > 1 else 0
 
-    rel = gi.source.relations
-    for j in range(rel.cols):
-        acc = identity(spec)
-        for i in range(rel.rows):
-            acc = wreath_mul(acc, _apply_poly(rel.entry(i, j), gi.module_gen_images[i], sigma))
-        if not acc.is_identity:
-            raise AlgebraError(f"relator {j} not satisfied: relator image is nontrivial")
+    # lamps[j, k, i]: coordinate j at index i of generator k's image, k = g for t-image^m
+    lamps = np.zeros((n, g + 1, m), dtype=rel.coeffs.dtype)
+    for k, w in enumerate((*gi.module_gen_images, wreath_pow(gi.t_image, m))):
+        for i, v in w.lamps:
+            lamps[:, k, i] = v
+    # rel(x) -> rel(x^sigma) mod x^m - 1: the coefficient of x^e moves to x^(sigma e mod m)
+    at_sigma = np.zeros((g, rel.cols, m), dtype=rel.coeffs.dtype)
+    np.add.at(at_sigma, (..., sigma * np.arange(rel.coeffs.shape[2]) % m), rel.coeffs)
+    relator_images = _mul_sums(lamps[:, :g], at_sigma % p, p) % p
+    relator_images[..., :m - 1] += relator_images[..., m:]
+    bad = np.flatnonzero((relator_images[..., :m] % p).any(axis=(0, 2)))
+    if bad.size:
+        raise AlgebraError(f"relator {bad[0]} not satisfied: relator image is nontrivial")
 
     # The image maps onto Z/mZ and meets the base in the F_p[x]-submodule of (F_p[x]/(x^m - 1))^n
     # generated by the lamp polynomials of the generator images and of t-image^m, as t-image
     # conjugation translates by the unit sigma. That is the whole base iff
     # [(x^m - 1) I_n | lamp polynomials as columns] has only unit invariant factors.
-    n, base_gens = spec.n, list(gi.module_gen_images) + [wreath_pow(gi.t_image, m)]
-    terms = [(j, j, e, c) for j in range(n) for e, c in ((0, -1), (m, 1))]
-    terms += [(j, n + k, i, c) for k, w in enumerate(base_gens)
-              for i, v in w.lamps for j, c in enumerate(v)]
-    bordered = PolyMatrix.from_terms(spec.field, n, n + len(base_gens), terms)
-    surjective = all(f.degree == 0 for f in smith_normal_form(bordered).diag)
-
+    bordered = np.zeros((n, n + g + 1, m + 1), dtype=lamps.dtype)
+    bordered[range(n), range(n), 0], bordered[range(n), range(n), m] = -1, 1
+    bordered[:, n:, :m] = lamps
+    diag = smith_normal_form(PolyMatrix(spec.field, bordered)).diag
     return VerifiedHom(images=gi, sigma=sigma, sigma_inverse=sigma_inverse,
-                       surjective=surjective)
+                       surjective=all(f.degree == 0 for f in diag))
 
 
 @dataclass(frozen=True)

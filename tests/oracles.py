@@ -857,3 +857,41 @@ def bfs_surjective(gi: GeneratorImages) -> bool:
         seen[codes[fresh]] = True
         lamps, shifts = lamps[first[fresh]], shifts[first[fresh]]
     return bool(seen.all())
+
+
+def substitute_x_power(f: FpPoly, s: int) -> FpPoly:
+    """f(x^s) for s >= 0, term by term."""
+    coeffs = [0] * (s * max(len(f.coeffs) - 1, 0) + 1)
+    for e, c in enumerate(f.coeffs):
+        coeffs[s * e] += c
+    return FpPoly(f.field, tuple(coeffs))
+
+
+def lamp_polynomials(w: WreathElement) -> list[FpPoly]:
+    """The n coordinate polynomials of an element's lamps in a cyclic target: the
+    lamp at index i, coordinate j, is the coefficient of x^i in coordinate j."""
+    coords = [[0] * w.spec.base_order for _ in range(w.spec.n)]
+    for i, v in w.lamps:
+        for j, c in enumerate(v):
+            coords[j][i] = c
+    return [FpPoly(w.spec.field, tuple(c)) for c in coords]
+
+
+def relator_images(gi: GeneratorImages) -> list[list[FpPoly]]:
+    """The image of each relator column in the base of the cyclic target, as its n
+    coordinate polynomials: sum_k r_k(x^sigma) L_k mod x^m - 1, r_k the column's
+    entry in row k, sigma the t-image's shift and L_k the lamp polynomials of
+    generator k's image (the lamp at index i, coordinate j, is the coefficient of
+    x^i in coordinate j). Computed entry by entry in FpPoly arithmetic, where the
+    library takes one product of coefficient arrays."""
+    spec, rel = gi.target, gi.source.relations
+    modulus = x_pow_minus_one(spec.field, spec.base_order)
+    lamps = [lamp_polynomials(w) for w in gi.module_gen_images]
+    images = []
+    for col in range(rel.cols):
+        acc = [FpPoly.zero(spec.field)] * spec.n
+        for k in range(rel.rows):
+            r = substitute_x_power(rel.entry(k, col), gi.t_image.shift)
+            acc = [(a + r * lamp) % modulus for a, lamp in zip(acc, lamps[k])]
+        images.append(acc)
+    return images

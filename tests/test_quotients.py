@@ -321,6 +321,22 @@ class TestNormalSubgroups:
             assert set(int(x) for x in prods.ravel()) <= sub
             assert all(int(table.inverse[g]) in sub for g in sub)
 
+    def test_unclosed_member_is_a_certificate_failure(self, monkeypatch):
+        # gens and e, not closed: S3's transposition class gives {e, (12), (13), (23)}
+        s3 = dict(small_group_catalog())["S3"]
+        monkeypatch.setattr(quotients, "subgroup_closure",
+                            lambda table, gens: np.union1d([table.identity], gens))
+        with pytest.raises(CertificateError, match="lattice member is not a subgroup"):
+            enumerate_normal_subgroups(s3)
+
+    def test_non_normal_member_is_a_certificate_failure(self, monkeypatch):
+        # the closure of the first generator only: S3's transposition class gives <(12)>
+        s3, intact = dict(small_group_catalog())["S3"], quotients.subgroup_closure
+        monkeypatch.setattr(quotients, "subgroup_closure",
+                            lambda table, gens: intact(table, gens[:1]))
+        with pytest.raises(CertificateError, match="lattice member is not normal"):
+            enumerate_normal_subgroups(s3)
+
 
 class TestQuotientTable:
     def test_trivial_kernel(self):

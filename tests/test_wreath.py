@@ -41,7 +41,6 @@ from lamprigid.wreath import (
     candidate_mul,
     delta,
     lamp_mul,
-    scale_lamps,
     shift_lamps,
     translation,
 )
@@ -172,50 +171,6 @@ class TestAbelianize:
             assert sab == (sa + sb) % 4
 
 
-def dictionary_hom(spec):
-    """The canonical map out of the free module: generator j to the lamp delta(0, j)."""
-    gi = GeneratorImages(source=ModulePresentation.free(spec.field, spec.n), target=spec,
-                         module_gen_images=tuple(delta(spec, 0, j) for j in range(spec.n)),
-                         t_image=translation(spec))
-    return hom_from_generator_images(gi)
-
-
-class TestDictionary:
-    """The coefficient dictionary, as the canonical hom evaluates it on (a, 0)."""
-
-    def test_constant_is_delta_zero(self):
-        assert dictionary_hom(W123).evaluate([FpPoly.one(F2)], 0) == delta(W123, 0)
-
-    def test_quadratic_example(self):
-        img = dictionary_hom(W123).evaluate([poly(F2, 1, 0, 1)], 0)
-        assert img == element(W123, {0: [1], 2: [1]}, 0)
-
-    def test_round_trip(self):
-        # coefficient of x^i in coordinate j is read back as the lamp value at (i, j)
-        rng = random.Random(31)
-        spec = LamplighterSpec(F3, 2, 4)
-        hom = dictionary_hom(spec)
-        for _ in range(200):
-            vec = [poly(F3, *[rng.randrange(3) for _ in range(4)]) for _ in range(2)]
-            img = hom.evaluate(vec, 0)
-            assert img.in_base
-            lamps = dict(img.lamps)
-            back = [poly(F3, *[lamps.get(i, (0,) * spec.n)[j] for i in range(4)]) for j in range(2)]
-            assert back == vec
-
-    def test_multiplication_by_x_is_the_shift(self):
-        rng = random.Random(37)
-        for spec in (W123, LamplighterSpec(F3, 2, 5)):
-            m = spec.base_order
-            hom = dictionary_hom(spec)
-            x = poly(spec.field, 0, 1)
-            for _ in range(200):
-                vec = [poly(spec.field, *[rng.randrange(spec.field.p) for _ in range(m)])
-                       for _ in range(spec.n)]
-                shifted = [(x * f) % x_pow_minus_one(spec.field, m) for f in vec]
-                assert hom.evaluate(shifted, 0) == shift_lamps(hom.evaluate(vec, 0), 1)
-
-
 def canonical_hom(t_lamps=None):
     pres = ModulePresentation.free(F2, 1)
     t_image = element(W123, t_lamps or {}, 1)
@@ -229,9 +184,6 @@ class TestVerifiedHom:
         hom = canonical_hom()
         assert hom.surjective
         assert hom.sigma == 1
-        # evaluation: (a, k) -> (dictionary image, k)
-        img = hom.evaluate([poly(F2, 1, 0, 1)], 2)
-        assert img == element(W123, {0: [1], 2: [1]}, 2)
 
     def test_trivial_images_not_surjective(self):
         pres = ModulePresentation.free(F2, 1)
@@ -552,11 +504,6 @@ def test_broken_law_rejected_under_optimize():
 
 
 class TestScaleShiftHelpers:
-    def test_scale_lamps(self):
-        a = element(W123, {0: [1]}, 0)
-        assert scale_lamps(a, 0).is_identity
-        assert scale_lamps(a, 1) == a
-
     def test_shift_wraps_cyclically(self):
         a = element(W123, {2: [1]}, 0)
         assert shift_lamps(a, 1) == element(W123, {0: [1]}, 0)
@@ -583,6 +530,63 @@ def test_base_facts_that_hom_verification_relies_on(case):
     assert wreath_pow(a, spec.field.p).is_identity
     assert wreath_mul(a, b) == wreath_mul(b, a)
     assert wreath_mul(wreath_mul(t, a), wreath_inv(t)) == shift_lamps(a, t.shift)
+
+
+@st.composite
+def relator_case(draw):
+    """Base-valued images of 1-3 generators in (Z/pZ)^n wr Z/m, p in {2, 3, 5},
+    n <= 2, m <= 6, a t-image of any unit shift sigma, and 0-3 relator columns of
+    degree up to 3m. A column is random, or (x^m - 1) f, or, when the last image's
+    lamp polynomials are c times the first's (0 < deg c < m, so the product needs
+    the fold by x^m = 1), that plus c(x^(1 / sigma)) in the first row and -1 in the
+    last: the images kill it only if x acts as x^sigma on the right lamps."""
+    p, n, m = draw(st.sampled_from([2, 3, 5])), draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    field, spec = FieldSpec(p), LamplighterSpec(FieldSpec(p), n, m)
+    g, cols = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    sigma = draw(st.sampled_from([s for s in range(m) if math.gcd(s, m) == 1]))
+    lamps = st.dictionaries(st.integers(0, m - 1),
+                            st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    images = [element(spec, draw(lamps)) for _ in range(g)]
+    modulus = x_pow_minus_one(field, m)
+
+    def random_poly(degree):
+        return FpPoly(field, tuple(draw(st.lists(st.integers(0, p - 1), max_size=degree + 1))))
+
+    kinds = ["random", "multiple"]
+    if g > 1 and m > 2:
+        low = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=m - 1))
+        c = FpPoly(field, tuple(low) + (draw(st.integers(1, p - 1)),))
+        images[0] = element(spec, draw(lamps.filter(bool)))
+        last = [(c * lamp) % modulus for lamp in oracles.lamp_polynomials(images[0])]
+        images[-1] = element(spec, [(i, [f.coefficient(i) for f in last]) for i in range(m)])
+        kinds.append("dependent")
+    columns = []
+    for _ in range(cols):
+        kind = draw(st.sampled_from(kinds))
+        column = [random_poly(3 * m) if kind == "random" else modulus * random_poly(2 * m - 1)
+                  for _ in range(g)]
+        if kind == "dependent":
+            unit = pow(sigma, -1, m) if m > 1 else 0
+            column[0] += oracles.substitute_x_power(c, unit) % modulus
+            column[-1] -= FpPoly.one(field)
+        columns.append(column)
+    relations = PolyMatrix.from_rows(field, [[col[k] for col in columns] for k in range(g)])
+    return GeneratorImages(source=ModulePresentation(field, g, relations), target=spec,
+                           module_gen_images=tuple(images),
+                           t_image=element(spec, draw(lamps), sigma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(relator_case())
+def test_relators_decided_as_the_fppoly_oracle(gi):
+    # the relator check reads the coefficient dictionary and the x^sigma action
+    # off one array product; the oracle composes and reduces entry by entry
+    failing = [c for c, image in enumerate(oracles.relator_images(gi)) if any(image)]
+    if failing:
+        with pytest.raises(AlgebraError, match=rf"^relator {failing[0]} not satisfied: "):
+            hom_from_generator_images(gi)
+    else:
+        hom_from_generator_images(gi)
 
 
 def _example_generator_images():
@@ -622,8 +626,10 @@ def test_surjectivity_matches_bfs_oracle():
 
 
 def test_random_surjectivity_matches_bfs_oracle():
-    # free sources of rank r <= 2 into (Z/pZ)^n wr Z/m, n <= 2: every base-valued
-    # image set and every unit t-shift is a homomorphism, onto or not
+    # sources of rank r <= 2 with 0-2 relator columns (x^m - 1) f into
+    # (Z/pZ)^n wr Z/m, n <= 2: every base-valued image set and every unit t-shift
+    # kills those columns and is a homomorphism, onto or not; the relator check and
+    # surjectivity read one lamp array
     rng = random.Random(19)
     verdicts = set()
     for _ in range(60):
@@ -636,7 +642,11 @@ def test_random_surjectivity_matches_bfs_oracle():
                     for i in range(m) if rng.random() < 0.4}
 
         sigma = rng.choice([s for s in range(1, m + 1) if math.gcd(s, m) == 1])
-        gi = GeneratorImages(source=ModulePresentation.free(field, rank), target=spec,
+        cols = rng.randint(0, 2)
+        relations = PolyMatrix.from_rows(field, [
+            [x_pow_minus_one(field, m) * FpPoly(field, [rng.randrange(field.p) for _ in range(m)])
+             for _ in range(cols)] for _ in range(rank)])
+        gi = GeneratorImages(source=ModulePresentation(field, rank, relations), target=spec,
                              module_gen_images=tuple(element(spec, lamps()) for _ in range(rank)),
                              t_image=element(spec, lamps(), sigma))
         surjective = hom_from_generator_images(gi).surjective
