@@ -171,6 +171,70 @@ class TestAbelianize:
             assert sab == (sa + sb) % 4
 
 
+def dictionary_accepts(spec, vec, w, sigma=1):
+    """Whether w is the image of sum_j vec[j] . gen_j under the canonical map
+    gen_j -> delta(0, j), t -> translation by sigma, as the relator check decides
+    it: one more generator, sent to w, and the relator sum_j vec[j] gen_j - gen_n."""
+    field = spec.field
+    relations = PolyMatrix.from_rows(field, [[f] for f in vec] + [[-FpPoly.one(field)]])
+    gi = GeneratorImages(source=ModulePresentation(field, spec.n + 1, relations), target=spec,
+                         module_gen_images=(*(delta(spec, 0, j) for j in range(spec.n)), w),
+                         t_image=translation(spec, sigma))
+    try:
+        hom_from_generator_images(gi)
+    except AlgebraError:
+        return False
+    return True
+
+
+class TestDictionary:
+    """The coefficient dictionary, as hom_from_generator_images reads it."""
+
+    def test_constant_is_delta_zero(self):
+        one = [FpPoly.one(F2)]
+        assert dictionary_accepts(W123, one, delta(W123, 0))
+        assert not dictionary_accepts(W123, one, delta(W123, 1))
+        assert not dictionary_accepts(W123, one, identity(W123))
+
+    def test_quadratic_example(self):
+        f = [poly(F2, 1, 0, 1)]
+        assert dictionary_accepts(W123, f, element(W123, {0: [1], 2: [1]}))
+        assert not dictionary_accepts(W123, f, element(W123, {0: [1], 1: [1]}))
+        assert not dictionary_accepts(W123, f, delta(W123, 0))
+
+    def test_round_trip(self):
+        # the coefficient of x^i in coordinate j is the lamp value at (i, j), and
+        # changing any one lamp value gives an element that is not the image
+        rng = random.Random(31)
+        spec = LamplighterSpec(F3, 2, 4)
+        for _ in range(100):
+            vec = [poly(F3, *[rng.randrange(3) for _ in range(4)]) for _ in range(2)]
+            img = element(spec, {i: [f.coefficient(i) for f in vec] for i in range(4)})
+            assert dictionary_accepts(spec, vec, img)
+            i, j = rng.randrange(4), rng.randrange(2)
+            lamps = {k: list(v) for k, v in img.lamps}
+            lamps.setdefault(i, [0, 0])
+            lamps[i][j] = (lamps[i][j] + rng.randrange(1, 3)) % 3
+            assert not dictionary_accepts(spec, vec, element(spec, lamps))
+
+    def test_multiplication_by_x_is_the_shift(self):
+        # x acts by conjugation with the t-image: the image of f is read off
+        # f(x^sigma) mod x^m - 1, and that of x f is it shifted by sigma
+        rng = random.Random(37)
+        for spec, sigma in ((W123, 1), (LamplighterSpec(F3, 2, 5), 1),
+                            (LamplighterSpec(F3, 2, 5), 2)):
+            m, p = spec.base_order, spec.field.p
+            x, modulus = poly(spec.field, 0, 1), x_pow_minus_one(spec.field, m)
+            for _ in range(60):
+                vec = [poly(spec.field, *[rng.randrange(p) for _ in range(m)])
+                       for _ in range(spec.n)]
+                at_sigma = [oracles.substitute_x_power(f, sigma) % modulus for f in vec]
+                img = element(spec, {i: [f.coefficient(i) for f in at_sigma] for i in range(m)})
+                assert dictionary_accepts(spec, vec, img, sigma)
+                assert dictionary_accepts(spec, [x * f for f in vec],
+                                          shift_lamps(img, sigma), sigma)
+
+
 def canonical_hom(t_lamps=None):
     pres = ModulePresentation.free(F2, 1)
     t_image = element(W123, t_lamps or {}, 1)
