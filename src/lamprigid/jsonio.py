@@ -180,7 +180,7 @@ def parse_presentation(data: Any, field: FieldSpec | None = None) -> ModulePrese
     _at_most(generators, MAX_GENERATORS, "'generators'")
     relations = data.get("relations", [])
     _expect(isinstance(relations, list), "'relations' must be a list of rows")
-    if not relations or all(isinstance(r, list) and not r for r in relations):
+    if not relations:
         return ModulePresentation.free(field, generators)
     _expect(len(relations) == generators,
             f"'relations' must have one row per generator ({generators})")

@@ -11,7 +11,8 @@ stripped, and the change-of-basis transform U materializes the abstract
 isomorphism onto a product of a free module and cyclic torsion quotients.
 That explicit transform is what makes the projection onto free coordinates
 constructive rather than an existence statement. The normal form is computed
-once per presentation (ModulePresentation.smith) and shared by every stage.
+once per presentation (ModulePresentation.smith) and shared by every stage,
+the finite truncations N / (x^m - 1) N included.
 check_epimorphism certifies a projection to be onto; the pipeline runs it
 once, when wreath.build_lamplighter_epimorphism wraps phi as a group map.
 """
@@ -238,39 +239,27 @@ def block_companion(chain: list[FpPoly]) -> list[list[int]]:
 def finite_truncation(pres: ModulePresentation, m: int) -> FiniteTruncation:
     """Basis, x-action and generator images of N / (x^m - 1) N.
 
-    Works on the Smith normal form of [relations | (x^m - 1) I], whose diagonal
-    entries are the annihilators of the cyclic summands of the quotient.
+    Read off the certified U * relations * V = D of pres.smith: N is the sum of the
+    R/(d_i), d_i = 0 past D's diagonal, generator j mapping to column j of U. So the
+    quotient is the sum of the F_p[x]/(h_i), h_i = gcd(d_i, x^m - 1), a divisor chain
+    as the d_i are, and generator j maps to column j of U reduced mod each h_i.
     """
     if m < 1:
         raise AlgebraError(f"m = {m}")
-    field, g, rel = pres.field, pres.generators, pres.relations.coeffs
-    cols = rel.shape[1]
-    bordered = np.zeros((g, cols + g, max(rel.shape[2], m + 1)), dtype=object)
-    bordered[:, :cols, :rel.shape[2]] = rel
-    bordered[range(g), range(cols, cols + g), :m + 1] = x_pow_minus_one(field, m).coeffs
-    snf = smith_normal_form(PolyMatrix(field, bordered))
-    annihilators = []
-    for d in snf.diag[:g]:
-        require(not d.is_zero, "truncation is not finite")
-        annihilators.append(d.strip_x().monic())
-    degs = [int(f.degree) for f in annihilators]
-    dim = sum(degs)
-    offsets = [sum(degs[:i]) for i in range(g)]
-
-    action = block_companion(annihilators)
-
+    field, snf, xm1 = pres.field, pres.smith, x_pow_minus_one(pres.field, m)
+    annihilators = [poly_gcd(d, xm1) for d in snf.diag]
+    annihilators += [xm1] * (pres.generators - len(annihilators))
+    dim = sum(int(h.degree) for h in annihilators)
     images = []
-    for j in range(g):
-        vec = [0] * dim
-        for i in range(g):
-            if degs[i] == 0:
-                continue
-            rem = snf.u.entry(i, j) % annihilators[i]
-            for k in range(degs[i]):
-                vec[offsets[i] + k] = rem.coefficient(k)
+    for j in range(pres.generators):
+        vec = []
+        for i, h in enumerate(annihilators):
+            rem = snf.u.entry(i, j) % h
+            vec += [rem.coefficient(k) for k in range(int(h.degree))]
         images.append(tuple(vec))
 
-    trunc = FiniteTruncation(field=field, m=m, dim=dim, x_action=tuple(tuple(r) for r in action),
+    trunc = FiniteTruncation(field=field, m=m, dim=dim,
+                             x_action=tuple(map(tuple, block_companion(annihilators))),
                              generator_images=tuple(images))
     require(dim == quotient_dim(decompose(pres), m),
             "truncation dimension disagrees with the rank formula")

@@ -4,8 +4,9 @@ products.
 
 Tables are numpy int32 arrays. build_tables verifies the group axioms of a list
 of tables (associativity by Light's test on a generating set) and reads their
-invariants in one pass per batch of similar-sized tables, by blocks of whole rows;
-a bound-16 comparison is one batch, and FiniteGroupTable.build a batch of one.
+invariants in one pass per batch of similar-sized tables, laid end to end in one
+flat array and read by blocks of whole rows; a bound-16 comparison is one batch,
+and FiniteGroupTable.build a batch of one.
 
 The bounded quotient sets of N x| Z are built without any subgroup search.
 Every finite quotient is a cyclic extension E(M, d, a): M a quotient module of
@@ -115,7 +116,7 @@ def build_tables(muls: Sequence[np.ndarray]) -> list[FiniteGroupTable]:
 
 def _build_batch(muls: list[np.ndarray]) -> list[FiniteGroupTable]:
     """One pass over tables laid end to end: g in table t is off[t] + g globally, and
-    a b is flat[base[a] + b] (a lone table stays square, as sq, for cheap row copies).
+    a b is flat[base[a] + b], for a batch of one table too.
     Each check runs on every table before the next: entries in range, a unique
     identity, also on the right, unique inverses, Light's test on _generators.
     Then centralizers give class sizes, G' is the normal closure of the generators'
@@ -125,12 +126,11 @@ def _build_batch(muls: list[np.ndarray]) -> list[FiniteGroupTable]:
     tab = np.repeat(np.arange(len(muls)), orders)
     eoff, en, idx = off[tab], np.array(orders)[tab], np.arange(off[-1])
     base = entries[tab] + (idx - eoff) * en - eoff
-    sq, span = muls[0] if len(muls) == 1 else None, np.arange(max(orders))
-    flat = (muls[0].reshape(-1) if sq is not None else
-            np.concatenate([m.reshape(-1) + o for m, o in zip(muls, off.tolist())]))
+    span = np.arange(max(orders))
+    flat = np.concatenate([m.reshape(-1) + o for m, o in zip(muls, off.tolist())])
 
     def mul(a, b) -> np.ndarray:
-        return flat[base[a] + b] if sq is None else sq[a, b]
+        return flat[base[a] + b]
 
     def blocks(widths: np.ndarray):  # slices of k rows, k * max(widths) <= _BLOCK_ENTRIES or k = 1
         step = max(1, _BLOCK_ENTRIES // int(widths.max()))
@@ -141,8 +141,6 @@ def _build_batch(muls: list[np.ndarray]) -> list[FiniteGroupTable]:
 
     def rows(a) -> tuple[np.ndarray, np.ndarray]:
         """Each b of a's table and a b, padded to a's widest table by repeating the last b."""
-        if sq is not None:
-            return span, sq[a]
         cols = np.minimum(eoff[a][..., None] + span[:en[a].max()], (eoff + en - 1)[a][..., None])
         return cols, flat[base[a][..., None] + cols]
 
@@ -163,15 +161,14 @@ def _build_batch(muls: list[np.ndarray]) -> list[FiniteGroupTable]:
         hits = ax == e_el[r, None]
         unique &= bool((count(hits, en[r]) == 1).all())
         inverse[r] = eoff[r] + hits.argmax(axis=1)
-        xa = sq.T[r] if sq is not None else mul(cols, idx[r, None])
+        xa = mul(cols, idx[r, None])
         sizes[r] = en[r] // count(ax == xa, en[r])  # |G| / |C(a)|; x = a counts
     require(unique, "some element lacks a unique inverse")
     gens = [_generators(m, int(g)) for m, g in zip(muls, e - off[:-1])]
     s = max(1, *map(len, gens))  # short rows of gen_idx repeat generators, or hold e
     gen_idx = off[:-1, None] + [((gs or [int(g)]) * s)[:s] for gs, g in zip(gens, e - off[:-1])]
     for r in blocks(en * s):  # [x, i, y]: (x g_i) y, x (g_i y)
-        x = idx[r, None]
-        g = gen_idx if sq is not None else gen_idx[tab[r]]
+        x, g = idx[r, None], gen_idx[tab[r]]
         require(np.array_equal(rows(mul(x, g))[1], mul(x[..., None], rows(g)[1])),
                 "associativity fails")
     gi, gj, member = gen_idx[:, :, None], gen_idx[:, None, :], np.zeros(len(idx), dtype=bool)

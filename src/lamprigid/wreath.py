@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import AlgebraError, require
 from .fppoly import FieldSpec
 from .laurent_modules import ModulePresentation, check_epimorphism
-from .polymatrix import PolyMatrix, _exact_dtype, _mul_sums, smith_normal_form
+from .polymatrix import PolyMatrix, _mul_sums, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -389,27 +388,12 @@ class VerifiedGroupEpi:
     phi: PolyMatrix
     target: LamplighterSpec
 
-    @cached_property
-    def phi_coeffs(self) -> np.ndarray:
-        """phi as P[i, j, d], the coefficient of x^d in phi[i, j].
-
-        The image of a has coordinates sum_j,d P[i, j, d] x^d a_j: each of its
-        coefficients sums at most g(D+1) products below p^2 before reduction.
-        The dtype is _exact_dtype's for that many products, int64 or Python
-        integers (object), so the arithmetic is exact for every prime.
-        """
-        width = self.phi.cols * self.phi.coeffs.shape[2]
-        return self.phi.coeffs.astype(_exact_dtype(self.source.field.p, width))
-
     def _image(self, batch: Batch) -> Batch:
-        """(phi(a), k) for every element of a candidate batch."""
+        """(phi(a), k) for every element of a candidate batch: one _mul_sums product of
+        phi with the a's as the columns of a g x B matrix, exact for every prime."""
         coeffs, lo, shifts = batch
-        phi = self.phi_coeffs
-        out = np.zeros((len(coeffs), phi.shape[0], coeffs.shape[2] + phi.shape[2] - 1),
-                       dtype=phi.dtype)
-        for d in range(phi.shape[2]):
-            out[:, :, d:d + coeffs.shape[2]] += phi[:, :, d] @ coeffs
-        return out % self.source.field.p, lo, shifts
+        out = _mul_sums(self.phi.coeffs, coeffs.transpose(1, 0, 2), self.source.field.p)
+        return out.transpose(1, 0, 2) % self.source.field.p, lo, shifts
 
     def law_check(self, samples: int = 1000, seed: int = 0) -> LawCheckReport:
         """Verify f(ab) = f(a) f(b) on seeded random pairs of group elements.
@@ -424,7 +408,7 @@ class VerifiedGroupEpi:
         for start in range(0, samples, LAW_CHUNK):
             count = min(LAW_CHUNK, samples - start)
             coeffs, lo, shifts = _draw_elements(rng, p, self.source.generators, 2 * count,
-                                                self.phi_coeffs.dtype)
+                                                self.phi.coeffs.dtype)
             a = (coeffs[0::2], lo, shifts[0::2])
             b = (coeffs[1::2], lo, shifts[1::2])
             lhs = self._image(candidate_mul(a, b, p))

@@ -24,6 +24,7 @@ from lamprigid import (
     FiniteGroupTable,
     FpPoly,
     LaurentPoly,
+    ModulePresentation,
     PolyMatrix,
     decompose,
     determinant,
@@ -815,7 +816,7 @@ def image_of_one(epi: VerifiedGroupEpi, elem: CandidateElement) -> WreathElement
     terms = [(j, e, c) for j, f in enumerate(coeffs) for e, c in f.terms()]
     lo = min((e for _, e, _ in terms), default=0)
     hi = max((e for _, e, _ in terms), default=0)
-    dense = np.zeros((1, len(coeffs), hi - lo + 1), dtype=epi.phi_coeffs.dtype)
+    dense = np.zeros((1, len(coeffs), hi - lo + 1), dtype=epi.phi.coeffs.dtype)
     for j, e, c in terms:
         dense[0, j, e - lo] = c
     return lamp_elements(epi.target, epi._image((dense, lo, np.array([k]))))[0]
@@ -895,3 +896,35 @@ def relator_images(gi: GeneratorImages) -> list[list[FpPoly]]:
             acc = [(a + r * lamp) % modulus for a, lamp in zip(acc, lamps[k])]
         images.append(acc)
     return images
+
+
+def fp_rank(vectors: list[list[int]], p: int) -> int:
+    """F_p rank of a list of equal-length vectors, by Gaussian elimination."""
+    rows, rank = [list(v) for v in vectors], 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] % p), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [c * inv % p for c in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            rows[i] = [(a - rows[i][col] * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def truncation_dim_by_rank(pres: ModulePresentation, m: int) -> int:
+    """dim over F_p of N / (x^m - 1) N with no Smith normal form: x^m = 1 there, so the
+    relators span the F_p-space of the columns times x^k, k < m, reduced mod x^m - 1
+    in (F_p[x]/(x^m - 1))^g, of dimension g m. Coordinate j's x^e sits at j m + e."""
+    g, p, rel = pres.generators, pres.field.p, pres.relations
+    vectors = []
+    for col in range(rel.cols):
+        for k in range(m):
+            v = [0] * (g * m)
+            for j in range(g):
+                for e, c in enumerate(rel.entry(j, col).coeffs):
+                    v[j * m + (e + k) % m] += c
+            vectors.append(v)
+    return g * m - fp_rank(vectors, p)

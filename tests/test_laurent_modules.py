@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 import subprocess
 import sys
@@ -23,11 +24,18 @@ from lamprigid import (
     smith_normal_form,
     torsion_quotient_order,
 )
+from lamprigid import jsonio, laurent_modules
 from lamprigid.errors import AlgebraError, CertificateError
 from lamprigid.fppoly import x_pow_minus_one
 from lamprigid.laurent_modules import FiniteTruncation, block_companion
+from lamprigid.pipeline import choose_m
 
-from oracles import brute_monic_divisors, random_poly, verified_residue_count
+from oracles import (
+    brute_monic_divisors,
+    random_poly,
+    truncation_dim_by_rank,
+    verified_residue_count,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -40,6 +48,21 @@ def poly(field, *coeffs):
 def presentation(field, generators, rows):
     return ModulePresentation.make(
         field, generators, [[poly(field, *e) for e in row] for row in rows])
+
+
+def assert_images_satisfy_relators(pres, trunc):
+    """sum_j rel[j, c](A) image_j = 0 over F_p for every relator column c, A the
+    truncation's x-action, evaluated one power of A at a time."""
+    p, d = pres.field.p, trunc.dim
+    action = np.array(trunc.x_action, dtype=np.int64).reshape(d, d)
+    for c in range(pres.relations.cols):
+        total = np.zeros(d, dtype=np.int64)
+        for j, image in enumerate(trunc.generator_images):
+            power_v = np.array(image, dtype=np.int64)
+            for coeff in pres.relations.entry(j, c).coeffs:
+                total = (total + coeff * power_v) % p
+                power_v = action @ power_v % p
+        assert not total.any(), (c, total)
 
 
 def random_presentation(rng, field, max_gens=3, max_relators=3, max_deg=3):
@@ -240,7 +263,31 @@ class TestFiniteTruncation:
             pres = random_presentation(rng, field)
             dec = decompose(pres)
             for m in range(1, 7):
-                assert finite_truncation(pres, m).dim == quotient_dim(dec, m)
+                trunc = finite_truncation(pres, m)
+                assert trunc.dim == quotient_dim(dec, m) == truncation_dim_by_rank(pres, m)
+                assert_images_satisfy_relators(pres, trunc)
+
+    @pytest.mark.parametrize("name", ["free_rank1", "free_rank2_p3", "mixed_free_torsion",
+                                      "torsion_only"])
+    def test_candidate_images_satisfy_relators(self, name):
+        path = pathlib.Path(__file__).resolve().parents[1] / "candidates" / f"{name}.json"
+        pres = jsonio.parse_candidate(json.loads(path.read_text())).presentation
+        trunc = finite_truncation(pres, choose_m(decompose(pres)))
+        assert trunc.dim == truncation_dim_by_rank(pres, trunc.m)
+        assert_images_satisfy_relators(pres, trunc)
+
+    def test_one_normal_form_per_truncation(self, monkeypatch):
+        """With pres.smith cached, the only SNF is the span certificate's, of
+        [images as columns | xI - A]."""
+        pres = presentation(F2, 2, [[(1, 1), ()], [(), (1, 0, 1)]])
+        assert pres.smith.diag
+        calls = []
+        snf = laurent_modules.smith_normal_form
+        monkeypatch.setattr(laurent_modules, "smith_normal_form",
+                            lambda matrix: calls.append(matrix.coeffs.shape[:2]) or snf(matrix))
+        trunc = finite_truncation(pres, 4)
+        assert trunc.dim == 3
+        assert calls == [(trunc.dim, trunc.dim + pres.generators)]
 
     @given(st.integers(1, 3), st.integers(1, 6), st.data())
     @settings(max_examples=60, deadline=None)
@@ -310,7 +357,6 @@ class TestFiniteTruncation:
 
 _CORRUPTED_MODULES_SCRIPT = """
 import json
-import types
 from lamprigid import laurent_modules as lm
 from lamprigid.errors import CertificateError
 from lamprigid.fppoly import FieldSpec, FpPoly
@@ -318,12 +364,7 @@ from lamprigid.fppoly import FieldSpec, FpPoly
 F2, F3 = FieldSpec(2), FieldSpec(3)
 x_plus_1, x2_x_1 = FpPoly(F2, (1, 1)), FpPoly(F2, (1, 1, 1))
 free = lm.ModulePresentation.free(F2, 1)
-real_snf, real_dim = lm.smith_normal_form, lm.quotient_dim
-
-
-def zero_diagonal_snf(matrix):
-    return types.SimpleNamespace(diag=(FpPoly.zero(F2),), u=real_snf(matrix).u)
-
+real_dim = lm.quotient_dim
 
 cases = {
     "negative rank": lambda: lm.ModuleDecomposition(F2, -1, ()),
@@ -338,10 +379,7 @@ cases = {
     "image length": lambda: lm.FiniteTruncation(F2, 1, 1, ((1,),), ((1, 0),)),
     "order m": lambda: lm.FiniteTruncation(F2, -1, 1, ((1,),), ((1,),)),
     "span through the action": lambda: lm.FiniteTruncation(F2, 3, 2, ((0, 1), (1, 1)), ((1, 0),)),
-    "infinite": lambda: (setattr(lm, "smith_normal_form", zero_diagonal_snf),
-                         lm.finite_truncation(free, 3)),
-    "dimension": lambda: (setattr(lm, "smith_normal_form", real_snf),
-                          setattr(lm, "quotient_dim", lambda dec, m: real_dim(dec, m) + 1),
+    "dimension": lambda: (setattr(lm, "quotient_dim", lambda dec, m: real_dim(dec, m) + 1),
                           lm.finite_truncation(free, 3)),
 }
 outcome = {"debug": __debug__}
@@ -373,6 +411,5 @@ def test_corrupted_modules_rejected_under_optimize():
         "image length": "generator image is not a vector of length dim",
         "order m": "truncation order m is not positive",
         "span through the action": "accepted",
-        "infinite": "truncation is not finite",
         "dimension": "truncation dimension disagrees with the rank formula",
     }

@@ -274,10 +274,16 @@ class TestJsonSchemas:
             {"p": 2, "n": 1, "presentation": {"generators": 2, "relations": [[[]]]}},
             {"p": 2, "n": 1, "presentation": {"p": 3, "generators": 1, "relations": []}},
             {"p": 2, "n": 1, "presentation": {"generators": 1, "relations": [[[[0]]]]}},
+            {"p": 2, "n": 1, "presentation": {"generators": 3, "relations": [[]] * 5}},
+            {"p": 2, "n": 1, "presentation": {"generators": 3, "relations": [[]] * 2}},
         ]
         for data in bad_inputs:
             with pytest.raises(InvalidInput):
                 jsonio.parse_candidate(data)
+        # no relations, or one empty row per generator, is the free module
+        for relations in ([], [[]] * 3):
+            pres = jsonio.parse_presentation({"p": 2, "generators": 3, "relations": relations})
+            assert pres == ModulePresentation.free(F2, 3)
 
     def test_matrix_round_trip(self):
         data = {"p": 3, "rows": 1, "cols": 2, "entries": [[[[0, 2]], [[1, 1], [0, 1]]]]}
@@ -396,6 +402,10 @@ class TestCli:
         assert res.returncode == 2
         assert "too large" in res.stderr
         assert run_cli("certify", "/nonexistent/file.json").returncode == 2
+        # all-empty relation rows must still be one per generator
+        res = run_cli("decompose", '{"p":2,"generators":3,"relations":[[],[],[],[],[]]}')
+        assert res.returncode == 2
+        assert res.stderr == "input error: 'relations' must have one row per generator (3)\n"
         # exponents are checked before a dense polynomial is built
         res = run_cli("snf", '{"p":2,"rows":1,"cols":1,"entries":[[[[400000000,1]]]]}')
         assert res.returncode == 2

@@ -449,7 +449,7 @@ def test_batched_law_matches_laurent_oracle(name, seed, monkeypatch):
     LaurentPoly arithmetic pair by pair."""
     epi = law_case_epi(name)
     field, p = epi.source.field, epi.source.field.p
-    assert (epi.phi_coeffs.dtype == object) == (name in ("large_p", "wide_p"))
+    assert (epi.phi.coeffs.dtype == object) == (name in ("large_p", "wide_p"))
     draw = wreath._draw_elements
     drawn = []
 
@@ -508,7 +508,7 @@ def test_law_draws_cover_residues_keep_flags_and_shifts(p, monkeypatch):
 
 def test_law_check_memory_does_not_grow_with_samples():
     epi = law_case_epi("disguised16")
-    epi.law_check(samples=10)  # phi_coeffs is cached on first use
+    epi.law_check(samples=10)  # first-use allocations stay out of the peaks
     peaks = []
     for samples in (1000, 8000):
         tracemalloc.start()
