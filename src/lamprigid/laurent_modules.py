@@ -49,8 +49,7 @@ class ModulePresentation:
     def make(cls, field: FieldSpec, generators: int,
              rows: list[list[FpPoly | LaurentPoly]] | None) -> "ModulePresentation":
         """Build from possibly-Laurent rows, clearing denominators by unit row scaling."""
-        if rows and ((rows[0] and len(rows) != generators)
-                     or any(len(row) != len(rows[0]) for row in rows)):
+        if rows and (len(rows) != generators or any(len(row) != len(rows[0]) for row in rows)):
             raise ValueError("relation rows must be one per generator, all of one length")
         return cls.from_terms(field, generators, len(rows[0]) if rows else 0, [
             (i, j, e, c) for i, row in enumerate(rows or ()) for j, f in enumerate(row)

@@ -213,15 +213,12 @@ class SmithDecomposition:
         require(is_unimodular(self.u), "U is not unimodular")
         require(is_unimodular(self.v), "V is not unimodular")
         require(self.d.is_diagonal(), "D has off-diagonal entries")
-        seen_zero = False
-        for i, di in enumerate(self.diag):
-            if di.is_zero:
-                seen_zero = True
-                continue
-            require(not seen_zero, "nonzero diagonal entry after a zero one")
-            require(di.is_monic, "diagonal entry not monic")
-            if i + 1 < len(self.diag) and not self.diag[i + 1].is_zero:
-                require(di.divides(self.diag[i + 1]), "divisibility chain broken")
+        nonzero = [di for di in self.diag if not di.is_zero]
+        require(not any(di.is_zero for di in self.diag[:len(nonzero)]),
+                "nonzero diagonal entry after a zero one")
+        require(all(di.is_monic for di in nonzero), "diagonal entry not monic")
+        require(all(f.divides(g) for f, g in zip(nonzero, nonzero[1:])),
+                "divisibility chain broken")
 
 
 def _sub_rows(grid: np.ndarray, targets, q: np.ndarray, sources, p: int) -> np.ndarray:

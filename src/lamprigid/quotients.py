@@ -127,7 +127,9 @@ def _build_batch(muls: list[np.ndarray]) -> list[FiniteGroupTable]:
     eoff, en, idx = off[tab], np.array(orders)[tab], np.arange(off[-1])
     base = entries[tab] + (idx - eoff) * en - eoff
     span = np.arange(max(orders))
-    flat = np.concatenate([m.reshape(-1) + o for m, o in zip(muls, off.tolist())])
+    flat = np.empty(entries[-1], dtype=np.int32)
+    for m, o, lo, hi in zip(muls, off.tolist(), entries[:-1].tolist(), entries[1:].tolist()):
+        np.add(m.reshape(-1), o, out=flat[lo:hi])
 
     def mul(a, b) -> np.ndarray:
         return flat[base[a] + b]
@@ -509,12 +511,15 @@ class QuSet:
         return tuple(t.fingerprint for t in self.classes)
 
 
-def _source_presentation(source: ModulePresentation | LamplighterSpec) -> ModulePresentation:
+def _base_chain(source: ModulePresentation | LamplighterSpec) -> tuple[FieldSpec, list[FpPoly]]:
+    """The field and N's own invariant chain, 0 for each free summand: n zeros for
+    the integer-base lamp group, where N = R^n, with no presentation to reduce."""
     if isinstance(source, LamplighterSpec):
         if source.is_cyclic:
             raise ValueError("quotient enumeration expects the integer-base group")
-        return ModulePresentation.free(source.field, source.n)
-    return source
+        return source.field, [FpPoly.zero(source.field)] * source.n
+    dec = decompose(source)
+    return source.field, list(dec.invariant_factors) + [FpPoly.zero(source.field)] * dec.free_rank
 
 
 def _order_table(field: FieldSpec, bound: int) -> list[tuple[FpPoly, int]]:
@@ -611,13 +616,9 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: 
     chains by (p, d, c, base chain coefficients), the vector grid and addition
     table of F_p^dim by (p, dim) (p = 1 for dim 0), and by module
     (p, d, chain coefficients) its _action_rows, addition table and twist classes."""
-    pres = _source_presentation(source)
-    field = pres.field
+    # for h | x^d - 1, h | gcd(f, x^d - 1) iff h | f, so N's own chain serves every d
+    field, base_chain = _base_chain(source)
     p = field.p
-    dec = decompose(pres)
-    # N's own invariant chain, 0 for each free summand: for h | x^d - 1,
-    # h | gcd(f, x^d - 1) iff h | f, so no gcd is needed
-    base_chain = list(dec.invariant_factors) + [FpPoly.zero(field)] * dec.free_rank
     if p not in pool:
         pool[p] = _order_table(field, bound)
     for d in range(1, bound + 1):

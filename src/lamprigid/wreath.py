@@ -356,13 +356,9 @@ def _draw_elements(rng: random.Random, p: int, g: int, count: int, dtype) -> Bat
     width = max(1, -(-(p - 1).bit_length() // 8))
     flags = -(-size // 8)
     data = rng.randbytes(size * width + flags + count)
-    # widened to a numpy word of 1, 2, 4 or 8 bytes, or to whole 64-bit limbs
-    padded = 1 << (width - 1).bit_length() if width < 8 else -(-width // 8) * 8
-    words = np.zeros((size, padded), dtype=np.uint8)
-    words[:, :width] = np.frombuffer(data, dtype=np.uint8, count=size * width).reshape(size, width)
-    words = words.view(f"<u{min(padded, 8)}")  # for p >= 2^64, 64-bit limbs, low limb first
-    values = (words[:, 0] % p if p < 2 ** 64
-              else sum(words[:, i].astype(object) << 64 * i for i in range(words.shape[1])) % p)
+    digits = np.frombuffer(data, dtype=np.uint8, count=size * width).reshape(size, width)
+    kind = np.uint64 if width <= 8 else object  # Python integers past 64 bits
+    values = sum(digits[:, i].astype(kind) << 8 * i for i in range(width)) % p
     keep = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=flags, offset=size * width),
                          count=size, bitorder="little")
     shifts = np.frombuffer(data, dtype=np.uint8, offset=size * width + flags)

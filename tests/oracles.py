@@ -41,7 +41,6 @@ from lamprigid.quotients import (
     QuSet,
     _dominated_chains,
     _vector_grid,
-    _source_presentation,
     cyclic_table,
     direct_product_table,
     enumerate_normal_subgroups,
@@ -669,9 +668,11 @@ def lattice_qu(source, bound: int) -> QuSet:
     through its full normal-subgroup lattice. Shares only the module
     enumeration with truncated_qu; the groups themselves come from kernels
     rather than from cyclic extensions, and the classes are kept by pairwise
-    isomorphism tests rather than by the library's classifier.
+    isomorphism tests rather than by the library's classifier. An integer-base
+    lamp group enters as a free presentation of R^n.
     """
-    pres = _source_presentation(source)
+    pres = (ModulePresentation.free(source.field, source.n)
+            if isinstance(source, LamplighterSpec) else source)
     field = pres.field
     p = field.p
     dec = decompose(pres)

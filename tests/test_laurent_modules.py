@@ -119,6 +119,12 @@ class TestDecompose:
             with pytest.raises(ValueError):
                 ModulePresentation.make(F2, 2, rows)
 
+    def test_empty_rows_count_too(self):
+        # no relator column, so only the number of rows is there to check
+        with pytest.raises(ValueError, match="one per generator"):
+            ModulePresentation.make(F2, 3, [[]] * 5)
+        assert ModulePresentation.make(F2, 3, [[]] * 3) == ModulePresentation.free(F2, 3)
+
     def test_unimodular_presentation_invariance(self):
         rng = random.Random(21)
         for _ in range(40):

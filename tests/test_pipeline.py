@@ -175,6 +175,27 @@ class TestCertify:
         assert report.certified
         assert sum(m is report.epimorphism.phi for m in sources) == 1
 
+    @pytest.mark.parametrize("name, expected", [("free_rank1", 2), ("mixed_free_torsion", 2),
+                                                ("torsion_only", 1)])
+    def test_snf_calls_per_certify(self, monkeypatch, name, expected):
+        # the relations' SNF, then phi's if the rank check passes; the lamp side
+        # of the quotient comparison is read as n zeros, with no SNF
+        path = pathlib.Path(__file__).resolve().parents[1] / "candidates" / f"{name}.json"
+        candidate = jsonio.parse_candidate(json.loads(path.read_text()))
+        snf = laurent_modules.smith_normal_form
+        sources = []
+
+        def counting(m):
+            sources.append(m)
+            return snf(m)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("lamprigid")]:
+            if getattr(module, "smith_normal_form", None) is snf:
+                monkeypatch.setattr(module, "smith_normal_form", counting)
+        report = certify(candidate, qu_bound=8)
+        assert report.rank_check.passed == (expected == 2)
+        assert len(sources) == expected
+
     def test_reports_byte_identical(self):
         a = jsonio.canonical_dumps(jsonio.report_to_json(certify(mixed_candidate(), seed=5)))
         b = jsonio.canonical_dumps(jsonio.report_to_json(certify(mixed_candidate(), seed=5)))

@@ -693,6 +693,10 @@ class TestTruncatedQu:
         with pytest.raises(AlgebraError, match=r"bound 17 outside 1\.\.16"):
             truncated_qu(ModulePresentation.free(F2, 1), 17)
 
+    def test_cyclic_base_lamp_group_rejected(self):
+        with pytest.raises(ValueError, match="integer-base group"):
+            truncated_qu(LamplighterSpec(F2, 1, 3), 8)
+
 
 class TestAgainstLatticeRoute:
     """The cyclic-extension route against the normal-subgroup lattice search."""
@@ -745,6 +749,15 @@ class TestCompareQu:
         for bound in range(1, 17):
             assert (compare_qu(candidate.presentation, lamp, bound)
                     == two_sided_compare_qu(candidate.presentation, lamp, bound)), bound
+
+    @pytest.mark.parametrize("name", CANDIDATE_NAMES)
+    def test_lamp_group_as_free_presentation(self, name):
+        # the lamp side's chain of n zeros is the free module's, read with no SNF
+        candidate = bundled(name)
+        free = ModulePresentation.free(candidate.field, candidate.n)
+        lamp = LamplighterSpec(candidate.field, candidate.n, None)
+        assert (compare_qu(candidate.presentation, lamp, 16)
+                == compare_qu(candidate.presentation, free, 16))
 
     @pytest.mark.parametrize("bound", [8, 16])
     def test_against_two_sided_route_candidate_pairs(self, bound):
