@@ -307,10 +307,10 @@ def cocycle_verify(hom: VerifiedHom, bound: int) -> CocycleReport:
 # --- the epimorphism onto the free lamp group --------------------------------
 
 Batch = tuple[np.ndarray, int, np.ndarray]
-"""B elements (a, k) as (coeffs, lo, shifts): coeffs[b, j, e] is the coefficient
-of x^(lo + e) in coordinate j of the b-th a, shifts[b] is its k. Candidate
-elements have one coordinate per module generator; lamp-group elements have one
-per lamp coordinate, read through the coefficient dictionary."""
+"""B elements (a, k) as (coeffs, lo, shifts), coordinate-major: coeffs[j, b, e] is the
+coefficient of x^(lo + e) in coordinate j of the b-th a (the g x B matrix phi multiplies),
+shifts[b] is its k. Candidates have a coordinate per module generator; lamp-group elements
+one per lamp coordinate, read through the coefficient dictionary."""
 
 LAW_CHUNK = 128
 """Pairs per law-check batch, drawn as 2 * LAW_CHUNK elements by one _draw_elements call;
@@ -318,19 +318,19 @@ it bounds the arrays, and so peak memory, at any sample count."""
 
 
 def _twisted_sum(x: Batch, y: Batch, p: int) -> Batch:
-    """(a + x^k a', k + k') for each pair of rows. Both hold residues mod p, so
-    subtracting p where a sum reaches p reduces it. The rows of a' land by one
-    flat scatter, row b moved k_b columns right."""
+    """(a + x^k a', k + k') for each pair of elements. Both hold residues mod p, so
+    subtracting p in place where a sum reaches p reduces it. The rows of a' land by one
+    flat scatter, row (j, b) moved k_b columns right."""
     (xc, xlo, xk), (yc, ylo, yk) = x, y
     lo = min(xlo, ylo + int(xk.min()))
     width = max(xlo + xc.shape[2], ylo + int(xk.max()) + yc.shape[2]) - lo
-    count, coords, cols = yc.shape
-    out = np.zeros((count, coords, width), dtype=xc.dtype)
+    coords, count, cols = yc.shape
+    out = np.zeros((coords, count, width), dtype=xc.dtype)
     out[:, :, xlo - lo:xlo - lo + xc.shape[2]] = xc
-    starts = np.arange(count) * (coords * width) + (ylo - lo + xk)
-    out.reshape(-1)[starts[:, None] + (np.arange(coords)[:, None] * width
-                                       + np.arange(cols)).ravel()] += yc.reshape(count, -1)
-    return np.where(out >= p, out - p, out), lo, xk + yk
+    starts = np.arange(coords * count).reshape(coords, count) * width + (ylo - lo + xk)
+    out.reshape(-1)[starts[:, :, None] + np.arange(cols)] += yc
+    np.subtract(out, p, out=out, where=out >= p)
+    return out, lo, xk + yk
 
 
 def candidate_mul(a: Batch, b: Batch, p: int) -> Batch:
@@ -344,26 +344,26 @@ def lamp_mul(u: Batch, v: Batch, p: int) -> Batch:
 
 
 def _draw_elements(rng: random.Random, p: int, g: int, count: int, dtype) -> Batch:
-    """count seeded elements (a, k), exponents -2..3 at columns 0..5, from one
-    rng.randbytes call holding only the bytes the residues need, in order: for
-    each of the size = count * g * 6 coefficients of the a's (in C order of the
-    batch) a little-endian integer of w bytes reduced mod p, w the byte length
-    of p - 1 (one byte for p < 256); then ceil(size / 8) bytes of keep flags,
-    coefficient i keeping its value if bit i % 8 of byte i // 8 is set
-    (otherwise it is zero); then one byte per element, with k = byte mod 7 - 3.
-    """
+    """count seeded elements (a, k), exponents -2..3 at columns 0..5, from one rng.randbytes
+    call holding only the bytes the residues need, in order: for each of the size =
+    count * g * 6 coefficients of the a's (in C order of (count, g, 6)) a little-endian
+    integer of w bytes reduced mod p, w the byte length of p - 1, in the narrowest unsigned
+    dtype of w bytes (Python integers past 8); then ceil(size / 8) bytes of keep flags,
+    coefficient i keeping its value if bit i % 8 of byte i // 8 is set (otherwise it is
+    zero); then one byte per element, with k = byte mod 7 - 3. The batch is C-contiguous."""
     size = count * g * 6
     width = max(1, -(-(p - 1).bit_length() // 8))
     flags = -(-size // 8)
     data = rng.randbytes(size * width + flags + count)
     digits = np.frombuffer(data, dtype=np.uint8, count=size * width).reshape(size, width)
-    kind = np.uint64 if width <= 8 else object  # Python integers past 64 bits
-    values = sum(digits[:, i].astype(kind) << 8 * i for i in range(width)) % p
+    kind = np.dtype(f"u{1 << (width - 1).bit_length()}") if width <= 8 else object
+    values = sum(digits[:, i].astype(kind) << 8 * i for i in range(width))
+    values -= values // p * p  # mod p: numpy's // by a scalar is fast, its % is not
     keep = np.unpackbits(np.frombuffer(data, dtype=np.uint8, count=flags, offset=size * width),
                          count=size, bitorder="little")
     shifts = np.frombuffer(data, dtype=np.uint8, offset=size * width + flags)
-    return ((values * keep).astype(dtype).reshape(count, g, 6), -2,
-            shifts.astype(np.int64) % 7 - 3)
+    return ((values * keep).reshape(count, g, 6).transpose(1, 0, 2).astype(dtype, order="C"),
+            -2, shifts.astype(np.int64) % 7 - 3)
 
 
 @dataclass(frozen=True)
@@ -385,30 +385,30 @@ class VerifiedGroupEpi:
     target: LamplighterSpec
 
     def _image(self, batch: Batch) -> Batch:
-        """(phi(a), k) for every element of a candidate batch: one _mul_sums product of
-        phi with the a's as the columns of a g x B matrix, exact for every prime."""
-        coeffs, lo, shifts = batch
-        out = _mul_sums(self.phi.coeffs, coeffs.transpose(1, 0, 2), self.source.field.p)
-        return out.transpose(1, 0, 2) % self.source.field.p, lo, shifts
+        """(phi(a), k) for a candidate batch: one _mul_sums product of phi with the batch's
+        g x B matrix of a's as it is, reduced mod p in place; exact for every prime."""
+        (coeffs, lo, shifts), p = batch, self.source.field.p
+        out = _mul_sums(self.phi.coeffs, coeffs, p)
+        return np.subtract(out, out // p * p, out=out), lo, shifts
 
     def law_check(self, samples: int = 1000, seed: int = 0) -> LawCheckReport:
         """Verify f(ab) = f(a) f(b) on seeded random pairs of group elements.
 
-        The pairs are drawn a_1, b_1, a_2, ..., one _draw_elements call per
-        LAW_CHUNK pairs (one byte per coefficient for p < 256), and checked a
-        batch at a time, each side as one array computation. Both sides span
-        the same exponent window, so they are compared as they are.
+        The pairs are drawn a_1, b_1, a_2, ..., one _draw_elements call per LAW_CHUNK pairs,
+        and checked a batch at a time, each side as one array computation. f(a) and f(b) are
+        the even and odd columns of the drawn batch's image, so a batch costs two products
+        with phi. Both sides span the same exponent window, so they are compared as they are.
         """
-        rng = random.Random(seed)
-        p = self.source.field.p
+        rng, p = random.Random(seed), self.source.field.p
         for start in range(0, samples, LAW_CHUNK):
             count = min(LAW_CHUNK, samples - start)
-            coeffs, lo, shifts = _draw_elements(rng, p, self.source.generators, 2 * count,
-                                                self.phi.coeffs.dtype)
-            a = (coeffs[0::2], lo, shifts[0::2])
-            b = (coeffs[1::2], lo, shifts[1::2])
+            coeffs, lo, shifts = drawn = _draw_elements(rng, p, self.source.generators,
+                                                        2 * count, self.phi.coeffs.dtype)
+            images = self._image(drawn)[0]
+            a, b = ((coeffs[:, i::2], lo, shifts[i::2]) for i in (0, 1))
             lhs = self._image(candidate_mul(a, b, p))
-            rhs = lamp_mul(self._image(a), self._image(b), p)
+            fa, fb = ((images[:, i::2], lo, shifts[i::2]) for i in (0, 1))
+            rhs = lamp_mul(fa, fb, p)
             require(lhs[1] == rhs[1] and np.array_equal(lhs[0], rhs[0])
                     and np.array_equal(lhs[2], rhs[2]),
                     "homomorphism law failed on a sampled pair")

@@ -807,7 +807,7 @@ def lamp_elements(spec: LamplighterSpec, batch: Batch) -> list[WreathElement]:
     coeffs, lo, shifts = batch
     return [element(spec, [(lo + e, [int(c) for c in col]) for e, col in enumerate(row.T)],
                     int(k))
-            for row, k in zip(coeffs, shifts)]
+            for row, k in zip(coeffs.transpose(1, 0, 2), shifts)]
 
 
 def image_of_one(epi: VerifiedGroupEpi, elem: CandidateElement) -> WreathElement:
@@ -817,9 +817,9 @@ def image_of_one(epi: VerifiedGroupEpi, elem: CandidateElement) -> WreathElement
     terms = [(j, e, c) for j, f in enumerate(coeffs) for e, c in f.terms()]
     lo = min((e for _, e, _ in terms), default=0)
     hi = max((e for _, e, _ in terms), default=0)
-    dense = np.zeros((1, len(coeffs), hi - lo + 1), dtype=epi.phi.coeffs.dtype)
+    dense = np.zeros((len(coeffs), 1, hi - lo + 1), dtype=epi.phi.coeffs.dtype)
     for j, e, c in terms:
-        dense[0, j, e - lo] = c
+        dense[j, 0, e - lo] = c
     return lamp_elements(epi.target, epi._image((dense, lo, np.array([k]))))[0]
 
 

@@ -462,15 +462,18 @@ def test_batched_law_matches_laurent_oracle(name, seed, monkeypatch):
 
     pairs = oracles.law_pairs(field, epi.source.generators, 1000, seed)
     elements = [x for pair in pairs for x in pair]
-    assert [len(coeffs) for coeffs, _, _ in drawn] == [256] * 7 + [208]
+    # coordinate-major: coeffs[j, b, e], one column of axis 1 per element
+    assert [coeffs.shape[1] for coeffs, _, _ in drawn] == [256] * 7 + [208]
+    assert all(coeffs.shape[0] == epi.source.generators for coeffs, _, _ in drawn)
     assert all(lo == -2 for _, lo, _ in drawn)
     assert [int(k) for _, _, shifts in drawn for k in shifts] == [k for _, k in elements]
-    assert [[[int(c) for c in coord] for coord in row] for coeffs, _, _ in drawn for row in coeffs] \
+    assert [[[int(c) for c in coeffs[j, b]] for j in range(coeffs.shape[0])]
+            for coeffs, _, _ in drawn for b in range(coeffs.shape[1])] \
         == [[[f.coefficient(e) for e in range(-2, 4)] for f in a] for a, _ in elements]
 
     coeffs, lo, shifts = drawn[0]
-    a = (coeffs[0::2], lo, shifts[0::2])
-    b = (coeffs[1::2], lo, shifts[1::2])
+    a = (coeffs[:, 0::2], lo, shifts[0::2])
+    b = (coeffs[:, 1::2], lo, shifts[1::2])
     lhs = oracles.lamp_elements(epi.target, epi._image(candidate_mul(a, b, p)))
     rhs = oracles.lamp_elements(epi.target, lamp_mul(epi._image(a), epi._image(b), p))
     for (x, y), left, right in zip(pairs, lhs, rhs):
@@ -504,6 +507,57 @@ def test_law_draws_cover_residues_keep_flags_and_shifts(p, monkeypatch):
     # a coefficient is zero when dropped, or kept with the value 0
     assert abs(values.count(0) / len(values) - (1 + 1 / p) / 2) < 0.02
     assert {int(k) for _, _, shifts in drawn for k in shifts} == set(range(-3, 4))
+
+
+@pytest.mark.parametrize("p", [2, 257, 65537, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 + 13])
+def test_law_draws_match_decoder_at_each_width(p, monkeypatch):
+    """Residues of 1, 2, 3, 4, 8 and 9 bytes, decoded in uint8, uint16, uint32,
+    uint32, uint64 and Python integers, give the scalar decoder's elements,
+    including those of the short last chunk."""
+    field = FieldSpec(p)
+    pres = ModulePresentation.free(field, 2)
+    epi = build_lamplighter_epimorphism(pres, epimorphism_to_free(pres, 2))
+    draw = wreath._draw_elements
+    drawn = []
+
+    def recording(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(wreath, "_draw_elements", recording)
+    epi.law_check(samples=300, seed=7)
+    assert [coeffs.shape for coeffs, _, _ in drawn] == [(2, 256, 6), (2, 256, 6), (2, 88, 6)]
+    assert all(coeffs.flags.c_contiguous and lo == -2 for coeffs, lo, _ in drawn)
+    got = [([[int(c) for c in coeffs[j, b]] for j in range(2)], int(shifts[b]))
+           for coeffs, _, shifts in drawn for b in range(coeffs.shape[1])]
+    pairs = oracles.law_pairs(field, 2, 300, 7)
+    assert got == [([[f.coefficient(e) for e in range(-2, 4)] for f in a], k)
+                   for pair in pairs for a, k in pair]
+
+
+def test_law_check_maps_each_batch_with_two_products(monkeypatch):
+    """A chunk costs one product with phi for the drawn batch, f(a) and f(b)
+    split from it, and one for f(ab); _image reads a C-contiguous (g, B, W)
+    array, so the product needs no copy of the batch."""
+    epi = law_case_epi("free_rank2_p3")
+    g = epi.source.generators
+    mul_sums, image = wreath._mul_sums, type(epi)._image
+    products, batches = [], []
+
+    def counting(*args):
+        products.append(args)
+        return mul_sums(*args)
+
+    def recording(self, batch):
+        batches.append(batch[0])
+        return image(self, batch)
+
+    monkeypatch.setattr(wreath, "_mul_sums", counting)
+    monkeypatch.setattr(type(epi), "_image", recording)
+    epi.law_check(samples=1000)
+    assert len(products) == 16
+    assert [c.shape[1] for c in batches] == [m for n in [256] * 7 + [208] for m in (n, n // 2)]
+    assert all(c.ndim == 3 and c.shape[0] == g and c.flags.c_contiguous for c in batches)
 
 
 def test_law_check_memory_does_not_grow_with_samples():
