@@ -9,16 +9,16 @@ The normal form routine follows the classical Euclidean strategy: pick a
 nonzero entry of minimal degree as pivot, clear its row and column by division
 steps (remainders strictly drop the minimal degree, so this terminates), then
 repair the divisibility chain with extended-gcd 2x2 block transforms on
-adjacent diagonal pairs. A pivot's column, then its row, is cleared in one
-batched update each, whose quotients come from one long division of the whole
-line by the pivot, as poly_divmod gives them entry by entry. Every
-decomposition re-verifies U*M*V = D, the unimodularity of U and V, and the
+adjacent diagonal pairs, all as in-place updates of one array (see _Worker).
+Every decomposition re-verifies U*M*V = D, the unimodularity of U and V, and the
 chain d_i | d_{i+1} at construction, so a returned value is a certificate.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,7 +37,7 @@ class PolyMatrix:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        p, dtype = self.field.p, _exact_dtype(self.field.p, 1)
+        p, dtype = self.field.p, np.int64 if _int64_terms(self.field.p) > 0 else object
         c = np.asarray(self.coeffs)
         if c.ndim != 3:
             raise AlgebraError(f"expected a coefficient array C[i, j, e], got {c.ndim} axes")
@@ -111,9 +111,10 @@ class PolyMatrix:
         return "\n".join("[" + ", ".join(str(e) for e in self.row(i)) + "]" for i in range(self.rows))
 
 
-def _exact_dtype(p: int, terms: int):
-    """int64 while a residue plus `terms` products of residues stays below 2^63, else object."""
-    return np.int64 if terms * (p - 1) ** 2 + p < 2 ** 63 else object
+def _int64_terms(p: int) -> int:
+    """How many products of residues an int64 residue mod p can take on, the most k with
+    k * (p - 1)^2 + p < 2^63; below 1, arrays hold Python integers (object) instead."""
+    return (2 ** 63 - 1 - p) // (p - 1) ** 2
 
 
 def _mul_sums(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -121,7 +122,7 @@ def _mul_sums(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     one numpy matrix product per nonzero degree slice of a. An output coefficient
     sums at most cols(a) * min(widths) products, which fixes the exact dtype."""
     (rows, inner, wa), (_, cols, wb) = a.shape, b.shape
-    dtype = _exact_dtype(p, inner * min(wa, wb))
+    dtype = np.int64 if inner * min(wa, wb) <= _int64_terms(p) else object
     a, flat = a.astype(dtype, copy=False), b.astype(dtype, copy=False).reshape(inner, cols * wb)
     out = np.zeros((rows, cols, wa + wb - 1), dtype=dtype)
     for e in np.flatnonzero(a.any(axis=(0, 1))):
@@ -221,105 +222,114 @@ class SmithDecomposition:
                 "divisibility chain broken")
 
 
-def _sub_rows(grid: np.ndarray, targets, q: np.ndarray, sources, p: int) -> np.ndarray:
-    """grid, widened as needed, with rows targets minus q * rows sources (read first)."""
-    delta = _mul_sums(q, grid[sources], p)
-    extra = delta.shape[2] - grid.shape[2]
-    grid = grid.astype(delta.dtype, copy=False)
-    if extra > 0:
-        grid = np.concatenate([grid, np.zeros(grid.shape[:2] + (extra,), grid.dtype)], axis=2)
-    grid[targets, :, :delta.shape[2]] -= delta
-    grid[targets] %= p
-    return grid
-
-
 class _Worker:
     """Elimination on the coefficient array g of [[M, I], [I, 0]]. Row operations
     on the first R rows multiply [M | I] on the left, column operations on the
     first C columns multiply [M ; I] on the right, so g stays [[U M V, U], [V, 0]].
-    A column operation is a row operation on the transpose of g."""
+    A column operation is a row operation on the transpose of g. Every operation is
+    one in-place update, sub, of the targets' entries in the lines where a source is
+    nonzero, by one broadcast product per nonzero quotient slice and source; those
+    entries alone are reduced mod p, after at most `limit` products each."""
 
     def __init__(self, m: PolyMatrix):
-        self.field, self.R, self.C = m.field, m.rows, m.cols
-        a = m.coeffs
+        self.field, self.R, self.C, a = m.field, m.rows, m.cols, m.coeffs
         self.g = np.zeros((m.rows + m.cols, m.cols + m.rows, a.shape[2]), dtype=a.dtype)
         self.g[:m.rows, :m.cols] = a
         self.g[:m.rows, m.cols:, 0] = np.eye(m.rows, dtype=a.dtype)
         self.g[m.rows:, :m.cols, 0] = np.eye(m.cols, dtype=a.dtype)
-
-    def poly(self, coeffs: np.ndarray) -> FpPoly:
-        return FpPoly(self.field, tuple(coeffs.tolist()))
+        self.limit = _int64_terms(m.field.p) if a.dtype == np.int64 else math.inf
 
     def view(self, cols: bool) -> np.ndarray:
         return self.g.transpose(1, 0, 2) if cols else self.g
 
-    def swap(self, cols: bool, i: int, j: int) -> None:
-        view = self.view(cols)
-        view[[i, j]] = view[[j, i]]
-
     def sub(self, cols: bool, targets, q: np.ndarray, sources) -> None:
-        """Rows (or columns) targets -= q * rows (or columns) sources, q[i, k, e]."""
-        g = _sub_rows(self.view(cols), targets, q, sources, self.field.p)
-        self.g = g.transpose(1, 0, 2) if cols else g
+        """Rows (or columns) targets -= q * rows (or columns) sources, q[i, k, e]; the
+        sources are read first. g widens only when a product outgrows it."""
+        src = self.view(cols)[sources]
+        nonzero, slices = src.any(axis=0), q.any(axis=(0, 1)).nonzero()[0].tolist()
+        lines = nonzero.any(axis=1).nonzero()[0]
+        if not lines.size or not slices:
+            return
+        width = 1 + int(nonzero.any(axis=0).nonzero()[0][-1])
+        if (extra := slices[-1] + width - self.g.shape[2]) > 0:
+            zeros = np.zeros(self.g.shape[:2] + (extra,), self.g.dtype)
+            self.g = np.concatenate([self.g, zeros], axis=2)
+        view, at = self.view(cols), (np.asarray(targets)[:, None], lines)
+        block, src = view[at], src[..., :width].take(lines, axis=1)
+        for n, (e, k) in enumerate(itertools.product(slices, range(len(src))), 1):
+            block[:, :, e:e + width] -= q[:, k, e, None, None] * src[k]
+            if n % self.limit == 0:  # never for object entries: limit is inf
+                block %= self.field.p
+        view[at] = block % self.field.p
 
     def clear(self, cols: bool, t: int) -> bool:
         """Reduce the entries after the pivot in its column (or row) of M mod the pivot
-        in one batched update; True if a remainder is nonzero. The quotients come from
-        one long division of the line, trimmed to its own top degree, by the pivot."""
-        p, end = self.field.p, self.C if cols else self.R
+        in one update; True if a remainder is nonzero. The quotients are the line times
+        1/pivot for a constant pivot, else one long division of the trimmed line."""
+        p, line = self.field.p, self.view(cols)[t + 1:self.C if cols else self.R, t]
+        rows = line.any(axis=1).nonzero()[0]
         piv = self.g[t, t, :self.g[t, t].nonzero()[0][-1] + 1]
-        deg, inv, line = len(piv) - 1, self.field.inv(int(piv[-1])), self.view(cols)[t + 1:end, t]
-        rem = line[:, :line.any(axis=0).nonzero()[0].max(initial=-1) + 1] % p  # a copy
-        if rem.shape[1] > deg:
-            q = np.zeros((len(rem), 1, rem.shape[1] - deg), dtype=rem.dtype)
-            for k in range(rem.shape[1] - 1, deg - 1, -1):
-                q[:, 0, k - deg] = rem[:, k] * inv % p
-                rem[:, k - deg:k + 1] = (rem[:, k - deg:k + 1] - q[:, :, k - deg] * piv) % p
-            self.sub(cols, slice(t + 1, end), q, [t])
+        deg, inv, line = len(piv) - 1, self.field.inv(int(piv[-1])), line[rows]  # a copy
+        if deg == 0:  # no remainder
+            self.sub(cols, t + 1 + rows, (line if inv == 1 else line * inv % p)[:, None], [t])
+            return False
+        rem = line[:, :line.any(axis=0).nonzero()[0].max(initial=-1) + 1]
+        q = np.zeros((len(rem), 1, max(rem.shape[1] - deg, 0)), dtype=rem.dtype)
+        for k in range(rem.shape[1] - 1, deg - 1, -1):
+            q[:, 0, k - deg] = rem[:, k] * inv % p
+            rem[:, k - deg:k + 1] = (rem[:, k - deg:k + 1] - q[:, :, k - deg] * piv) % p
+        self.sub(cols, t + 1 + rows, q, [t])
         return bool(rem.any())
 
     def pivot(self, t: int) -> tuple[int, int] | None:
         """Nonzero entry of minimal degree in the trailing submatrix, lowest (row, col) on ties."""
-        block = self.g[t:self.R, t:self.C]
-        top = ((block != 0) * np.arange(1, block.shape[2] + 1)).max(axis=2, initial=0)  # degree + 1
-        if not top.any():
+        deg = self.degrees(self.g[t:self.R, t:self.C])
+        at = np.where(deg >= 0, deg, self.g.shape[2]).argmin()  # zero entries rank last
+        if deg.flat[at] < 0:
             return None
-        i, j = np.unravel_index(np.argmin(np.where(top > 0, top, top.max() + 1)), top.shape)
-        return t + int(i), t + int(j)
+        i, j = divmod(int(at), deg.shape[1])
+        return t + i, t + j
 
     def diagonalize(self) -> None:
         """Euclidean elimination. Clearing the pivot's column subtracts multiples
         of the pivot row from the rows below it and never writes the pivot row, so
         every quotient can be read before the first update and the whole column is
-        cleared in one batched update, with the same result as one row at a time.
-        The pivot column is then fixed in the same way while the row is cleared."""
+        cleared in one update, with the same result as one row at a time. The pivot
+        column is then fixed in the same way while the row is cleared."""
         t = 0
         while t < min(self.R, self.C):
             pos = self.pivot(t)
             if pos is None:
                 break
             while True:
-                self.swap(False, t, pos[0])
-                self.swap(True, t, pos[1])
+                for cols, j in (False, pos[0]), (True, pos[1]):  # swap into place
+                    if j != t:
+                        self.view(cols)[[t, j]] = self.view(cols)[[j, t]]
                 dirty = [self.clear(cols, t) for cols in (False, True)]  # column, then row
-                # drop the all-zero top degree slices
-                self.g = self.g[..., :1 + max(np.flatnonzero(self.g.any(axis=(0, 1))), default=0)]
                 if not any(dirty):
                     break
                 pos = self.pivot(t)  # a remainder has strictly smaller degree
             t += 1
 
+    @staticmethod
+    def degrees(block: np.ndarray) -> np.ndarray:
+        """Degrees of the entries of a block of g, -1 for a zero entry."""
+        return ((block != 0) * np.arange(1, block.shape[-1] + 1)).max(axis=-1, initial=0) - 1
+
     def repair_chain(self) -> None:
-        k = min(self.R, self.C)
         one = FpPoly.one(self.field)
         q = lambda rows: PolyMatrix.from_rows(self.field, rows).coeffs
-        changed = True
+        k, changed = np.arange(min(self.R, self.C)), True
         while changed:
             changed = False
-            for i in range(k - 1):
-                a, b = self.poly(self.g[i, i]), self.poly(self.g[i + 1, i + 1])
-                # zeros stay last: diagonalize leaves them there, and a gcd step keeps g, ab/g nonzero
-                if b.is_zero or a.divides(b):
+            deg = self.degrees(self.g[k, k])
+            for i in range(len(k) - 1):
+                # zeros stay last: diagonalize leaves them there, and a gcd step keeps g, ab/g
+                # nonzero; a constant divides every entry
+                if deg[i + 1] < 0 or deg[i] == 0:
+                    continue
+                a, b = (FpPoly(self.field, tuple(self.g[j, j].tolist())) for j in (i, i + 1))
+                if a.divides(b):
                     continue
                 g, u, v = poly_gcd_ext(a, b)
                 # [[a,0],[0,b]] -> [[g,0],[0,ab/g]]: col_i += col_(i+1), then rows i, i+1
@@ -327,13 +337,13 @@ class _Worker:
                 self.sub(True, [i], q([[-one]]), [i + 1])
                 self.sub(False, [i, i + 1], q([[one - u, -v], [b // g, one - a // g]]), [i, i + 1])
                 self.sub(True, [i + 1], q([[(v * b) // g]]), [i])
-                changed = True
+                deg, changed = self.degrees(self.g[k, k]), True
 
     def normalize_monic(self) -> None:
-        for i in range(min(self.R, self.C)):
-            lead = self.poly(self.g[i, i]).leading_coefficient  # 0 for a zero entry
-            if lead > 1:  # row i of [M | I] times 1/lead; residue products fit the dtype
-                self.g[i] = self.g[i] * self.field.inv(lead) % self.field.p
+        k = np.arange(min(self.R, self.C))
+        lead = self.g[k, k, self.degrees(self.g[k, k])]  # a zero entry reads its top slice, 0
+        for i in np.flatnonzero(lead > 1):  # row i of [M | I] times 1/lead; products fit the dtype
+            self.g[i] = self.g[i] * self.field.inv(int(lead[i])) % self.field.p
 
 
 def smith_normal_form(m: PolyMatrix) -> SmithDecomposition:

@@ -16,6 +16,7 @@ from lamprigid.jsonio import parse_candidate, parse_matrix
 
 from oracles import (
     determinantal_divisor_diag,
+    entries_matrix,
     fppoly_smith,
     leibniz_determinant,
     list_matrix_mul,
@@ -318,6 +319,47 @@ class TestAgainstFpPolyOracle:
         for field in (F2, LARGE_P):
             for rows, cols in [(0, 0), (0, 4), (4, 0)]:
                 matches_fppoly_oracle(PolyMatrix.zeros(field, rows, cols))
+
+    @pytest.mark.parametrize("p, terms", [(2 ** 31 - 1, 2), (3037000493, 1)])
+    def test_int64_boundary_primes(self, p, terms):
+        # an int64 residue mod p takes `terms` products of residues before it must be
+        # reduced; every entry has degree 1 to 5, so pivots are not constants, quotients
+        # are up to 5 wide and an update adds several products to one coefficient
+        field, rng = FieldSpec(p), random.Random(p)
+        assert polymatrix._int64_terms(p) == terms
+        for rows, cols in [(3, 3), (4, 3), (3, 4), (4, 4)]:
+            entries = [FpPoly(field, tuple(rng.randrange(p) for _ in range(rng.randint(1, 5)))
+                             + (rng.randrange(1, p),)) for _ in range(rows * cols)]
+            matches_fppoly_oracle(entries_matrix(field, rows, cols, entries))
+
+    def test_remainder_repivots(self, monkeypatch):
+        # over F_3 the pivot x + 1 leaves x = (x + 1) - 1 below it and x^2 = (x + 1)(x - 1) + 1
+        # beside it: both remainders are nonzero, and a constant is the next pivot
+        m = mat(F3, [[(1, 1), (0, 0, 1)], [(0, 1), (2, 0, 1)]])
+        dirty, clear = [], polymatrix._Worker.clear
+
+        def recorded(self, cols, t):
+            dirty.append(clear(self, cols, t))
+            return dirty[-1]
+
+        monkeypatch.setattr(polymatrix._Worker, "clear", recorded)
+        matches_fppoly_oracle(m)
+        assert dirty[:2] == [True, True]
+
+    def test_quotient_with_zero_slices(self, monkeypatch):
+        # the pivot 1 has x^300 below it and 2x^299 beside it: each of those quotients
+        # has one nonzero slice among at least 300
+        m = PolyMatrix.from_terms(F5, 3, 3, [(0, 0, 0, 1), (1, 0, 300, 1), (0, 2, 299, 2),
+                                             (1, 1, 0, 3), (1, 2, 1, 1), (2, 1, 2, 4), (2, 2, 0, 1)])
+        widths, sub = [], polymatrix._Worker.sub
+
+        def recorded(self, cols, targets, q, sources):
+            widths.append((q.shape[2], int(q.any(axis=(0, 1)).sum())))
+            sub(self, cols, targets, q, sources)
+
+        monkeypatch.setattr(polymatrix._Worker, "sub", recorded)
+        matches_fppoly_oracle(m)
+        assert [n for _, n in widths[:2]] == [1, 1] and min(w for w, _ in widths[:2]) >= 300
 
 
 def test_snf_at_the_largest_legal_exponent():
