@@ -22,7 +22,6 @@ from .laurent_modules import (
     FiniteTruncation,
     ModuleDecomposition,
     ModulePresentation,
-    check_epimorphism,
     decompose,
     epimorphism_to_free,
     finite_truncation,

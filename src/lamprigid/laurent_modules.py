@@ -13,8 +13,8 @@ That explicit transform is what makes the projection onto free coordinates
 constructive rather than an existence statement. The normal form is computed
 once per presentation (ModulePresentation.smith) and shared by every stage,
 the finite truncations N / (x^m - 1) N included.
-check_epimorphism certifies a projection to be onto; the pipeline runs it
-once, when wreath.build_lamplighter_epimorphism wraps phi as a group map.
+The projection onto the free coordinates needs no certificate of its own: the
+relations' certified normal form proves it kills the relations and is onto.
 """
 
 from __future__ import annotations
@@ -144,17 +144,6 @@ def torsion_quotient_order(f: FpPoly) -> int:
     return f.field.p ** int(f.degree)
 
 
-def check_epimorphism(pres: ModulePresentation, phi: PolyMatrix) -> None:
-    """Certify that phi is n x g, kills every relator and induces a surjection N -> R^n.
-
-    All three are certificates: every pipeline phi is computed, not supplied."""
-    require(phi.cols == pres.generators, "matrix shape does not match the presentation")
-    require(matrix_mul(phi, pres.relations).is_zero, "phi does not annihilate the relation columns")
-    # units of the Laurent ring are c * x^k: strip the x-power before testing
-    require(all(not d.is_zero and d.strip_x().degree == 0 for d in smith_normal_form(phi).diag),
-            "normal form of phi has a non-unit diagonal entry")
-
-
 def epimorphism_to_free(pres: ModulePresentation, n: int) -> PolyMatrix:
     """Surjection N -> R^n given by an n x g matrix applied to generator coordinates.
 
@@ -169,8 +158,8 @@ def epimorphism_to_free(pres: ModulePresentation, n: int) -> PolyMatrix:
     if len(free_coords) < n:
         raise AlgebraError(
             f"free rank {len(free_coords)} < target rank {n}: no surjection onto R^{n}")
-    # No check_epimorphism here: U*R*V = D has zero rows at the free coordinates
-    # and V is invertible, so phi kills the relations; U is unimodular, so phi is onto.
+    # U*R*V = D has zero rows at the free coordinates and V is invertible, so phi
+    # kills the relations; U is unimodular, so phi is onto.
     return PolyMatrix(pres.field, snf.u.coeffs[free_coords[:n]])
 
 

@@ -8,8 +8,9 @@ data, together with a prime p and a target lamp rank n. The pipeline:
   3. pick the smallest m >= (sum of torsion degrees) + 2 with p not dividing m;
   4. rank check: free rank r >= n (the bounding inequality
      (n - r) * m <= sum deg f_i + 1 is displayed alongside);
-  5. on success, build and certify the epimorphism (a, k) -> (phi(a), k)
-     onto the rank-n lamp group, including seeded homomorphism-law sampling;
+  5. on success, read phi off the certified normal form of step 2 and wrap
+     it as the epimorphism (a, k) -> (phi(a), k) onto the rank-n lamp group,
+     with seeded homomorphism-law sampling;
   6. compare order-bounded finite-quotient sets of the candidate and the
      target lamp group.
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AlgebraError, require
 from .fppoly import FieldSpec
-from .laurent_modules import ModulePresentation, check_epimorphism
+from .laurent_modules import ModulePresentation, decompose, epimorphism_to_free
 from .polymatrix import PolyMatrix, _mul_sums, smith_normal_form
 
 
@@ -376,8 +376,8 @@ class LawCheckReport:
 class VerifiedGroupEpi:
     """Certified epimorphism (a, k) -> (phi(a), k) onto the free lamp group.
 
-    Certificates: phi kills every relator column, phi's normal form has
-    all-unit diagonal (surjectivity onto the free module), and t maps to t.
+    Certified by build_lamplighter_epimorphism: phi is the free rows of the relations'
+    certified Smith transform U, so it kills every relator and is onto; t maps to t.
     """
 
     source: ModulePresentation
@@ -417,7 +417,14 @@ class VerifiedGroupEpi:
 
 def build_lamplighter_epimorphism(pres: ModulePresentation,
                                   phi: PolyMatrix) -> VerifiedGroupEpi:
-    """Certify phi and wrap it as the group map (a, k) -> (phi(a), k)."""
-    check_epimorphism(pres, phi)
+    """Certify phi and wrap it as the group map (a, k) -> (phi(a), k).
+
+    phi must be the free rows of U in the certified U * relations * V = D of pres.smith,
+    as epimorphism_to_free reads them. Those rows of D are zero and V is invertible, so
+    phi kills every relator; U is unimodular, so phi is onto. Any other phi is rejected.
+    """
+    require(0 < phi.rows <= decompose(pres).free_rank
+            and phi == epimorphism_to_free(pres, phi.rows),
+            "phi is not the certified projection onto the free coordinates")
     target = LamplighterSpec(pres.field, phi.rows, None)
     return VerifiedGroupEpi(source=pres, phi=phi, target=target)

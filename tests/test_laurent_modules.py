@@ -15,7 +15,7 @@ from lamprigid import (
     LaurentPoly,
     ModulePresentation,
     PolyMatrix,
-    check_epimorphism,
+    build_lamplighter_epimorphism,
     decompose,
     epimorphism_to_free,
     finite_truncation,
@@ -219,8 +219,10 @@ class TestEpimorphismToFree:
         assert phi.entry(0, 1).is_zero
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(CertificateError, match="matrix shape does not match the presentation"):
-            check_epimorphism(ModulePresentation.free(F2, 2), PolyMatrix.identity(F2, 1))
+        with pytest.raises(CertificateError,
+                           match="phi is not the certified projection onto the free coordinates"):
+            build_lamplighter_epimorphism(ModulePresentation.free(F2, 2),
+                                          PolyMatrix.identity(F2, 1))
 
     def test_rank_deficient(self):
         pres = presentation(F2, 1, [[(1, 1)]])

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from lamprigid import (
     CandidateGroup,
     FieldSpec,
@@ -23,7 +25,7 @@ from lamprigid import (
     rank_check,
 )
 from lamprigid import cli, jsonio, laurent_modules, pipeline, wreath
-from lamprigid.errors import InvalidInput
+from lamprigid.errors import CertificateError, InvalidInput
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -162,7 +164,7 @@ class TestCertify:
         assert certify(candidate, qu_bound=8).certified
         assert sum(m is candidate.presentation.relations for m in sources) == 1
 
-    def test_one_snf_of_phi_per_certify(self, monkeypatch):
+    def test_no_snf_of_phi_per_certify(self, monkeypatch):
         snf = laurent_modules.smith_normal_form
         sources = []
 
@@ -173,14 +175,18 @@ class TestCertify:
         monkeypatch.setattr(laurent_modules, "smith_normal_form", counting)
         report = certify(mixed_candidate(), qu_bound=4)
         assert report.certified
-        assert sum(m is report.epimorphism.phi for m in sources) == 1
+        assert sum(m is report.epimorphism.phi for m in sources) == 0
 
-    @pytest.mark.parametrize("name, expected", [("free_rank1", 2), ("mixed_free_torsion", 2),
-                                                ("torsion_only", 1)])
-    def test_snf_calls_per_certify(self, monkeypatch, name, expected):
-        # the relations' SNF, then phi's if the rank check passes; the lamp side
-        # of the quotient comparison is read as n zeros, with no SNF
-        path = pathlib.Path(__file__).resolve().parents[1] / "candidates" / f"{name}.json"
+    @pytest.mark.parametrize("path, rank_passed", [
+        ("candidates/free_rank1.json", True), ("candidates/mixed_free_torsion.json", True),
+        ("candidates/torsion_only.json", False),
+        ("tests/data/disguised16_free_rank2_p3.json", True),
+        ("tests/data/disguised128_free_rank1.json", True),
+    ], ids=lambda v: pathlib.Path(v).stem if isinstance(v, str) else None)
+    def test_snf_calls_per_certify(self, monkeypatch, path, rank_passed):
+        # the relations' SNF alone: it certifies phi too, and the lamp side of
+        # the quotient comparison is read as n zeros
+        path = pathlib.Path(__file__).resolve().parents[1] / path
         candidate = jsonio.parse_candidate(json.loads(path.read_text()))
         snf = laurent_modules.smith_normal_form
         sources = []
@@ -193,8 +199,26 @@ class TestCertify:
             if getattr(module, "smith_normal_form", None) is snf:
                 monkeypatch.setattr(module, "smith_normal_form", counting)
         report = certify(candidate, qu_bound=8)
-        assert report.rank_check.passed == (expected == 2)
-        assert len(sources) == expected
+        assert report.rank_check.passed == rank_passed
+        assert len(sources) == 1
+
+    @pytest.mark.parametrize("path", [
+        "candidates/free_rank1.json", "candidates/free_rank2_p3.json",
+        "candidates/mixed_free_torsion.json", "tests/data/disguised16_free_rank2_p3.json",
+        "tests/data/disguised128_free_rank1.json", "tests/data/large_p.json",
+    ], ids=lambda path: pathlib.Path(path).stem)
+    def test_recorded_phi_passes_the_oracles(self, path):
+        # phi has no certificate of its own, so check it outside the library's SNF:
+        # it kills every relator and the oracle elimination of phi has an all-unit
+        # diagonal, so it is onto. torsion_only records no phi (free rank 0).
+        path = pathlib.Path(__file__).resolve().parents[1] / path
+        candidate = jsonio.parse_candidate(json.loads(path.read_text()))
+        phi = certify(candidate, qu_bound=2).epimorphism.phi
+        assert oracles.list_matrix_mul(phi, candidate.presentation.relations).is_zero
+        _, d, _ = oracles.fppoly_smith(phi)
+        diag = [d.entry(i, i) for i in range(min(d.rows, d.cols))]
+        assert len(diag) == candidate.n
+        assert all(not f.is_zero and f.strip_x().degree == 0 for f in diag)
 
     def test_reports_byte_identical(self):
         a = jsonio.canonical_dumps(jsonio.report_to_json(certify(mixed_candidate(), seed=5)))
@@ -359,6 +383,26 @@ def first_coefficient_bumped(phi):
     c = phi.coeffs.copy()
     c[0, 0, 0] += 1  # PolyMatrix reduces it mod p
     return PolyMatrix(phi.field, c)
+
+
+# The last has a row more than the free rank: that is the program's fault too (3), not
+# epimorphism_to_free's AlgebraError (2) for a request it cannot meet.
+PHI_CORRUPTIONS = [
+    first_coefficient_bumped,
+    lambda phi: PolyMatrix.zeros(phi.field, phi.rows, phi.cols),
+    lambda phi: PolyMatrix(phi.field, np.concatenate([phi.coeffs, phi.coeffs[:, :1]], axis=1)),
+    lambda phi: PolyMatrix(phi.field, np.concatenate([phi.coeffs, phi.coeffs])),
+]
+PHI_CORRUPTION_IDS = ["one-coefficient", "all-zero", "extra-column", "past-the-free-rank"]
+
+
+@pytest.mark.parametrize("corrupt", PHI_CORRUPTIONS, ids=PHI_CORRUPTION_IDS)
+def test_corrupted_phi_rejected_by_the_wrapper(corrupt):
+    pres = mixed_candidate().presentation
+    phi = corrupt(laurent_modules.epimorphism_to_free(pres, 1))
+    with pytest.raises(CertificateError,
+                       match="phi is not the certified projection onto the free coordinates"):
+        wreath.build_lamplighter_epimorphism(pres, phi)
 
 
 def run_cli(*args, stdin=None):
@@ -535,11 +579,7 @@ class TestCli:
         assert capsys.readouterr().err == (
             "internal error: certificate failed: homomorphism law failed on a sampled pair\n")
 
-    @pytest.mark.parametrize("corrupt", [
-        first_coefficient_bumped,
-        lambda phi: PolyMatrix.zeros(phi.field, phi.rows, phi.cols),
-        lambda phi: PolyMatrix(phi.field, np.concatenate([phi.coeffs, phi.coeffs[:, :1]], axis=1)),
-    ], ids=["one-coefficient", "all-zero", "extra-column"])
+    @pytest.mark.parametrize("corrupt", PHI_CORRUPTIONS, ids=PHI_CORRUPTION_IDS)
     def test_corrupted_phi_is_a_certificate_failure(self, corrupt, monkeypatch, capsys):
         # phi is the program's own on every CLI path, so a phi that fails its
         # epimorphism check is a broken certificate (3), not bad input (2)

@@ -371,6 +371,9 @@ class TestCocycle:
             cocycle_verify(hom, 3 * m)
 
 
+NOT_CERTIFIED = "phi is not the certified projection onto the free coordinates"
+
+
 class TestGroupEpimorphism:
     def test_free_identity_map(self):
         pres = ModulePresentation.free(F2, 1)
@@ -393,18 +396,17 @@ class TestGroupEpimorphism:
 
     def test_not_surjective_rejected(self):
         pres = ModulePresentation.free(F2, 1)
-        bad = PolyMatrix.from_rows(F2, [[poly(F2, 0, 1)]])  # multiply by x... times (x) is unit
-        # x is a unit of the Laurent ring, so this one IS surjective
-        build_lamplighter_epimorphism(pres, bad)
-        worse = PolyMatrix.from_rows(F2, [[poly(F2, 1, 1)]])
-        with pytest.raises(CertificateError,
-                           match="normal form of phi has a non-unit diagonal entry"):
-            build_lamplighter_epimorphism(pres, worse)
+        # x is a unit of the Laurent ring, so [[x]] is onto, but it is not the
+        # certified projection, which is [[1]]
+        for phi in ([[poly(F2, 0, 1)]], [[poly(F2, 1, 1)]]):
+            with pytest.raises(CertificateError, match=NOT_CERTIFIED):
+                build_lamplighter_epimorphism(pres, PolyMatrix.from_rows(F2, phi))
 
     def test_relation_not_killed(self):
+        # R/(1 + x) is torsion only: no phi is certified on it
         pres = ModulePresentation.make(F2, 1, [[poly(F2, 1, 1)]])
         phi = PolyMatrix.from_rows(F2, [[FpPoly.one(F2)]])
-        with pytest.raises(CertificateError, match="phi does not annihilate the relation columns"):
+        with pytest.raises(CertificateError, match=NOT_CERTIFIED):
             build_lamplighter_epimorphism(pres, phi)
 
     def test_semidirect_law_on_random_samples(self):
@@ -607,6 +609,34 @@ for law in ("candidate_mul", "lamp_mul"):
 result["intact"] = outcome()
 print(json.dumps(result))
 """
+
+
+_CORRUPTED_PHI_SCRIPT = """
+import json
+from lamprigid import FieldSpec, FpPoly, ModulePresentation, PolyMatrix
+from lamprigid import build_lamplighter_epimorphism, epimorphism_to_free
+from lamprigid.errors import CertificateError
+
+field = FieldSpec(2)
+pres = ModulePresentation.make(field, 2, [[FpPoly.zero(field)], [FpPoly(field, (1, 1, 1))]])
+result = {"debug": __debug__}
+for name, phi in (("intact", epimorphism_to_free(pres, 1)),
+                  ("all-zero", PolyMatrix.zeros(field, 1, 2))):
+    try:
+        build_lamplighter_epimorphism(pres, phi)
+        result[name] = "accepted"
+    except CertificateError as exc:
+        result[name] = str(exc)
+print(json.dumps(result))
+"""
+
+
+def test_corrupted_phi_rejected_under_optimize():
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPTED_PHI_SCRIPT],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"debug": False, "intact": "accepted",
+                                       "all-zero": NOT_CERTIFIED}
 
 
 def test_broken_law_rejected_under_optimize():
