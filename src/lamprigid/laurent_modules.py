@@ -10,9 +10,9 @@ matrix: the diagonal gives the invariant factors once x-powers (units) are
 stripped, and the change-of-basis transform U materializes the abstract
 isomorphism onto a product of a free module and cyclic torsion quotients.
 That explicit transform is what makes the projection onto free coordinates
-constructive rather than an existence statement. The normal form is computed
-once per presentation (ModulePresentation.smith) and shared by every stage,
-the finite truncations N / (x^m - 1) N included.
+constructive rather than an existence statement. The normal form and the
+decomposition are computed once per presentation (ModulePresentation.smith,
+.decomposition) and shared by every stage, the finite truncations included.
 The projection onto the free coordinates needs no certificate of its own: the
 relations' certified normal form proves it kills the relations and is onto.
 """
@@ -79,6 +79,13 @@ class ModulePresentation:
         """Certified SNF of the relations; frozen fields keep the cache valid."""
         return smith_normal_form(self.relations)
 
+    @cached_property
+    def decomposition(self) -> ModuleDecomposition:
+        """Invariant-factor decomposition read from the diagonal of self.smith."""
+        nonzero = [d for d in self.smith.diag if not d.is_zero]
+        factors = tuple(f for f in (d.strip_x().monic() for d in nonzero) if f.degree >= 1)
+        return ModuleDecomposition(self.field, self.generators - len(nonzero), factors)
+
 
 @dataclass(frozen=True)
 class ModuleDecomposition:
@@ -106,18 +113,8 @@ class ModuleDecomposition:
 
 
 def decompose(pres: ModulePresentation) -> ModuleDecomposition:
-    """Invariant-factor decomposition via the Smith normal form of the relations."""
-    nonzero = [d for d in pres.smith.diag if not d.is_zero]
-    factors = []
-    for d in nonzero:
-        f = d.strip_x().monic()
-        if f.degree >= 1:
-            factors.append(f)
-    return ModuleDecomposition(
-        field=pres.field,
-        free_rank=pres.generators - len(nonzero),
-        invariant_factors=tuple(factors),
-    )
+    """Invariant-factor decomposition of pres, computed once per presentation."""
+    return pres.decomposition
 
 
 def quotient_dim(dec: ModuleDecomposition, m: int) -> int:
@@ -152,15 +149,13 @@ def epimorphism_to_free(pres: ModulePresentation, n: int) -> PolyMatrix:
     """
     if n < 1:
         raise ValueError("target rank must be positive")
-    snf = pres.smith
-    free_coords = [i for i in range(pres.generators)
-                   if i >= len(snf.diag) or snf.diag[i].is_zero]
-    if len(free_coords) < n:
-        raise AlgebraError(
-            f"free rank {len(free_coords)} < target rank {n}: no surjection onto R^{n}")
-    # U*R*V = D has zero rows at the free coordinates and V is invertible, so phi
-    # kills the relations; U is unimodular, so phi is onto.
-    return PolyMatrix(pres.field, snf.u.coeffs[free_coords[:n]])
+    r = pres.decomposition.free_rank
+    if r < n:
+        raise AlgebraError(f"free rank {r} < target rank {n}: no surjection onto R^{n}")
+    # The SNF certificate puts no nonzero diagonal entry after a zero one and rows past
+    # the diagonal are free, so the free rows of U are its last r. D is zero there and V
+    # is invertible, so phi kills the relations; U is unimodular, so phi is onto.
+    return PolyMatrix(pres.field, pres.smith.u.coeffs[pres.generators - r:][:n])
 
 
 @dataclass(frozen=True)

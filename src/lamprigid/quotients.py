@@ -614,8 +614,8 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: 
     pool, one per _classify call, keeps by p the _order_table, by (p, d, c) the
     divisors of x^d - 1 of degree <= c, by (h, g) whether h | g, the dominated
     chains by (p, d, c, base chain coefficients), the vector grid and addition
-    table of F_p^dim by (p, dim) (p = 1 for dim 0), and by module
-    (p, d, chain coefficients) its _action_rows, addition table and twist classes."""
+    table of F_p^dim by (p, dim) (p = 1 for dim 0), and by module (p, d, chain
+    coefficients) its _action_rows, addition table, twist classes and companion matrix."""
     # for h | x^d - 1, h | gcd(f, x^d - 1) iff h | f, so N's own chain serves every d
     field, base_chain = _base_chain(source)
     p = field.p
@@ -631,16 +631,16 @@ def _extensions(source: ModulePresentation | LamplighterSpec, bound: int, pool: 
         if chains not in pool:
             pool[chains] = _dominated_chains(base_chain, pool[p, d, c], c, pool)
         for chain in pool[chains]:
-            action = block_companion(chain)
             module = (p, d, tuple(h.coeffs for h in chain))
             if module not in pool:
+                action = block_companion(chain)
                 space = (p if action else 1, len(action))  # as in semidirect_table
                 if space not in pool:
                     pool[space] = _vector_grid(*space), _addition_table(*space)
                 pool[module] = (_action_rows(space[0], pool[space][0], action, d),
-                                pool[space][1], _twist_classes(chain, d, p))
+                                pool[space][1], _twist_classes(chain, d, p), action)
             for twist in pool[module][2]:
-                yield module + (twist,), field, action, twist
+                yield module + (twist,), field, pool[module][3], twist
 
 
 def _classify(sources: Sequence[ModulePresentation | LamplighterSpec],

@@ -915,6 +915,13 @@ def fp_rank(vectors: list[list[int]], p: int) -> int:
     return rank
 
 
+def free_rows_by_diagonal(pres: ModulePresentation) -> list[int]:
+    """The free coordinates of pres.smith, one diagonal entry at a time: index i is
+    free when it lies past the diagonal or diag[i] is zero."""
+    diag = pres.smith.diag
+    return [i for i in range(pres.generators) if i >= len(diag) or diag[i].is_zero]
+
+
 def truncation_dim_by_rank(pres: ModulePresentation, m: int) -> int:
     """dim over F_p of N / (x^m - 1) N with no Smith normal form: x^m = 1 there, so the
     relators span the F_p-space of the columns times x^k, k < m, reduced mod x^m - 1

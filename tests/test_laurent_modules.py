@@ -32,6 +32,7 @@ from lamprigid.pipeline import choose_m
 
 from oracles import (
     brute_monic_divisors,
+    free_rows_by_diagonal,
     random_poly,
     truncation_dim_by_rank,
     verified_residue_count,
@@ -228,6 +229,31 @@ class TestEpimorphismToFree:
         pres = presentation(F2, 1, [[(1, 1)]])
         with pytest.raises(AlgebraError, match="free rank 0 < target rank 1"):
             epimorphism_to_free(pres, 1)
+
+    @given(st.sampled_from([F2, F3]), st.integers(1, 4), st.integers(0, 3), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_free_rows_match_the_diagonal(self, field, generators, relators, data):
+        # units, x-power-only entries (nonzero, so not free), zeros and more
+        # generators than relators all reach the diagonal
+        entry = st.sampled_from([(), (1,), (2,), (0, 1), (0, 0, 1), (1, 1), (1, 0, 1)])
+        rows = [[data.draw(entry) for _ in range(relators)] for _ in range(generators)]
+        pres = presentation(field, generators, rows)
+        free = free_rows_by_diagonal(pres)
+        for n in range(1, generators + 1):
+            if n > len(free):
+                with pytest.raises(AlgebraError, match=f"free rank {len(free)} < target rank {n}"):
+                    epimorphism_to_free(pres, n)
+            else:
+                assert epimorphism_to_free(pres, n) == PolyMatrix(
+                    field, pres.smith.u.coeffs[free[:n]])
+
+    def test_free_rows_skip_x_power_diagonal_entries(self):
+        # diag (1, x^2, 0) and a fourth generator past the diagonal
+        pres = presentation(F3, 4, [[(1,), (), ()], [(), (0, 0, 1), ()],
+                                    [(), (), ()], [(), (), ()]])
+        assert [d.coeffs for d in pres.smith.diag] == [(1,), (0, 0, 1), ()]
+        assert free_rows_by_diagonal(pres) == [2, 3] and decompose(pres).free_rank == 2
+        assert epimorphism_to_free(pres, 2) == PolyMatrix(F3, pres.smith.u.coeffs[[2, 3]])
 
 
 class TestFiniteTruncation:

@@ -204,6 +204,24 @@ class TestCertify:
 
     @pytest.mark.parametrize("path", [
         "candidates/free_rank1.json", "candidates/free_rank2_p3.json",
+        "candidates/mixed_free_torsion.json", "candidates/torsion_only.json",
+        "tests/data/disguised16_free_rank2_p3.json",
+        "tests/data/disguised128_free_rank1.json", "tests/data/large_p.json",
+    ], ids=lambda path: pathlib.Path(path).stem)
+    def test_one_decomposition_per_certify(self, monkeypatch, path):
+        # every stage reads the presentation's cached decomposition
+        path = pathlib.Path(__file__).resolve().parents[1] / path
+        candidate = jsonio.parse_candidate(json.loads(path.read_text()))
+        checks = laurent_modules.ModuleDecomposition.__post_init__
+        made = []
+        monkeypatch.setattr(laurent_modules.ModuleDecomposition, "__post_init__",
+                            lambda dec: made.append(dec) or checks(dec))
+        certify(candidate, qu_bound=8)
+        assert len(made) == 1
+        assert decompose(candidate.presentation) is decompose(candidate.presentation) is made[0]
+
+    @pytest.mark.parametrize("path", [
+        "candidates/free_rank1.json", "candidates/free_rank2_p3.json",
         "candidates/mixed_free_torsion.json", "tests/data/disguised16_free_rank2_p3.json",
         "tests/data/disguised128_free_rank1.json", "tests/data/large_p.json",
     ], ids=lambda path: pathlib.Path(path).stem)

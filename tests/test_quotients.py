@@ -814,7 +814,8 @@ class TestCompareQu:
         modules = {key[:3] for key in keys}
         grids = {(key[0] if key[3] else 1, len(key[3])) for key in keys}  # F_p^0 reads no p
         calls = {name: [] for name in ("_vector_grid", "_addition_table", "_action_rows",
-                                       "_twist_classes", "_order_table", "_dominated_chains")}
+                                       "_twist_classes", "_order_table", "_dominated_chains",
+                                       "block_companion")}
         for name in calls:
             def recording(*args, _name=name, _fn=getattr(quotients, name)):
                 calls[_name].append(args)
@@ -831,6 +832,7 @@ class TestCompareQu:
         counts = {name: len(args) for name, args in calls.items() if name != "_dominated_chains"}
         assert counts == {"_vector_grid": len(grids), "_addition_table": len(grids),
                           "_action_rows": len(modules), "_twist_classes": len(modules),
+                          "block_companion": len(modules),
                           "_order_table": len({key[0] for key in keys})}  # per p
         # one enumeration per (p, d, c) and distinct base chain; the call keeps one
         # divisor list per (p, d, c), so its id stands for (p, d, c)
@@ -842,6 +844,16 @@ class TestCompareQu:
         # each test h | f against an invariant factor, and h | h' within a chain, is
         # made once per comparison, not once per d
         assert tests and len(set(tests)) == len(tests)
+
+    def test_one_companion_matrix_per_module(self, monkeypatch):
+        candidate = bundled("free_rank1")
+        sides = (candidate.presentation, LamplighterSpec(candidate.field, candidate.n, None))
+        modules = {key[:3] for side in sides for key, *_ in quotients._extensions(side, 8, {})}
+        chains = []
+        monkeypatch.setattr(quotients, "block_companion",
+                            lambda chain: chains.append(chain) or block_companion(chain))
+        compare_qu(*sides, 8)
+        assert len(chains) == len(modules) == 13
 
     def test_one_fingerprint_per_table(self, monkeypatch):
         made, original = [], quotients.QuotientFingerprint
