@@ -6,10 +6,10 @@ while residue products fit and Python integers beyond. Products and the
 elimination work on these arrays; FpPoly entries are built only on request.
 
 The normal form routine follows the classical Euclidean strategy: pick a
-nonzero entry of minimal degree as pivot, clear its row and column by division
-steps (remainders strictly drop the minimal degree, so this terminates), then
-repair the divisibility chain with extended-gcd 2x2 block transforms on
-adjacent diagonal pairs, all as in-place updates of one array (see _Worker).
+nonzero entry of minimal degree as pivot and clear its row and column by division
+steps; a non-constant pivot that does not divide the whole trailing block first
+gets a row added that holds a non-multiple, so each diagonal entry divides the
+next. All of it is in-place updates of one array (see _Worker.diagonalize).
 Every decomposition re-verifies U*M*V = D, the unimodularity of U and V, and the
 chain d_i | d_{i+1} at construction, so a returned value is a certificate.
 """
@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlgebraError, require
-from .fppoly import FieldSpec, FpPoly, poly_divmod, poly_gcd_ext
+from .fppoly import FieldSpec, FpPoly, poly_divmod
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,15 +118,19 @@ def _int64_terms(p: int) -> int:
 
 
 def _mul_sums(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product of coefficient arrays a[i, k, e] and b[k, j, f], not yet reduced mod p:
-    one numpy matrix product per nonzero degree slice of a. An output coefficient
-    sums at most cols(a) * min(widths) products, which fixes the exact dtype."""
+    """Product of coefficient arrays a[i, k, e] and b[k, j, f] of residues, not yet reduced
+    mod p, in the dtype PolyMatrix holds for p: one numpy matrix product per nonzero degree
+    slice of a and run of at most _int64_terms(p) inner indices (all for object arrays).
+    If an output coefficient's whole sum could pass 2^63, a run's output is reduced."""
     (rows, inner, wa), (_, cols, wb) = a.shape, b.shape
-    dtype = np.int64 if inner * min(wa, wb) <= _int64_terms(p) else object
+    dtype, run = (np.int64, terms) if (terms := _int64_terms(p)) > 0 else (object, inner + 1)
     a, flat = a.astype(dtype, copy=False), b.astype(dtype, copy=False).reshape(inner, cols * wb)
     out = np.zeros((rows, cols, wa + wb - 1), dtype=dtype)
     for e in np.flatnonzero(a.any(axis=(0, 1))):
-        out[:, :, e:e + wb] += (a[:, :, e] @ flat).reshape(rows, cols, wb)
+        for k in range(0, inner, run):
+            out[:, :, e:e + wb] += (a[:, k:k + run, e] @ flat[k:k + run]).reshape(rows, cols, wb)
+            if 0 < terms < inner * min(wa, wb):
+                out[:, :, e:e + wb] %= p
     return out
 
 
@@ -264,22 +268,33 @@ class _Worker:
 
     def clear(self, cols: bool, t: int) -> bool:
         """Reduce the entries after the pivot in its column (or row) of M mod the pivot
-        in one update; True if a remainder is nonzero. The quotients are the line times
-        1/pivot for a constant pivot, else one long division of the trimmed line."""
-        p, line = self.field.p, self.view(cols)[t + 1:self.C if cols else self.R, t]
+        in one update; True if a remainder is nonzero."""
+        line = self.view(cols)[t + 1:self.C if cols else self.R, t]
         rows = line.any(axis=1).nonzero()[0]
-        piv = self.g[t, t, :self.g[t, t].nonzero()[0][-1] + 1]
-        deg, inv, line = len(piv) - 1, self.field.inv(int(piv[-1])), line[rows]  # a copy
+        q, rem = self.divide(line[rows], t)
+        self.sub(cols, t + 1 + rows, q, [t])
+        return bool(rem.any())
+
+    def divide(self, lines: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Quotients q[n, 0, e] and remainders of the polynomials lines[n, e] by the pivot
+        g[t, t]: lines times 1/pivot for a constant pivot, else one long division."""
+        p, piv = self.field.p, self.g[t, t, :self.g[t, t].nonzero()[0][-1] + 1]
+        deg, inv = len(piv) - 1, self.field.inv(int(piv[-1]))
         if deg == 0:  # no remainder
-            self.sub(cols, t + 1 + rows, (line if inv == 1 else line * inv % p)[:, None], [t])
-            return False
-        rem = line[:, :line.any(axis=0).nonzero()[0].max(initial=-1) + 1]
+            return (lines if inv == 1 else lines * inv % p)[:, None], lines[:, :0]
+        rem = lines[:, :lines.any(axis=0).nonzero()[0].max(initial=-1) + 1].copy()
         q = np.zeros((len(rem), 1, max(rem.shape[1] - deg, 0)), dtype=rem.dtype)
         for k in range(rem.shape[1] - 1, deg - 1, -1):
             q[:, 0, k - deg] = rem[:, k] * inv % p
             rem[:, k - deg:k + 1] = (rem[:, k - deg:k + 1] - q[:, :, k - deg] * piv) % p
-        self.sub(cols, t + 1 + rows, q, [t])
-        return bool(rem.any())
+        return q, rem
+
+    def undivided_row(self, t: int) -> int | None:
+        """First row after t with an entry of the trailing block the pivot does not divide."""
+        block = self.g[t + 1:self.R, t + 1:self.C]
+        rem = self.divide(block.reshape(-1, block.shape[2]), t)[1]
+        rows = rem.any(axis=1).reshape(block.shape[:2]).any(axis=1).nonzero()[0]
+        return t + 1 + int(rows[0]) if rows.size else None
 
     def pivot(self, t: int) -> tuple[int, int] | None:
         """Nonzero entry of minimal degree in the trailing submatrix, lowest (row, col) on ties."""
@@ -291,53 +306,37 @@ class _Worker:
         return t + i, t + j
 
     def diagonalize(self) -> None:
-        """Euclidean elimination. Clearing the pivot's column subtracts multiples
-        of the pivot row from the rows below it and never writes the pivot row, so
-        every quotient can be read before the first update and the whole column is
-        cleared in one update, with the same result as one row at a time. The pivot
-        column is then fixed in the same way while the row is cleared."""
+        """Euclidean elimination that keeps the divisibility chain d_t | d_(t+1).
+
+        Clearing the pivot's column subtracts multiples of the pivot row from the rows
+        below it and never writes the pivot row, so every quotient is read before the
+        first update and the column is cleared in one update; then the row likewise.
+        After a clean clear, the first row with an entry of the trailing block that a
+        non-constant pivot does not divide is added to the pivot row. So step t ends with
+        d_t dividing the whole trailing block, which later steps' unimodular operations
+        keep: d_t | d_(t+1). A step needs a pivot, so zeros come last. Each step ends: a
+        remainder has lower degree than the pivot, and so has the next pivot, of least
+        degree; the added row, zero in the pivot column, puts a non-multiple of the
+        pivot into its row, so the next clear leaves a remainder."""
         t = 0
-        while t < min(self.R, self.C):
-            pos = self.pivot(t)
-            if pos is None:
-                break
+        while t < min(self.R, self.C) and (pos := self.pivot(t)) is not None:
             while True:
                 for cols, j in (False, pos[0]), (True, pos[1]):  # swap into place
                     if j != t:
                         self.view(cols)[[t, j]] = self.view(cols)[[j, t]]
-                dirty = [self.clear(cols, t) for cols in (False, True)]  # column, then row
-                if not any(dirty):
+                if any([self.clear(cols, t) for cols in (False, True)]):  # column, then row
+                    pos = self.pivot(t)  # a remainder has strictly smaller degree
+                elif self.g[t, t, 1:].any() and (i := self.undivided_row(t)) is not None:
+                    self.sub(False, [t], -np.ones((1, 1, 1), self.g.dtype), [i])
+                    pos = (t, t)
+                else:
                     break
-                pos = self.pivot(t)  # a remainder has strictly smaller degree
             t += 1
 
     @staticmethod
     def degrees(block: np.ndarray) -> np.ndarray:
         """Degrees of the entries of a block of g, -1 for a zero entry."""
         return ((block != 0) * np.arange(1, block.shape[-1] + 1)).max(axis=-1, initial=0) - 1
-
-    def repair_chain(self) -> None:
-        one = FpPoly.one(self.field)
-        q = lambda rows: PolyMatrix.from_rows(self.field, rows).coeffs
-        k, changed = np.arange(min(self.R, self.C)), True
-        while changed:
-            changed = False
-            deg = self.degrees(self.g[k, k])
-            for i in range(len(k) - 1):
-                # zeros stay last: diagonalize leaves them there, and a gcd step keeps g, ab/g
-                # nonzero; a constant divides every entry
-                if deg[i + 1] < 0 or deg[i] == 0:
-                    continue
-                a, b = (FpPoly(self.field, tuple(self.g[j, j].tolist())) for j in (i, i + 1))
-                if a.divides(b):
-                    continue
-                g, u, v = poly_gcd_ext(a, b)
-                # [[a,0],[0,b]] -> [[g,0],[0,ab/g]]: col_i += col_(i+1), then rows i, i+1
-                # times [[u, v], [-b/g, a/g]], then col_(i+1) -= (vb/g) col_i
-                self.sub(True, [i], q([[-one]]), [i + 1])
-                self.sub(False, [i, i + 1], q([[one - u, -v], [b // g, one - a // g]]), [i, i + 1])
-                self.sub(True, [i + 1], q([[(v * b) // g]]), [i])
-                deg, changed = self.degrees(self.g[k, k]), True
 
     def normalize_monic(self) -> None:
         k = np.arange(min(self.R, self.C))
@@ -353,7 +352,6 @@ def smith_normal_form(m: PolyMatrix) -> SmithDecomposition:
     """
     w = _Worker(m)
     w.diagonalize()
-    w.repair_chain()
     w.normalize_monic()
     R, C = m.rows, m.cols
     d, u, v = (PolyMatrix(m.field, c) for c in (w.g[:R, :C], w.g[:R, C:], w.g[R:, :C]))

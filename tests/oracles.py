@@ -31,7 +31,6 @@ from lamprigid import (
     laurent_canonicalize,
     poly_divmod,
     poly_gcd,
-    poly_gcd_ext,
     x_pow_minus_one,
 )
 from lamprigid.errors import AlgebraError
@@ -209,20 +208,9 @@ class FpPolyWorker:
                 if row[j]:
                     row[i] = row[i] - q * row[j]
 
-    def col_add(self, i: int, j: int, q: FpPoly) -> None:
-        self.col_sub(i, j, -q)
-
     def row_scale(self, i: int, c: int) -> None:
         self.a[i] = [e * c for e in self.a[i]]
         self.u[i] = [e * c for e in self.u[i]]
-
-    def row_pair_transform(self, i: int, j: int, a11: FpPoly, a12: FpPoly,
-                           a21: FpPoly, a22: FpPoly) -> None:
-        """(row_i, row_j) <- (a11*row_i + a12*row_j, a21*row_i + a22*row_j)"""
-        for grid in (self.a, self.u):
-            ri, rj = grid[i], grid[j]
-            grid[i] = [a11 * e + a12 * f for e, f in zip(ri, rj)]
-            grid[j] = [a21 * e + a22 * f for e, f in zip(ri, rj)]
 
     def pivot(self, t: int) -> tuple[int, int] | None:
         """Nonzero entry of minimal degree in the trailing submatrix, lowest (row, col) on ties."""
@@ -262,34 +250,18 @@ class FpPolyWorker:
                         self.col_sub(j, t, q)
                         if r:
                             dirty = True
-                if not dirty:
+                if dirty:
+                    pos = self.pivot(t)  # a remainder has strictly smaller degree
+                    continue
+                # keep the chain: add the first row with an entry of the trailing block
+                # that the pivot does not divide to the pivot row, and clear again
+                undivided = next((i for i in range(t + 1, self.R)
+                                  if any(poly_divmod(e, piv)[1] for e in self.a[i][t + 1:])), None)
+                if undivided is None:
                     break
-                pos = self.pivot(t)  # a remainder has strictly smaller degree
+                self.row_sub(t, undivided, -FpPoly.one(self.field))
+                pos = (t, t)
             t += 1
-
-    def repair_chain(self) -> None:
-        k = min(self.R, self.C)
-        one = FpPoly.one(self.field)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(k - 1):
-                a, b = self.a[i][i], self.a[i + 1][i + 1]
-                if a.is_zero and not b.is_zero:
-                    self.row_swap(i, i + 1)
-                    self.col_swap(i, i + 1)
-                    changed = True
-                    continue
-                if a.is_zero or b.is_zero:
-                    continue
-                if poly_divmod(b, a)[1].is_zero:
-                    continue
-                g, u, v = poly_gcd_ext(a, b)
-                # [[a,0],[0,b]] -> [[g,0],[0,ab/g]] by unimodular block moves
-                self.col_add(i, i + 1, one)
-                self.row_pair_transform(i, i + 1, u, v, -(b // g), a // g)
-                self.col_sub(i + 1, i, (v * b) // g)
-                changed = True
 
     def normalize_monic(self) -> None:
         for i in range(min(self.R, self.C)):
@@ -302,7 +274,6 @@ def fppoly_smith(m: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix, PolyMatrix]:
     """(U, D, V) of the FpPoly elimination, without the certificate."""
     w = FpPolyWorker(m)
     w.diagonalize()
-    w.repair_chain()
     w.normalize_monic()
     field = m.field
     d = PolyMatrix.from_rows(field, w.a) if m.rows else PolyMatrix.zeros(field, 0, m.cols)

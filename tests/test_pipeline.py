@@ -224,6 +224,7 @@ class TestCertify:
         "candidates/free_rank1.json", "candidates/free_rank2_p3.json",
         "candidates/mixed_free_torsion.json", "tests/data/disguised16_free_rank2_p3.json",
         "tests/data/disguised128_free_rank1.json", "tests/data/large_p.json",
+        "tests/data/disguised16_free_rank1_p2147483647.json",
     ], ids=lambda path: pathlib.Path(path).stem)
     def test_recorded_phi_passes_the_oracles(self, path):
         # phi has no certificate of its own, so check it outside the library's SNF:

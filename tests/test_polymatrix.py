@@ -61,6 +61,18 @@ class TestMatrixMul:
         with pytest.raises(AlgebraError, match="mixed fields in matrix product"):
             matrix_mul(PolyMatrix.identity(F2, 2), PolyMatrix.identity(F3, 2))
 
+    @pytest.mark.parametrize("p", [2 ** 31 - 1, 3037000493])
+    def test_products_stay_int64_at_the_boundary_primes(self, p):
+        # an int64 residue mod p takes only 2 (p = 2^31 - 1) or 1 (p = 3037000493)
+        # products of residues, so each inner sum runs in pieces reduced in between;
+        # entries with every coefficient p - 1 make every product as large as it can be
+        field, rng = FieldSpec(p), random.Random(p)
+        top = FpPoly(field, (p - 1,) * 4)
+        for a, b in [(random_matrix(rng, field, 6, 5, 3), random_matrix(rng, field, 5, 4, 3)),
+                     (entries_matrix(field, 5, 5, [top] * 25),) * 2]:
+            assert polymatrix._mul_sums(a.coeffs, b.coeffs, p).dtype == np.int64
+            assert matrix_mul(a, b) == list_matrix_mul(a, b)
+
 
 def _sparse_matrices(rng):
     """Matrices up to 6x6 on which Bareiss skips the updates with a zero multiplier.
@@ -360,6 +372,28 @@ class TestAgainstFpPolyOracle:
         monkeypatch.setattr(polymatrix._Worker, "sub", recorded)
         matches_fppoly_oracle(m)
         assert [n for _, n in widths[:2]] == [1, 1] and min(w for w, _ in widths[:2]) >= 300
+
+    @pytest.mark.parametrize("m", [
+        # diag(x + 1, x): the pivot x + 1 does not divide x
+        mat(F2, [[(1, 1), ()], [(), (0, 1)]]),
+        # the pivot x + 1 has clear lines and divides neither x^2 nor x in the trailing block
+        mat(F3, [[(1, 1), (), ()], [(), (0, 0, 1), (0, 1)], [(), (), (2, 1)]]),
+        # the pivot x clears the x below and beside it, then does not divide x + 1
+        mat(LARGE_P, [[(0, 1), (0, 1), ()], [(), (1, 1), ()], [(0, 1), (0, 1), (1, 0, 1)]]),
+    ], ids=["f2_diagonal", "f3", "large_p"])
+    def test_undivided_row_added_to_pivot_row(self, monkeypatch, m):
+        # with clear lines, a pivot that does not divide the whole trailing block gets
+        # the first row holding a non-multiple added to its row: one sub with q = -1
+        added, sub = [], polymatrix._Worker.sub
+
+        def recorded(self, cols, targets, q, sources):
+            if not cols and q.shape == (1, 1, 1) and q[0, 0, 0] == -1:
+                added.append((list(targets), list(sources)))
+            sub(self, cols, targets, q, sources)
+
+        monkeypatch.setattr(polymatrix._Worker, "sub", recorded)
+        matches_fppoly_oracle(m)
+        assert added[:1] == [([0], [1])]
 
 
 def test_snf_at_the_largest_legal_exponent():
